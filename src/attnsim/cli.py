@@ -2,8 +2,15 @@
 
 Subcommands: ``run`` (single experiment, trace + summary), ``sweep``
 (dimension x signal-norm heatmap), ``check`` (theory-check suites), and
-``classify`` (SNR regime).  Exit codes: 0 success, 1 check failure,
-2 usage or configuration error, 3 numerical divergence (partial trace kept).
+``classify`` (SNR regime).  Exit codes:
+
+* 0 success
+* 1 check failure
+* 2 usage or configuration error (``ConfigError``), found when the config
+  is loaded, before any computation
+* 3 numerical divergence of training (partial trace kept)
+* 4 other numerical error (a ``ValueError`` raised while computing, e.g.
+  non-finite test-set scores)
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+EXIT_NUMERICAL = 4
 
 
 def _load_json(path: str) -> dict:
@@ -116,12 +124,15 @@ def main(argv=None) -> int:
             print(classify(config))
             return EXIT_OK
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ValueError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_USAGE
 
 

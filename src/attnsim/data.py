@@ -113,8 +113,11 @@ class DataConfig:
     n_weak_same: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.T < 1 or self.d < 1:
-            raise ConfigError("n, T, d must be positive")
+        if self.n < 1 or self.T < 1:
+            raise ConfigError("n and T must be positive")
+        if self.d < 2:
+            raise ConfigError(f"d must be >= 2 for the two class signals, "
+                              f"got {self.d}")
         if self.n_weak_same < 0:
             raise ConfigError("n_weak_same must be >= 0")
         if self.T < 2 + self.n_weak_same:

@@ -28,8 +28,8 @@ from .theory import (CheckResult, TheoryReport, classify_regime,
                      init_checks, loss_derivative_balance, measure_grokking,
                      pre_saturation_window, softmax_bound_scan,
                      verify_update_identity)
-from .train import (DivergenceError, TrainConfig, TrainTrace, finite_diff_grad,
-                    grad_p, grad_w, train)
+from .train import (ENGINES, DivergenceError, TrainConfig, TrainTrace,
+                    finite_diff_grad, grad_p, grad_w, train)
 
 __all__ = [
     "ModelParams",
@@ -73,6 +73,10 @@ class ModelParams:
             raise ConfigError("head_scale must be 'inverse_mu', 'unit' or a number")
         if self.assumption_delta <= 0:
             raise ConfigError("assumption_delta must be positive")
+        for name in ("sigma_w", "sigma_p"):
+            v = getattr(self, name)
+            if v is not None and v < 0:
+                raise ConfigError(f"{name} must be >= 0, got {v}")
 
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in _MODEL_FIELDS}
@@ -98,6 +102,11 @@ class ExperimentConfig:
     seed: int = 0
     tracked_samples: tuple[int, ...] | None = None
     engine: str = "auto"
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ConfigError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
 
     def to_json(self) -> dict:
         return {
@@ -338,6 +347,9 @@ class SweepSpec:
     def __post_init__(self):
         if not self.d_values or not self.mu_values or not self.seeds:
             raise ConfigError("sweep grids must be nonempty")
+        for d in self.d_values:
+            for mu in self.mu_values:
+                replace(self.base.data, d=d, mu_norm=mu)  # validates the cell
 
     def to_json(self) -> dict:
         return {"d_values": list(self.d_values),

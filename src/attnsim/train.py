@@ -29,6 +29,7 @@ from .data import ConfigError, Dataset, Role, SignalBasis
 from .model import ModelState, softmax
 
 __all__ = [
+    "ENGINES",
     "TrainConfig",
     "TrainTrace",
     "TrainResult",
@@ -45,6 +46,8 @@ __all__ = [
     "lambda_token_indices",
     "gamma_token_indices",
 ]
+
+ENGINES = ("auto", "direct", "subspace")
 
 _TRAIN_FIELDS = ("alpha", "steps", "log_every", "test_size",
                  "fit_threshold", "gen_threshold")
@@ -99,32 +102,44 @@ class DivergenceError(RuntimeError):
 
 
 def loss_derivative(z):
-    """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in (-1, 0)."""
+    """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in (-1, 0).
+
+    Evaluated as -e/(1 + e) for z >= 0 and -1/(1 + e) for z < 0, with
+    e = exp(-|z|), so the exponential never overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    ez = np.exp(-z[pos])
-    out[pos] = -ez / (1.0 + ez)
-    out[~pos] = -1.0 / (1.0 + np.exp(z[~pos]))
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
     return out if out.ndim else float(out)
 
 
-def _scores_probs_outputs(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
-    """Attention scores, softmax and outputs for stacked X given q = W^T p."""
+def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
+    """Attention scores X q and token scores X nu of stacked X (n, T, d),
+    both (n, T), given q = W^T p."""
     n, T, d = X.shape
     flat = X.reshape(n * T, d)
-    attn = (flat @ q).reshape(n, T)
-    probs = softmax(attn, axis=-1)
-    gamma = (flat @ nu).reshape(n, T)
+    return (flat @ q).reshape(n, T), (flat @ nu).reshape(n, T)
+
+
+def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None):
+    """Softmax of attention scores u (n, T) over tokens and the outputs
+    f_i = <s_i, gamma_i>.  Given training labels y, also the token weights
+    (1/n) l'(y_i f_i) y_i s_t (gamma_t - f_i), whose sum against the tokens
+    is gbar; otherwise None in their place."""
+    probs = softmax(u, axis=-1)
     out = np.einsum("it,it->i", probs, gamma)
-    return attn, probs, gamma, out
+    if y is None:
+        return probs, out, None
+    lprime = loss_derivative(y * out)
+    omega = probs * (gamma - out[:, None])
+    return probs, out, (lprime * y / len(y))[:, None] * omega
 
 
 def empirical_loss(dataset: Dataset, state: ModelState) -> float:
     """(1/n) sum_i log(1 + exp(-y_i f(X_i))), evaluated log1p-stably."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    _, _, _, out = _scores_probs_outputs(dataset.X, state.W.T @ state.p, state.nu)
+    _, out, _ = _attend(*_token_scores(dataset.X, state.W.T @ state.p,
+                                       state.nu))
     return float(np.mean(np.logaddexp(0.0, -dataset.y_train * out)))
 
 
@@ -132,12 +147,8 @@ def _gbar(dataset: Dataset, state: ModelState) -> np.ndarray:
     """(1/n) sum_i l'_i y_i sum_t s_t (gamma_t - f) x_t, accumulated in a
     fixed order (no per-sample d x d intermediates)."""
     n, T, d = dataset.X.shape
-    _, probs, gamma, out = _scores_probs_outputs(dataset.X, state.W.T @ state.p,
-                                                 state.nu)
-    y = dataset.y_train
-    lprime = loss_derivative(y * out)
-    omega = probs * (gamma - out[:, None])
-    weights = (lprime * y / n)[:, None] * omega
+    u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
+    _, _, weights = _attend(u, gamma, dataset.y_train)
     return weights.reshape(n * T) @ dataset.X.reshape(n * T, d)
 
 
@@ -297,7 +308,8 @@ class TrainResult:
 
 class _Recorder:
     """Accumulates one row per logged step; both engines feed it the same
-    role-resolved quantities."""
+    role-resolved quantities.  Test-set metrics are scored after the loop
+    and handed to :meth:`finish`."""
 
     def __init__(self, dataset: Dataset, signals: SignalBasis, rho: float,
                  hooks=()):
@@ -306,9 +318,8 @@ class _Recorder:
         self.hooks = hooks
         self.rows = {k: [] for k in
                      ("steps", "train_loss", "train_acc", "train_acc_true",
-                      "test_acc", "test_loss", "outputs", "probs",
-                      "lambda_plus", "lambda_minus", "rho_attn", "Lambda",
-                      "Gamma")}
+                      "outputs", "probs", "lambda_plus", "lambda_minus",
+                      "rho_attn", "Lambda", "Gamma")}
         T = dataset.T
         self._lam_cols = lambda_token_indices(T)
         self._gam_cols = gamma_token_indices(T)
@@ -318,12 +329,9 @@ class _Recorder:
         self._irrelevant_cols = np.array(
             [t for t, r in enumerate(roles) if r == Role.IRRELEVANT], dtype=int)
 
-    def log(self, step: int, u: np.ndarray, gamma: np.ndarray,
-            lam_plus: float, lam_minus: float, test_acc: float,
-            test_loss: float):
+    def log(self, step: int, u: np.ndarray, probs: np.ndarray,
+            out: np.ndarray, lam_plus: float, lam_minus: float):
         ds = self.ds
-        probs = softmax(u, axis=-1)
-        out = np.einsum("it,it->i", probs, gamma)
         fit_train = (out != 0) & (np.sign(out) == ds.y_train)
         fit_true = (out != 0) & (np.sign(out) == ds.y_true)
         loss = float(np.mean(np.logaddexp(0.0, -ds.y_train * out)))
@@ -343,8 +351,6 @@ class _Recorder:
         r["train_loss"].append(loss)
         r["train_acc"].append(float(fit_train.mean()))
         r["train_acc_true"].append(float(fit_true.mean()))
-        r["test_acc"].append(test_acc)
-        r["test_loss"].append(test_loss)
         r["outputs"].append(out)
         r["probs"].append(probs)
         r["lambda_plus"].append(lam_plus)
@@ -356,16 +362,20 @@ class _Recorder:
             hook(step, {"probs": probs, "outputs": out, "loss": loss,
                         "lambda_plus": lam_plus, "lambda_minus": lam_minus})
 
-    def finish(self, meta: dict, diverged_at=None) -> TrainTrace:
+    def finish(self, meta: dict, test, diverged_at=None) -> TrainTrace:
+        """Assemble the trace; ``test`` is (test_acc, test_loss) per logged
+        step, or None without a test set."""
         ds = self.ds
         r = self.rows
+        if test is None:
+            test = (np.full(len(r["steps"]), math.nan),) * 2
         return TrainTrace(
             steps=np.array(r["steps"], dtype=np.int64),
             train_loss=np.array(r["train_loss"]),
             train_acc=np.array(r["train_acc"]),
             train_acc_true=np.array(r["train_acc_true"]),
-            test_acc=np.array(r["test_acc"]),
-            test_loss=np.array(r["test_loss"]),
+            test_acc=test[0],
+            test_loss=test[1],
             outputs=np.array(r["outputs"]),
             probs=np.array(r["probs"]),
             lambda_plus=np.array(r["lambda_plus"]),
@@ -382,12 +392,30 @@ class _Recorder:
         )
 
 
-def _test_metrics(scores: np.ndarray, gamma: np.ndarray,
-                  y: np.ndarray) -> tuple[float, float]:
-    probs = softmax(scores, axis=-1)
-    out = np.einsum("it,it->i", probs, gamma)
-    acc = float((((out != 0) & (np.sign(out) == y))).mean())
-    loss = float(np.mean(np.logaddexp(0.0, -y * out)))
+# Logged states scored together on the test set after the loop: bounds the
+# (block, m*T) score temporaries.
+_TEST_BLOCK = 32
+
+
+def _test_metrics(test_set: Dataset, nu: np.ndarray, rows: np.ndarray,
+                  to_scores) -> tuple[np.ndarray, np.ndarray]:
+    """Test accuracy and mean logistic loss of every logged state.
+
+    ``rows`` holds one row per state; ``to_scores`` maps a block of rows to
+    the flat test scores of those states, shape (block, m*T).
+    """
+    m, T, d = test_set.X.shape
+    y = test_set.y_true
+    gamma = np.tile((test_set.X.reshape(m * T, d) @ nu).reshape(m, T),
+                    (min(_TEST_BLOCK, len(rows)), 1))
+    acc, loss = np.empty(len(rows)), np.empty(len(rows))
+    for lo in range(0, len(rows), _TEST_BLOCK):
+        scores = to_scores(rows[lo:lo + _TEST_BLOCK])
+        b = scores.shape[0]
+        _, out, _ = _attend(scores.reshape(b * m, T), gamma[:b * m])
+        out = out.reshape(b, m)
+        acc[lo:lo + b] = ((out != 0) & (np.sign(out) == y)).mean(axis=1)
+        loss[lo:lo + b] = np.logaddexp(0.0, -y * out).mean(axis=1)
     return acc, loss
 
 
@@ -401,57 +429,53 @@ def _train_direct(state0, dataset, signals, config, test_set, recorder):
     n, T, d = dataset.X.shape
     flatX = dataset.X.reshape(n * T, d)
     gamma = (flatX @ state0.nu).reshape(n, T)
-    if test_set is not None:
-        m = test_set.n
-        flat_test = test_set.X.reshape(m * T, d)
-        gamma_test = (flat_test @ state0.nu).reshape(m, T)
     W = state0.W.copy()
     p = state0.p.copy()
     nu = state0.nu
     alpha = config.alpha
     log_at = _log_points(config.steps, config.log_every)
     y = dataset.y_train
+    logged_q = []
     diverged_at = None
 
-    def log_now(step, q, u):
-        test_acc = test_loss = math.nan
-        if test_set is not None:
-            test_acc, test_loss = _test_metrics((flat_test @ q).reshape(m, T),
-                                                gamma_test, test_set.y_true)
-        recorder.log(step, u, gamma,
-                     float(signals.mu_plus @ q), float(signals.mu_minus @ q),
-                     test_acc, test_loss)
-
-    q = W.T @ p
-    u = (flatX @ q).reshape(n, T)
-    log_now(0, q, u)
-    for step in range(1, config.steps + 1):
-        probs = softmax(u, axis=-1)
-        out = np.einsum("it,it->i", probs, gamma)
-        lprime = loss_derivative(y * out)
-        weights = (lprime * y / n)[:, None] * (probs * (gamma - out[:, None]))
-        g = weights.reshape(n * T) @ flatX
-        if not np.all(np.isfinite(g)):
-            diverged_at = step
-            break
-        gp = W @ g
-        W -= alpha * np.outer(p, g)
-        p -= alpha * gp
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps + 1):
+            if step:
+                g = weights.reshape(n * T) @ flatX
+                if not np.all(np.isfinite(g)):
+                    diverged_at = step
+                    break
+                gp = W @ g
+                W -= alpha * np.outer(p, g)
+                p -= alpha * gp
             q = W.T @ p
             u = (flatX @ q).reshape(n, T)
-        if not np.all(np.isfinite(u)):
-            diverged_at = step
-            break
-        if step in log_at:
-            log_now(step, q, u)
+            if not np.all(np.isfinite(u)):
+                diverged_at = step
+                break
+            probs, out, weights = _attend(u, gamma, y)
+            if step in log_at:
+                logged_q.append(q)
+                recorder.log(step, u, probs, out, float(signals.mu_plus @ q),
+                             float(signals.mu_minus @ q))
+
+    test = None
+    if test_set is not None:
+        flat_test = test_set.X.reshape(test_set.n * T, d)
+        test = _test_metrics(test_set, nu, np.reshape(logged_q, (-1, d)),
+                             lambda qs: qs @ flat_test.T)
 
     def finalize():
         final = ModelState.__new__(ModelState)
         final.W, final.p, final.nu = W, p, nu
         return final
 
-    return finalize, diverged_at
+    return finalize, diverged_at, test
+
+
+# Number of steps whose rank-one terms pi beta^T of S are applied as thin
+# products before one GEMM folds them into S.
+_FOLD = 32
 
 
 class _SubspaceEngine:
@@ -464,101 +488,119 @@ class _SubspaceEngine:
         p(t) = a(t) p0 + V pi(t),            V = W0 B^T,
         W(t) = W0 - alpha p0 r(t)^T B - alpha V S(t) B,
 
-    the updates close over (a, pi, r, S) with Gram matrices of B, V and W0
-    as the only precomputation; the per-step cost does not depend on d.
+    the updates close over (a, pi, r, S) with the Gram matrices G = B B^T
+    and Q = V^T V as the only precomputation; the per-step cost does not
+    depend on d.  The attention scores of the B rows, computed once per
+    step, are
+
+        u = w - alpha G c,     c = r pdot + S^T w,
+        w = V^T p = a v0 + Q pi,   pdot = p0 . p = a |p0|^2 + v0 . pi,
+
+    with v0 = V^T p0.  S gains pi beta^T each step;
+    the last few pairs wait in two buffers, enter S^T w and S G beta as thin
+    products, and are folded into S by one GEMM every ``_FOLD`` steps.
     """
 
-    def __init__(self, state0, dataset, signals, test_set, alpha):
+    def __init__(self, state0, dataset, signals, alpha):
         n, T, d = dataset.X.shape
-        self.n, self.T = n, T
+        self.n, self.T, self.nT = n, T, n * T
         self.alpha = alpha
         tokens = dataset.X.reshape(n * T, d)
         B = np.vstack([tokens, signals.mu_plus, signals.mu_minus])
-        self.N = B.shape[0]
-        self.i_plus = n * T
-        self.i_minus = n * T + 1
+        N = self.N = B.shape[0]
         W0, p0 = state0.W, state0.p
         V = W0 @ B.T                     # (d, N)
-        Z = W0.T @ V                     # (d, N)
         self.G = B @ B.T
-        self.M = B @ Z
         self.Q = V.T @ V
-        w0p0 = W0.T @ p0
-        self.z0 = B @ w0p0
         self.v0 = V.T @ p0
         self.pp0 = float(p0 @ p0)
         self.gamma = (tokens @ state0.nu).reshape(n, T)
         self._W0, self._p0, self._B, self._V = W0, p0, B, V
         self._nu = state0.nu
 
-        self.test = None
-        if test_set is not None:
-            m = test_set.n
-            flat_test = test_set.X.reshape(m * T, d)
-            self.test = {
-                "m": m,
-                "TB": flat_test @ B.T,
-                "TZ": flat_test @ Z,
-                "tz0": flat_test @ w0p0,
-                "gamma": (flat_test @ state0.nu).reshape(m, T),
-                "y": test_set.y_true,
-            }
-
         self.a = 1.0
-        self.pi = np.zeros(self.N)
-        self.r = np.zeros(self.N)
-        self.S = np.zeros((self.N, self.N))
+        self.pi = np.zeros(N)
+        self.r = np.zeros(N)
+        self.S = np.zeros((N, N))
+        self._beta = np.zeros(N)         # probe rows stay zero
+        self._pending_pi = np.empty((_FOLD, N))
+        self._pending_beta = np.empty((_FOLD, self.nT))
+        self._pending = 0
+        self._score()
 
-    def _p_products(self):
-        pdot = self.a * self.pp0 + self.v0 @ self.pi
-        w = self.a * self.v0 + self.Q @ self.pi
-        return pdot, w
+    def _score(self):
+        """Scores ``u`` of every B row at the current state (token rows,
+        then the two probes) and the correction ``c`` behind them."""
+        a, pi, k = self.a, self.pi, self._pending
+        pdot = a * self.pp0 + self.v0 @ pi
+        w = a * self.v0 + self.Q @ pi
+        c = self.r * pdot + self.S.T @ w
+        if k:
+            c[:self.nT] += self._pending_beta[:k].T @ (self._pending_pi[:k] @ w)
+        self.c = c
+        self.u = w - self.alpha * (self.G @ c)
 
-    def scores(self):
-        """Attention scores of every B row: token rows then the two probes."""
-        pdot, w = self._p_products()
-        with np.errstate(over="ignore", invalid="ignore"):
-            correction = self.r * pdot + self.S.T @ w
-            return (self.a * self.z0 + self.M @ self.pi
-                    - self._alpha_G(correction))
+    def _fold(self):
+        k = self._pending
+        if k:
+            self.S[:, :self.nT] += (self._pending_pi[:k].T
+                                    @ self._pending_beta[:k])
+            self._pending = 0
 
-    def _alpha_G(self, vec):
-        return self.alpha * (self.G @ vec)
-
-    def step(self, y):
-        alpha = self.alpha
-        u_all = self.scores()
-        n, T = self.n, self.T
-        u = u_all[: n * T].reshape(n, T)
-        if not np.all(np.isfinite(u)):
-            raise DivergenceError(step=0)
-        probs = softmax(u, axis=-1)
-        out = np.einsum("it,it->i", probs, self.gamma)
-        lprime = loss_derivative(y * out)
-        weights = (lprime * y / n)[:, None] * (probs * (self.gamma - out[:, None]))
-        beta = np.zeros(self.N)
-        beta[: n * T] = weights.reshape(n * T)
-        if not np.all(np.isfinite(beta)):
-            raise DivergenceError(step=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            Gb = self.G @ beta
-            new_a = self.a + alpha * alpha * float(self.r @ Gb)
-            new_pi = self.pi - alpha * beta + alpha * alpha * (self.S @ Gb)
-            self.r = self.r + self.a * beta
-            self.S = self.S + np.outer(self.pi, beta)
+    def step(self, weights):
+        """Advance one GD step given the token weights of the current
+        state, then score the new state."""
+        alpha, nT, k = self.alpha, self.nT, self._pending
+        beta = self._beta
+        beta[:nT] = weights.reshape(nT)
+        Gb = self.G @ beta
+        SGb = self.S @ Gb
+        if k:
+            SGb += self._pending_pi[:k].T @ (self._pending_beta[:k] @ Gb[:nT])
+        new_a = self.a + alpha * alpha * float(self.r @ Gb)
+        new_pi = self.pi - alpha * beta + alpha * alpha * SGb
+        self.r += self.a * beta
+        self._pending_pi[k] = self.pi
+        self._pending_beta[k] = beta[:nT]
+        self._pending = k + 1
+        if self._pending == _FOLD:
+            self._fold()
         self.a, self.pi = new_a, new_pi
-        if not (math.isfinite(self.a) and np.all(np.isfinite(self.pi))):
-            raise DivergenceError(step=0)
+        self._score()
 
-    def test_scores(self):
-        t = self.test
-        pdot, w = self._p_products()
-        correction = self.r * pdot + self.S.T @ w
-        flat = (self.a * t["tz0"] + t["TZ"] @ self.pi
-                - self.alpha * (t["TB"] @ correction))
-        return flat.reshape(t["m"], self.T)
+    def coefficients(self, row):
+        """Write the current state's row (a, pi, -alpha c) into ``row``:
+        W^T p = [W0^T p0 | W0^T V | B^T] @ row."""
+        N = self.N
+        row[0] = self.a
+        row[1:N + 1] = self.pi
+        np.multiply(self.c, -self.alpha, out=row[N + 1:])
+
+    def test_scorer(self, test_set, L):
+        """A map from a block of coefficient rows to the flat test scores
+        (block, m*T) of those states, for L logged states.
+
+        With more states than basis columns 2N + 1, the test tokens are
+        projected onto the basis here, once, and each block is one GEMM.
+        Otherwise each state's W^T p is formed in d dimensions and the
+        tokens are multiplied by it, which never forms W0^T V.
+        """
+        N, W0, p0, V, B = self.N, self._W0, self._p0, self._V, self._B
+        flat_test = test_set.X.reshape(test_set.n * self.T, -1)
+        if L > 2 * N + 1:
+            proj = np.empty((2 * N + 1, flat_test.shape[0]))
+            np.matmul(p0 @ W0, flat_test.T, out=proj[0])
+            np.matmul(V.T @ W0, flat_test.T, out=proj[1:N + 1])
+            np.matmul(B, flat_test.T, out=proj[N + 1:])
+            return lambda rows: rows @ proj
+
+        def scores(rows):
+            p = np.outer(rows[:, 0], p0) + rows[:, 1:N + 1] @ V.T
+            return (p @ W0 + rows[:, N + 1:] @ B) @ flat_test.T
+        return scores
 
     def materialize(self):
+        self._fold()
         W = (self._W0
              - self.alpha * np.outer(self._p0, self._B.T @ self.r)
              - self.alpha * ((self._V @ self.S) @ self._B))
@@ -569,44 +611,40 @@ class _SubspaceEngine:
 
 
 def _train_subspace(state0, dataset, signals, config, test_set, recorder):
-    eng = _SubspaceEngine(state0, dataset, signals, test_set, config.alpha)
-    n, T = eng.n, eng.T
+    eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
+    n, T, nT = eng.n, eng.T, eng.nT
     log_at = _log_points(config.steps, config.log_every)
     y = dataset.y_train
+    coefs = np.empty((len(log_at), 2 * eng.N + 1))
+    scorer = (eng.test_scorer(test_set, len(coefs)) if test_set is not None
+              else None)
+    logged = 0
     diverged_at = None
 
-    def log_now(step):
-        u_all = eng.scores()
-        if not np.all(np.isfinite(u_all)):
-            return False
-        u = u_all[: n * T].reshape(n, T)
-        test_acc = test_loss = math.nan
-        if eng.test is not None:
-            test_acc, test_loss = _test_metrics(eng.test_scores(),
-                                                eng.test["gamma"],
-                                                eng.test["y"])
-        recorder.log(step, u, eng.gamma,
-                     float(u_all[eng.i_plus]), float(u_all[eng.i_minus]),
-                     test_acc, test_loss)
-        return True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps + 1):
+            if step:
+                eng.step(weights)
+            u_all = eng.u
+            if not np.all(np.isfinite(u_all)):
+                diverged_at = step
+                break
+            u = u_all[:nT].reshape(n, T)
+            probs, out, weights = _attend(u, eng.gamma, y)
+            if step in log_at:
+                eng.coefficients(coefs[logged])
+                logged += 1
+                recorder.log(step, u, probs, out, float(u_all[nT]),
+                             float(u_all[nT + 1]))
 
-    log_now(0)
-    for step in range(1, config.steps + 1):
-        try:
-            eng.step(y)
-        except DivergenceError:
-            diverged_at = step
-            break
-        if step in log_at and not log_now(step):
-            diverged_at = step
-            break
-
-    return eng.materialize, diverged_at
+    test = (_test_metrics(test_set, state0.nu, coefs[:logged], scorer)
+            if scorer is not None else None)
+    return eng.materialize, diverged_at, test
 
 
 def _pick_engine(engine: str, dataset: Dataset) -> str:
-    if engine not in ("auto", "direct", "subspace"):
-        raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ENGINES:
+        raise ConfigError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if engine != "auto":
         return engine
     N = dataset.n * dataset.T + 2
@@ -622,16 +660,18 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
     accuracies (training labels, true labels, held-out clean set), softmax
-    vectors, signal/noise attention and both attention-gap families.  On a
-    non-finite update, training stops; the partial trace is preserved and a
+    vectors, signal/noise attention and both attention-gap families.  Hooks
+    see each logged step as it happens; the held-out set is scored for all
+    logged steps after the loop.  When an update or the scores it leads to
+    go non-finite, training stops; the partial trace is preserved and a
     :class:`DivergenceError` carrying it is raised unless
     ``raise_on_divergence`` is False.
     """
     chosen = _pick_engine(engine, dataset)
     recorder = _Recorder(dataset, signals, dataset.config.rho, hooks=hooks)
     runner = _train_subspace if chosen == "subspace" else _train_direct
-    finalize, diverged_at = runner(state0, dataset, signals, config, test_set,
-                                   recorder)
+    finalize, diverged_at, test = runner(state0, dataset, signals, config,
+                                         test_set, recorder)
     full_meta = {"engine": chosen, "alpha": config.alpha, "steps": config.steps,
                  "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
                  "d": dataset.d, "rho": dataset.config.rho,
@@ -639,7 +679,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                  "sigma_eps": dataset.config.sigma_eps}
     if meta:
         full_meta.update(meta)
-    trace = recorder.finish(full_meta, diverged_at=diverged_at)
+    trace = recorder.finish(full_meta, test, diverged_at=diverged_at)
     result = TrainResult(trace, finalize)
     if diverged_at is not None and raise_on_divergence:
         raise DivergenceError(diverged_at, trace)

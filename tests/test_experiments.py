@@ -1,7 +1,15 @@
+import csv
+import importlib
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import attnsim
+from attnsim.cli import EXIT_NUMERICAL, EXIT_USAGE
 from attnsim.cli import main as cli_main
 from attnsim.data import ConfigError, DataConfig
 from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
@@ -242,6 +250,51 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["diverged_at"] == 1
 
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "engine", "fast"),
+        ("model", "sigma_w", -1.0),
+        ("model", "sigma_p", -0.5),
+        ("data", "d", 1),
+    ])
+    def test_config_fault_rejected_at_load(self, tmp_path, capsys, section,
+                                           key, value):
+        obj = tiny_config().to_json()
+        (obj if section is None else obj[section])[key] = value
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json(obj)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        code = cli_main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()   # nothing ran
+
+    def test_sweep_cell_fault_rejected_at_load(self, tmp_path):
+        spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),
+                         base=tiny_config()).to_json()
+        spec["d_values"] = [48, 1]
+        with pytest.raises(ConfigError, match="d must be"):
+            SweepSpec.from_json(spec)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        assert cli_main(["sweep", "--config", str(path), "--out-dir",
+                         str(tmp_path / "out")]) == EXIT_USAGE
+
+    def test_numerical_error_exit_four(self, tmp_path, capsys, monkeypatch):
+        # a ValueError raised while computing is not a config error
+        def nonfinite(*args, **kwargs):
+            raise ValueError("softmax input must be finite")
+
+        monkeypatch.setattr(importlib.import_module("attnsim.train"),
+                            "_test_metrics", nonfinite)
+        code = cli_main(["run", "--config", self.write_config(tmp_path),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical error: softmax input must be finite" in err
+        assert "config error" not in err
+
     def test_sweep_cli(self, tmp_path):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0, 8.0), seeds=(0,),
                          base=tiny_config(steps=30))
@@ -252,3 +305,48 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "out" / "heatmap.csv").read_text().splitlines()
         assert len(lines) == 3
+
+
+class TestBlasDeterminism:
+    """Outputs are byte-identical at a fixed BLAS configuration; across BLAS
+    thread counts the reduction order may change, so they agree to 1e-12
+    instead."""
+
+    def run_cli(self, tmp_path, name, blas_threads):
+        cfg = ExperimentConfig(
+            data=DataConfig(n=16, T=6, d=800, mu_norm=12.0, sigma_eps=1.0,
+                            eta=0.2, rho=0.1),
+            train=TrainConfig(alpha=5e-3, steps=300, log_every=10,
+                              test_size=400),
+            seed=3)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg.to_json()))
+        src = os.path.dirname(os.path.dirname(attnsim.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "attnsim.cli", "run", "--config",
+                        str(path), "--out-dir", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        return out
+
+    @staticmethod
+    def numbers(out):
+        with open(out / "trace.csv") as fh:
+            rows = list(csv.reader(fh))
+        final = json.loads((out / "summary.json").read_text())["final"]
+        return (rows[0], np.array(rows[1:], dtype=float),
+                np.array([v for _, v in sorted(final.items())], dtype=float))
+
+    def test_fixed_blas_bytes_and_thread_counts(self, tmp_path):
+        a = self.run_cli(tmp_path, "a", 1)
+        b = self.run_cli(tmp_path, "b", 1)
+        for name in ("trace.csv", "summary.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        c = self.run_cli(tmp_path, "c", 2)
+        (head_a, trace_a, final_a), (head_c, trace_c, final_c) = (
+            self.numbers(a), self.numbers(c))
+        assert head_a == head_c
+        np.testing.assert_allclose(trace_c, trace_a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(final_c, final_a, rtol=1e-12, atol=1e-12)

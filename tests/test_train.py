@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -6,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnsim.data import ConfigError, DataConfig, generate_dataset, make_signals
-from attnsim.model import ModelState, init_params, make_head
+from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
+                          make_signals)
+from attnsim.model import ModelState, evaluate, init_params, make_head, softmax
 from attnsim.rng import stream
-from attnsim.theory import rel_err
-from attnsim.train import (DivergenceError, TrainConfig, central_difference,
-                           empirical_loss, finite_diff_grad, gd_step, grad_p,
-                           grad_w, loss_derivative, output_grads, train)
+from attnsim.theory import compute_diagnostics, rel_err
+from attnsim.train import (_FOLD, DivergenceError, TrainConfig,
+                           central_difference, empirical_loss,
+                           finite_diff_grad, gd_step, grad_p, grad_w,
+                           loss_derivative, output_grads, train)
 
 
 def make_instance(seed=0, n=4, T=3, d=8, sigma=0.5):
@@ -70,6 +73,17 @@ class TestLossDerivative:
 
     def test_saturation_below(self):
         assert loss_derivative(-37.0) == -1.0
+
+    @given(st.floats(allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_both_closed_forms(self, z):
+        # scalar and array calls pick the branch whose exponential cannot
+        # overflow, and match its closed form exactly
+        with np.errstate(over="ignore"):
+            want = (-1.0 / (1.0 + np.exp(z)) if z < 0
+                    else -np.exp(-z) / (1.0 + np.exp(-z)))
+        assert loss_derivative(z) == want
+        assert loss_derivative(np.array([z, -z]))[0] == want
 
 
 class TestGradients:
@@ -297,3 +311,128 @@ class TestEngineEquivalence:
         fd, fs = traces["direct"].final_state(), traces["subspace"].final_state()
         assert np.max(np.abs(fd.W - fs.W)) < 1e-10
         assert np.max(np.abs(fd.p - fs.p)) < 1e-10
+
+
+def gd_oracle(state, ds, alpha, steps, log_at):
+    """A plain ``gd_step`` loop: the states at the steps in ``log_at`` (and
+    step 0), keyed by step, and the step at which it diverged or None.  A
+    step diverges when its gradient or the scores it leads to are
+    non-finite."""
+    n, T, d = ds.X.shape
+    flat = ds.X.reshape(n * T, d)
+    logged = {0: state}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            try:
+                state = gd_step(state, ds, alpha)
+            except DivergenceError:
+                return logged, step
+            if not np.all(np.isfinite(flat @ (state.W.T @ state.p))):
+                return logged, step
+            if step in log_at:
+                logged[step] = state
+    return logged, None
+
+
+def assert_trace_matches(trace, logged, ds, sig, test):
+    """Every logged row of ``trace`` against the quantities recomputed from
+    the oracle's state at that step, at TestEngineEquivalence's tolerances."""
+    assert list(trace.steps) == sorted(logged)
+    for k, step in enumerate(trace.steps):
+        state = logged[step]
+        diag = compute_diagnostics(state, ds, sig)
+        assert rel_err(trace.train_loss[k], empirical_loss(ds, state)) < 1e-9
+        assert np.max(np.abs(trace.probs[k]
+                             - softmax(diag.attn_scores, axis=-1))) < 1e-9
+        assert rel_err(trace.lambda_plus[k], diag.lambda_plus) < 1e-9
+        assert rel_err(trace.lambda_minus[k], diag.lambda_minus) < 1e-9
+        assert np.max(np.abs(trace.Lambda[k] - diag.Lambda)) < 1e-8
+        assert np.max(np.abs(trace.Gamma[k] - diag.Gamma)) < 1e-8
+        assert np.max(np.abs(trace.rho_attn[k] - diag.rho_attn)) < 1e-8
+        if test is not None:
+            ev = evaluate(test, state)
+            assert trace.test_acc[k] == ev.acc_true
+            assert rel_err(trace.test_loss[k], ev.loss) < 1e-9
+
+
+class TestSubspaceAgainstGdStep:
+    """The subspace engine against a ``gd_step`` loop over horizons that
+    cross several fold boundaries of its pending rank-one terms of S and
+    end between two folds."""
+
+    def setup_run(self, seed=11, d=64):
+        cfg = DataConfig(n=6, T=4, d=d, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
+                         rho=0.2)
+        sig = make_signals(d, 4.0, "random_orthogonal", stream(seed, "s"))
+        ds = generate_dataset(cfg, sig, stream(seed, "d"))
+        test = generate_dataset(replace(cfg, n=40, eta=0.0), sig,
+                                stream(seed, "t"))
+        W, p = init_params(d, 0.05, 0.05, stream(seed, "i"))
+        return ModelState(W=W, p=p, nu=make_head(sig)), ds, sig, test
+
+    # log_every=1 logs more states than the 2N + 1 = 53 basis columns, so
+    # the test set is scored through its projection onto the basis; the
+    # sparser cadence scores it through each state's W^T p
+    @pytest.mark.parametrize("log_every", [1, _FOLD // 2 + 1])
+    def test_long_horizon_ends_mid_block(self, log_every):
+        state, ds, sig, test = self.setup_run()
+        steps = 4 * _FOLD + _FOLD // 2 + 3
+        tcfg = run_config(alpha=0.05, steps=steps, log_every=log_every)
+        res = train(state, ds, sig, tcfg, test_set=test, engine="subspace")
+        logged, diverged = gd_oracle(state, ds, 0.05, steps,
+                                     set(res.trace.steps))
+        assert diverged is None and res.trace.diverged_at is None
+        assert_trace_matches(res.trace, logged, ds, sig, test)
+        final, manual = res.final_state(), logged[steps]
+        assert np.max(np.abs(final.W - manual.W)) < 1e-10
+        assert np.max(np.abs(final.p - manual.p)) < 1e-10
+
+    @pytest.mark.parametrize("fault_at", [_FOLD + _FOLD // 3, 2 * _FOLD + 1])
+    def test_divergence_mid_block(self, monkeypatch, fault_at):
+        # a NaN loss derivative at the gradient of step ``fault_at`` is a
+        # non-finite update between two folds; the engine and the oracle
+        # both compute one loss derivative per step, in step order
+        train_mod = importlib.import_module("attnsim.train")
+        calls = []
+        exact = train_mod.loss_derivative
+
+        def faulty(z):
+            calls.append(None)
+            out = exact(z)
+            return out * np.nan if len(calls) == fault_at else out
+
+        monkeypatch.setattr(train_mod, "loss_derivative", faulty)
+        state, ds, sig, test = self.setup_run()
+        tcfg = run_config(alpha=0.05, steps=3 * _FOLD, log_every=5)
+        res = train(state, ds, sig, tcfg, test_set=test, engine="subspace",
+                    raise_on_divergence=False)
+        calls.clear()
+        logged, diverged = gd_oracle(state, ds, 0.05, 3 * _FOLD,
+                                     set(range(0, 3 * _FOLD + 1, 5)))
+        assert diverged == fault_at
+        assert res.trace.diverged_at == fault_at
+        assert_trace_matches(res.trace, logged, ds, sig, test)
+
+    @pytest.mark.slow
+    def test_paper_scale(self):
+        # d=1000, n=20, T=8 (N=162) over 5000 steps, the benign setting of
+        # the acceptance suite
+        d = 1000
+        cfg = DataConfig(n=20, T=8, d=d, mu_norm=20.0, sigma_eps=1.0,
+                         eta=0.2, rho=0.1)
+        sig = make_signals(d, 20.0, "random_orthogonal", stream(0, "s"))
+        ds = generate_dataset(cfg, sig, stream(0, "d"))
+        test = generate_dataset(replace(cfg, n=200, eta=0.0), sig,
+                                stream(0, "t"))
+        s = 3 * a8_sigma(cfg)
+        W, p = init_params(d, s, s, stream(0, "i"))
+        state = ModelState(W=W, p=p, nu=make_head(sig))
+        tcfg = run_config(alpha=5e-3, steps=5000, log_every=500)
+        res = train(state, ds, sig, tcfg, test_set=test, engine="subspace")
+        logged, diverged = gd_oracle(state, ds, 5e-3, 5000,
+                                     set(res.trace.steps))
+        assert diverged is None and res.trace.diverged_at is None
+        assert_trace_matches(res.trace, logged, ds, sig, test)
+        final, manual = res.final_state(), logged[5000]
+        assert np.max(np.abs(final.W - manual.W)) < 1e-10
+        assert np.max(np.abs(final.p - manual.p)) < 1e-10
