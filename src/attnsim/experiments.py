@@ -28,7 +28,7 @@ from .theory import (CheckResult, TheoryReport, classify_regime,
                      init_checks, loss_derivative_balance, measure_grokking,
                      pre_saturation_window, softmax_bound_scan,
                      verify_update_identity)
-from .train import (ENGINES, DivergenceError, TrainConfig, TrainTrace,
+from .train import (DivergenceError, TrainConfig, TrainTrace,
                     finite_diff_grad, grad_p, grad_w, train)
 
 __all__ = [
@@ -91,7 +91,7 @@ class ModelParams:
         return cls(**obj)
 
 
-_TOP_FIELDS = ("seed", "data", "model", "train", "tracked_samples", "engine")
+_TOP_FIELDS = ("seed", "data", "model", "train", "tracked_samples")
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,13 @@ class ExperimentConfig:
     model: ModelParams = ModelParams()
     seed: int = 0
     tracked_samples: tuple[int, ...] | None = None
-    engine: str = "auto"
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}")
+        if self.tracked_samples is not None:
+            bad = [i for i in self.tracked_samples
+                   if not 0 <= i < self.data.n]
+            if bad:
+                raise ConfigError(f"tracked_samples out of range: {bad}")
 
     def to_json(self) -> dict:
         return {
@@ -116,7 +117,6 @@ class ExperimentConfig:
             "train": self.train.to_json(),
             "tracked_samples": (list(self.tracked_samples)
                                 if self.tracked_samples is not None else None),
-            "engine": self.engine,
         }
 
     @classmethod
@@ -136,7 +136,6 @@ class ExperimentConfig:
             model=ModelParams.from_json(obj.get("model", {})),
             seed=int(obj.get("seed", 0)),
             tracked_samples=tuple(tracked) if tracked is not None else None,
-            engine=str(obj.get("engine", "auto")),
         )
 
     def config_hash(self) -> str:
@@ -188,7 +187,6 @@ def execute(config: ExperimentConfig,
     signals, dataset, test_set, state0 = build_inputs(config)
     sw, sp = config.resolved_sigmas()
     result = train(state0, dataset, signals, config.train, test_set=test_set,
-                   engine=config.engine,
                    meta={"seed": config.seed, "sigma_w": sw, "sigma_p": sp},
                    raise_on_divergence=raise_on_divergence)
     return result
@@ -204,9 +202,6 @@ TRACE_COLUMNS = ("step", "train_loss", "train_acc", "train_acc_true",
 
 def _tracked_samples(config: ExperimentConfig, trace: TrainTrace) -> list[int]:
     if config.tracked_samples is not None:
-        bad = [i for i in config.tracked_samples if not 0 <= i < config.data.n]
-        if bad:
-            raise ConfigError(f"tracked_samples out of range: {bad}")
         return list(config.tracked_samples)
     tracked = []
     if len(trace.clean_idx):
@@ -279,7 +274,6 @@ def _summarize(config: ExperimentConfig, trace: TrainTrace) -> dict:
     return {
         "config": config.to_json(),
         "config_hash": config.config_hash(),
-        "engine": trace.meta["engine"],
         "snr": None if noiseless else snr(config.data),
         "n_snr2": None if noiseless else config.data.n * snr(config.data) ** 2,
         "regime": None if noiseless else classify_regime(config.data),

@@ -42,8 +42,10 @@ class ModelState:
             raise ValueError(
                 f"inconsistent shapes: W {self.W.shape}, p {self.p.shape}, "
                 f"nu {self.nu.shape}")
+        # min/max propagate NaN and expose +-inf without a d x d temporary
         for name, arr in (("W", self.W), ("p", self.p), ("nu", self.nu)):
-            if not np.all(np.isfinite(arr)):
+            if arr.size and not (np.isfinite(arr.min())
+                                 and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite entries")
         self.nu = self.nu.copy()
         self.nu.setflags(write=False)

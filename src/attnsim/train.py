@@ -10,13 +10,11 @@ c_i = sum_t s_t (gamma_t - f) x_t.  Then
 where l(z) = log(1 + exp(-z)).  Both parameters are updated from the same
 pre-step state (simultaneous update).
 
-Two equivalent engines run the recursion:
-
-* ``direct``   -- materializes W each step; the reference implementation.
-* ``subspace`` -- exact reparameterization.  Every update lives in
-  span{p(0)} + W(0) * span{tokens}, so the whole trajectory can be advanced
-  with Gram-matrix recursions whose cost is independent of d.  Used
-  automatically when d is large relative to the token count.
+:func:`train` runs the recursion in one engine, an exact
+reparameterization: every update lives in span{p(0)} + W(0) * span{tokens},
+so the whole trajectory is advanced with Gram-matrix recursions whose cost
+is independent of d.  :func:`gd_step` keeps the dense recursion on W as the
+oracle the engine is tested against.
 """
 from __future__ import annotations
 
@@ -29,7 +27,6 @@ from .data import ConfigError, Dataset, Role, SignalBasis
 from .model import ModelState, softmax
 
 __all__ = [
-    "ENGINES",
     "TrainConfig",
     "TrainTrace",
     "TrainResult",
@@ -46,8 +43,6 @@ __all__ = [
     "lambda_token_indices",
     "gamma_token_indices",
 ]
-
-ENGINES = ("auto", "direct", "subspace")
 
 _TRAIN_FIELDS = ("alpha", "steps", "log_every", "test_size",
                  "fit_threshold", "gen_threshold")
@@ -307,9 +302,9 @@ class TrainResult:
 
 
 class _Recorder:
-    """Accumulates one row per logged step; both engines feed it the same
-    role-resolved quantities.  Test-set metrics are scored after the loop
-    and handed to :meth:`finish`."""
+    """Accumulates one row per logged step from the engine's role-resolved
+    quantities.  Test-set metrics are scored after the loop and handed to
+    :meth:`finish`."""
 
     def __init__(self, dataset: Dataset, signals: SignalBasis, rho: float,
                  hooks=()):
@@ -423,54 +418,6 @@ def _log_points(steps: int, log_every: int):
     pts = set(range(0, steps + 1, log_every))
     pts.add(steps)
     return pts
-
-
-def _train_direct(state0, dataset, signals, config, test_set, recorder):
-    n, T, d = dataset.X.shape
-    flatX = dataset.X.reshape(n * T, d)
-    gamma = (flatX @ state0.nu).reshape(n, T)
-    W = state0.W.copy()
-    p = state0.p.copy()
-    nu = state0.nu
-    alpha = config.alpha
-    log_at = _log_points(config.steps, config.log_every)
-    y = dataset.y_train
-    logged_q = []
-    diverged_at = None
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps + 1):
-            if step:
-                g = weights.reshape(n * T) @ flatX
-                if not np.all(np.isfinite(g)):
-                    diverged_at = step
-                    break
-                gp = W @ g
-                W -= alpha * np.outer(p, g)
-                p -= alpha * gp
-            q = W.T @ p
-            u = (flatX @ q).reshape(n, T)
-            if not np.all(np.isfinite(u)):
-                diverged_at = step
-                break
-            probs, out, weights = _attend(u, gamma, y)
-            if step in log_at:
-                logged_q.append(q)
-                recorder.log(step, u, probs, out, float(signals.mu_plus @ q),
-                             float(signals.mu_minus @ q))
-
-    test = None
-    if test_set is not None:
-        flat_test = test_set.X.reshape(test_set.n * T, d)
-        test = _test_metrics(test_set, nu, np.reshape(logged_q, (-1, d)),
-                             lambda qs: qs @ flat_test.T)
-
-    def finalize():
-        final = ModelState.__new__(ModelState)
-        final.W, final.p, final.nu = W, p, nu
-        return final
-
-    return finalize, diverged_at, test
 
 
 # Number of steps whose rank-one terms pi beta^T of S are applied as thin
@@ -610,7 +557,22 @@ class _SubspaceEngine:
         return final
 
 
-def _train_subspace(state0, dataset, signals, config, test_set, recorder):
+def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
+          config: TrainConfig, test_set: Dataset | None = None,
+          hooks=(), meta: dict | None = None,
+          raise_on_divergence: bool = True) -> TrainResult:
+    """Run ``config.steps`` full-batch GD iterations with instrumentation.
+
+    Logs step 0, every ``log_every``-th step, and the final step: losses,
+    accuracies (training labels, true labels, held-out clean set), softmax
+    vectors, signal/noise attention and both attention-gap families.  Hooks
+    see each logged step as it happens; the held-out set is scored for all
+    logged steps after the loop.  When an update or the scores it leads to
+    go non-finite, training stops; the partial trace is preserved and a
+    :class:`DivergenceError` carrying it is raised unless
+    ``raise_on_divergence`` is False.
+    """
+    recorder = _Recorder(dataset, signals, dataset.config.rho, hooks=hooks)
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
     n, T, nT = eng.n, eng.T, eng.nT
     log_at = _log_points(config.steps, config.log_every)
@@ -639,40 +601,7 @@ def _train_subspace(state0, dataset, signals, config, test_set, recorder):
 
     test = (_test_metrics(test_set, state0.nu, coefs[:logged], scorer)
             if scorer is not None else None)
-    return eng.materialize, diverged_at, test
-
-
-def _pick_engine(engine: str, dataset: Dataset) -> str:
-    if engine not in ENGINES:
-        raise ConfigError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine != "auto":
-        return engine
-    N = dataset.n * dataset.T + 2
-    # direct step touches W (d^2) a few times; subspace step is a few N^2 ops
-    return "subspace" if dataset.d * dataset.d > 8 * N * N else "direct"
-
-
-def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
-          config: TrainConfig, test_set: Dataset | None = None,
-          hooks=(), engine: str = "auto", meta: dict | None = None,
-          raise_on_divergence: bool = True) -> TrainResult:
-    """Run ``config.steps`` full-batch GD iterations with instrumentation.
-
-    Logs step 0, every ``log_every``-th step, and the final step: losses,
-    accuracies (training labels, true labels, held-out clean set), softmax
-    vectors, signal/noise attention and both attention-gap families.  Hooks
-    see each logged step as it happens; the held-out set is scored for all
-    logged steps after the loop.  When an update or the scores it leads to
-    go non-finite, training stops; the partial trace is preserved and a
-    :class:`DivergenceError` carrying it is raised unless
-    ``raise_on_divergence`` is False.
-    """
-    chosen = _pick_engine(engine, dataset)
-    recorder = _Recorder(dataset, signals, dataset.config.rho, hooks=hooks)
-    runner = _train_subspace if chosen == "subspace" else _train_direct
-    finalize, diverged_at, test = runner(state0, dataset, signals, config,
-                                         test_set, recorder)
-    full_meta = {"engine": chosen, "alpha": config.alpha, "steps": config.steps,
+    full_meta = {"alpha": config.alpha, "steps": config.steps,
                  "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
                  "d": dataset.d, "rho": dataset.config.rho,
                  "eta": dataset.config.eta, "mu_norm": dataset.config.mu_norm,
@@ -680,7 +609,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     if meta:
         full_meta.update(meta)
     trace = recorder.finish(full_meta, test, diverged_at=diverged_at)
-    result = TrainResult(trace, finalize)
+    result = TrainResult(trace, eng.materialize)
     if diverged_at is not None and raise_on_divergence:
         raise DivergenceError(diverged_at, trace)
     return result

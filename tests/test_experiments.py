@@ -251,7 +251,8 @@ class TestCli:
         assert summary["diverged_at"] == 1
 
     @pytest.mark.parametrize("section, key, value", [
-        (None, "engine", "fast"),
+        (None, "engine", "subspace"),
+        (None, "tracked_samples", [99]),
         ("model", "sigma_w", -1.0),
         ("model", "sigma_p", -0.5),
         ("data", "d", 1),

@@ -104,6 +104,21 @@ def tiny_state(d=6, seed=0, sigma=0.4):
     return ModelState(W=W, p=p, nu=nu)
 
 
+class TestModelState:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["W", "p", "nu"])
+    def test_non_finite_rejected(self, name, bad):
+        arrays = {"W": np.ones((4, 4)), "p": np.ones(4), "nu": np.ones(4)}
+        arrays[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            ModelState(**arrays)
+
+    def test_huge_finite_accepted(self):
+        big = np.finfo(float).max
+        ModelState(W=np.full((3, 3), -big), p=np.full(3, big),
+                   nu=np.array([big, -big, 0.0]))
+
+
 class TestForward:
     def test_zero_w_uniform(self):
         d, T = 6, 4

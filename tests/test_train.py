@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
@@ -242,8 +242,7 @@ class TestTrainLoop:
 
     def test_final_state_matches_gd_steps(self):
         state, ds, sig, _ = self.setup_run(seed=2)
-        res = train(state, ds, sig, run_config(steps=3, test_size=0),
-                    engine="direct")
+        res = train(state, ds, sig, run_config(steps=3, test_size=0))
         manual = state
         for _ in range(3):
             manual = gd_step(manual, ds, 0.05)
@@ -251,14 +250,13 @@ class TestTrainLoop:
         np.testing.assert_allclose(final.W, manual.W, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(final.p, manual.p, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("engine", ["direct", "subspace"])
-    def test_divergence_aborts_with_partial_trace(self, engine):
+    def test_divergence_aborts_with_partial_trace(self):
         # a step size near float max overflows the score products; moderate
         # "too large" steps merely saturate the softmax and freeze
         state, ds, sig, _ = self.setup_run(seed=3)
         huge = run_config(alpha=1e305, steps=50, log_every=1, test_size=0)
         with pytest.raises(DivergenceError) as err:
-            train(state, ds, sig, huge, engine=engine)
+            train(state, ds, sig, huge)
         assert err.value.trace is not None
         assert err.value.trace.n_logged >= 1
         assert err.value.trace.diverged_at == 1
@@ -286,33 +284,6 @@ class TestTraceDiagnostics:
         np.testing.assert_allclose(tr.rho_attn[-1], diag.rho_attn, atol=1e-10)
 
 
-class TestEngineEquivalence:
-    def test_direct_vs_subspace(self):
-        cfg = DataConfig(n=6, T=4, d=64, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
-                         rho=0.2)
-        sig = make_signals(64, 4.0, "random_orthogonal", stream(11, "s"))
-        ds = generate_dataset(cfg, sig, stream(11, "d"))
-        test = generate_dataset(replace(cfg, n=40, eta=0.0), sig, stream(11, "t"))
-        W, p = init_params(64, 0.05, 0.05, stream(11, "i"))
-        tcfg = run_config(alpha=0.05, steps=300, log_every=10)
-
-        traces = {}
-        for engine in ("direct", "subspace"):
-            state = ModelState(W=W.copy(), p=p.copy(), nu=make_head(sig))
-            traces[engine] = train(state, ds, sig, tcfg, test_set=test,
-                                   engine=engine)
-        td, ts = traces["direct"].trace, traces["subspace"].trace
-        assert np.max(rel_err(td.train_loss, ts.train_loss)) < 1e-9
-        assert np.max(np.abs(td.probs - ts.probs)) < 1e-9
-        assert np.max(rel_err(td.lambda_plus, ts.lambda_plus)) < 1e-9
-        assert np.max(np.abs(td.Lambda - ts.Lambda)) < 1e-8
-        assert np.max(np.abs(td.rho_attn - ts.rho_attn)) < 1e-8
-        np.testing.assert_array_equal(td.test_acc, ts.test_acc)
-        fd, fs = traces["direct"].final_state(), traces["subspace"].final_state()
-        assert np.max(np.abs(fd.W - fs.W)) < 1e-10
-        assert np.max(np.abs(fd.p - fs.p)) < 1e-10
-
-
 def gd_oracle(state, ds, alpha, steps, log_at):
     """A plain ``gd_step`` loop: the states at the steps in ``log_at`` (and
     step 0), keyed by step, and the step at which it diverged or None.  A
@@ -336,7 +307,7 @@ def gd_oracle(state, ds, alpha, steps, log_at):
 
 def assert_trace_matches(trace, logged, ds, sig, test):
     """Every logged row of ``trace`` against the quantities recomputed from
-    the oracle's state at that step, at TestEngineEquivalence's tolerances."""
+    the oracle's state at that step."""
     assert list(trace.steps) == sorted(logged)
     for k, step in enumerate(trace.steps):
         state = logged[step]
@@ -355,10 +326,23 @@ def assert_trace_matches(trace, logged, ds, sig, test):
             assert rel_err(trace.test_loss[k], ev.loss) < 1e-9
 
 
+def assert_matches_gd_oracle(state, ds, sig, test, tcfg):
+    """Train, then check every logged row and the final state against a
+    ``gd_step`` loop from the same initial state."""
+    res = train(state, ds, sig, tcfg, test_set=test)
+    logged, diverged = gd_oracle(state, ds, tcfg.alpha, tcfg.steps,
+                                 set(res.trace.steps))
+    assert diverged is None and res.trace.diverged_at is None
+    assert_trace_matches(res.trace, logged, ds, sig, test)
+    final, manual = res.final_state(), logged[tcfg.steps]
+    assert np.max(np.abs(final.W - manual.W)) < 1e-10
+    assert np.max(np.abs(final.p - manual.p)) < 1e-10
+
+
 class TestSubspaceAgainstGdStep:
-    """The subspace engine against a ``gd_step`` loop over horizons that
-    cross several fold boundaries of its pending rank-one terms of S and
-    end between two folds."""
+    """The engine against a ``gd_step`` loop over horizons that cross
+    several fold boundaries of its pending rank-one terms of S and end
+    between two folds."""
 
     def setup_run(self, seed=11, d=64):
         cfg = DataConfig(n=6, T=4, d=d, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
@@ -372,20 +356,44 @@ class TestSubspaceAgainstGdStep:
 
     # log_every=1 logs more states than the 2N + 1 = 53 basis columns, so
     # the test set is scored through its projection onto the basis; the
-    # sparser cadence scores it through each state's W^T p
-    @pytest.mark.parametrize("log_every", [1, _FOLD // 2 + 1])
-    def test_long_horizon_ends_mid_block(self, log_every):
+    # sparser cadences score it through each state's W^T p
+    @pytest.mark.parametrize("steps, log_every", [
+        pytest.param(4 * _FOLD + _FOLD // 2 + 3, 1, id="1"),
+        pytest.param(4 * _FOLD + _FOLD // 2 + 3, _FOLD // 2 + 1,
+                     id=str(_FOLD // 2 + 1)),
+        pytest.param(300, 10, id="300-10"),
+    ])
+    def test_long_horizon_ends_mid_block(self, steps, log_every):
         state, ds, sig, test = self.setup_run()
-        steps = 4 * _FOLD + _FOLD // 2 + 3
-        tcfg = run_config(alpha=0.05, steps=steps, log_every=log_every)
-        res = train(state, ds, sig, tcfg, test_set=test, engine="subspace")
-        logged, diverged = gd_oracle(state, ds, 0.05, steps,
-                                     set(res.trace.steps))
-        assert diverged is None and res.trace.diverged_at is None
-        assert_trace_matches(res.trace, logged, ds, sig, test)
-        final, manual = res.final_state(), logged[steps]
-        assert np.max(np.abs(final.W - manual.W)) < 1e-10
-        assert np.max(np.abs(final.p - manual.p)) < 1e-10
+        assert_matches_gd_oracle(
+            state, ds, sig, test,
+            run_config(alpha=0.05, steps=steps, log_every=log_every))
+
+    def test_dimension_below_token_count(self):
+        # d=8 < N = nT + 2 = 26: the Gram matrices are rank-deficient
+        state, ds, sig, test = self.setup_run(d=8)
+        assert_matches_gd_oracle(
+            state, ds, sig, test,
+            run_config(alpha=0.05, steps=2 * _FOLD + 5, log_every=1))
+
+    @given(n=st.integers(1, 6), T=st.integers(2, 5), d=st.integers(2, 40),
+           weak=st.integers(0, 3), eta=st.sampled_from([0.0, 0.2, 0.45]),
+           sigma_eps=st.sampled_from([0.0, 0.5, 1.0]),
+           steps=st.integers(0, 40), seed=st.integers(0, 2**16))
+    @example(n=6, T=4, d=8, weak=1, eta=0.0, sigma_eps=0.0, steps=40, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_random_instances(self, n, T, d, weak, eta, sigma_eps, steps,
+                              seed):
+        cfg = DataConfig(n=n, T=T, d=d, mu_norm=4.0, sigma_eps=sigma_eps,
+                         eta=eta, rho=0.2, n_weak_same=min(weak, T - 2))
+        sig = make_signals(d, 4.0, "random_orthogonal", stream(seed, "s"))
+        ds = generate_dataset(cfg, sig, stream(seed, "d"))
+        test = generate_dataset(replace(cfg, n=10, eta=0.0), sig,
+                                stream(seed, "t"))
+        W, p = init_params(d, 0.3, 0.3, stream(seed, "i"))
+        assert_matches_gd_oracle(
+            ModelState(W=W, p=p, nu=make_head(sig)), ds, sig, test,
+            run_config(alpha=0.05, steps=steps, log_every=1))
 
     @pytest.mark.parametrize("fault_at", [_FOLD + _FOLD // 3, 2 * _FOLD + 1])
     def test_divergence_mid_block(self, monkeypatch, fault_at):
@@ -404,7 +412,7 @@ class TestSubspaceAgainstGdStep:
         monkeypatch.setattr(train_mod, "loss_derivative", faulty)
         state, ds, sig, test = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=3 * _FOLD, log_every=5)
-        res = train(state, ds, sig, tcfg, test_set=test, engine="subspace",
+        res = train(state, ds, sig, tcfg, test_set=test,
                     raise_on_divergence=False)
         calls.clear()
         logged, diverged = gd_oracle(state, ds, 0.05, 3 * _FOLD,
@@ -427,12 +435,6 @@ class TestSubspaceAgainstGdStep:
         s = 3 * a8_sigma(cfg)
         W, p = init_params(d, s, s, stream(0, "i"))
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        tcfg = run_config(alpha=5e-3, steps=5000, log_every=500)
-        res = train(state, ds, sig, tcfg, test_set=test, engine="subspace")
-        logged, diverged = gd_oracle(state, ds, 5e-3, 5000,
-                                     set(res.trace.steps))
-        assert diverged is None and res.trace.diverged_at is None
-        assert_trace_matches(res.trace, logged, ds, sig, test)
-        final, manual = res.final_state(), logged[5000]
-        assert np.max(np.abs(final.W - manual.W)) < 1e-10
-        assert np.max(np.abs(final.p - manual.p)) < 1e-10
+        assert_matches_gd_oracle(
+            state, ds, sig, test,
+            run_config(alpha=5e-3, steps=5000, log_every=500))
