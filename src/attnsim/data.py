@@ -200,18 +200,21 @@ class Dataset:
 
 def _build_tokens(y_true: np.ndarray, noise: np.ndarray, signals: SignalBasis,
                   rho: float, n_weak_same: int) -> np.ndarray:
-    """tokens = role signal + noise, vectorized over samples.
+    """tokens = role signal + noise, added in place one sample at a time so
+    that no (n, d) temporary exists besides the copy of the noise.
 
     Reconstruction is bit-exact: recomputing ``signal_part + noise`` with the
     same expressions reproduces the stored tokens.
     """
     X = noise.copy()
-    sig = np.where((y_true > 0)[:, None], signals.mu_plus, signals.mu_minus)
-    opp = np.where((y_true > 0)[:, None], signals.mu_minus, signals.mu_plus)
-    X[:, 0, :] += sig
-    X[:, 1, :] += rho * opp
-    for j in range(n_weak_same):
-        X[:, 2 + j, :] += rho * sig
+    plus, minus = signals.mu_plus, signals.mu_minus
+    by_label = {1: (plus, rho * plus, rho * minus),
+                -1: (minus, rho * minus, rho * plus)}
+    for x, y in zip(X, y_true):
+        sig, weak_sig, weak_opp = by_label[1 if y > 0 else -1]
+        x[0] += sig
+        x[1] += weak_opp
+        x[2:2 + n_weak_same] += weak_sig
     return X
 
 

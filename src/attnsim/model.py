@@ -92,7 +92,10 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("softmax input must be finite")
-    shifted = v - v.max(axis=axis, keepdims=True)
+    # the max runs over a copy with ``axis`` leading, so that it reduces
+    # whole rows instead of many short runs; the max is exact either way
+    m = v.swapaxes(axis, 0).copy().max(axis=0, keepdims=True).swapaxes(axis, 0)
+    shifted = v - m
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 

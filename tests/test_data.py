@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from attnsim.data import (ConfigError, DataConfig, Role, a8_sigma,
-                          check_assumptions, generate_dataset, make_signals,
-                          sample_from_p_star, snr)
+from attnsim.data import (ConfigError, DataConfig, Role, _build_tokens,
+                          a8_sigma, check_assumptions, generate_dataset,
+                          make_signals, sample_from_p_star, snr)
 from attnsim.rng import stream
 
 
@@ -122,6 +122,24 @@ class TestGenerateDataset:
             assert np.array_equal(s.tokens[2], s.noise_vectors[2] + cfg.rho * own)
             for t in range(3, cfg.T):
                 assert np.array_equal(s.tokens[t], s.noise_vectors[t])
+
+    @pytest.mark.parametrize("n_weak_same", [0, 1, 2])
+    def test_build_tokens_matches_vectorized_formula(self, n_weak_same):
+        sig = make_signals(40, 5.0, "random_orthogonal", stream(6, "s"))
+        rng = stream(6, "d")
+        y = np.array([1, -1, -1, 1, 1, -1])
+        noise = rng.normal(size=(len(y), 5, 40))
+        rho = 0.3
+        X = _build_tokens(y, noise, sig, rho, n_weak_same)
+        own = np.where((y > 0)[:, None], sig.mu_plus, sig.mu_minus)
+        opp = np.where((y > 0)[:, None], sig.mu_minus, sig.mu_plus)
+        ref = noise.copy()
+        ref[:, 0, :] += own
+        ref[:, 1, :] += rho * opp
+        for j in range(n_weak_same):
+            ref[:, 2 + j, :] += rho * own
+        assert np.array_equal(X, ref)
+        assert not np.shares_memory(X, noise)
 
     def test_partition_invariants(self):
         cfg = small_config(n=50)

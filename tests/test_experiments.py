@@ -4,16 +4,23 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import attnsim
+from attnsim import experiments
 from attnsim.cli import EXIT_NUMERICAL, EXIT_USAGE
 from attnsim.cli import main as cli_main
-from attnsim.data import ConfigError, DataConfig
+from attnsim.data import (ConfigError, DataConfig, generate_dataset,
+                          make_signals)
 from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
-                                 default_config, run, run_check_suites, sweep)
+                                 build_inputs, default_config, run,
+                                 run_check_suites, sweep)
+from attnsim.model import init_params
+from attnsim.rng import stream
 from attnsim.train import TrainConfig
 
 
@@ -112,6 +119,55 @@ class TestRun:
         header = open(art.trace_path).readline().strip().split(",")
         assert len(header) == 7 + 3 * 5
         assert "s1_1" in header and "s4_1" in header and "s6_1" in header
+
+
+class TestBuildInputs:
+    """W(0) is drawn on a second thread while the data are drawn; every
+    array must still equal a serial draw from the same named stream."""
+
+    @pytest.mark.parametrize("d", [8, 1000])
+    def test_bit_equal_to_serial_draws(self, d):
+        cfg = tiny_config(seed=5)
+        cfg = replace(cfg, data=replace(cfg.data, d=d))
+        signals, dataset, test_set, state0 = build_inputs(cfg)
+
+        ref_signals = make_signals(d, cfg.data.mu_norm, cfg.model.signal_mode,
+                                   stream(5, "signals"))
+        ref_data = generate_dataset(cfg.data, ref_signals, stream(5, "data"))
+        ref_test = generate_dataset(
+            replace(cfg.data, n=cfg.train.test_size, eta=0.0), ref_signals,
+            stream(5, "test"))
+        ref_W, ref_p = init_params(d, *cfg.resolved_sigmas(),
+                                   stream(5, "init"))
+        assert np.array_equal(signals.mu_plus, ref_signals.mu_plus)
+        assert np.array_equal(signals.mu_minus, ref_signals.mu_minus)
+        for got, ref in ((dataset, ref_data), (test_set, ref_test)):
+            assert np.array_equal(got.X, ref.X)
+            assert np.array_equal(got.y_train, ref.y_train)
+            assert np.array_equal(got.y_true, ref.y_true)
+        assert np.array_equal(state0.W, ref_W)
+        assert np.array_equal(state0.p, ref_p)
+
+    def test_without_test_set_other_arrays_unchanged(self):
+        cfg = tiny_config(seed=2)
+        full = build_inputs(cfg)
+        bare = build_inputs(replace(cfg, train=replace(cfg.train,
+                                                       test_size=0)))
+        assert bare[2] is None
+        assert np.array_equal(bare[1].X, full[1].X)
+        assert np.array_equal(bare[1].y_train, full[1].y_train)
+        assert np.array_equal(bare[3].W, full[3].W)
+        assert np.array_equal(bare[3].p, full[3].p)
+
+    def test_init_error_propagates_and_thread_ends(self, monkeypatch):
+        def failing_init(*args, **kwargs):
+            raise RuntimeError("init draw failed")
+
+        monkeypatch.setattr(experiments, "init_params", failing_init)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="init draw failed"):
+            build_inputs(tiny_config())
+        assert set(threading.enumerate()) <= before
 
 
 class TestSweep:
