@@ -9,9 +9,11 @@ probability.  Token indices are 1-based in all reports and docs; array row
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -171,13 +173,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class Dataset:
+    """n token sequences.  ``X`` is the only copy of the tokens; ``noise``
+    is redrawn on first read from ``noise_rng``, a snapshot of the token
+    stream taken just before the noise draw, bit-identical to the noise in X."""
+
     config: DataConfig
-    samples: list[Sample]
     X: np.ndarray               # (n, T, d) stacked tokens
-    noise: np.ndarray           # (n, T, d)
     y_train: np.ndarray         # (n,) in {+1, -1}
     y_true: np.ndarray          # (n,)
     roles: tuple[Role, ...]
+    noise_rng: np.random.Generator | None = field(repr=False, default=None)
     clean_idx: np.ndarray = field(repr=False, default=None)
     noisy_idx: np.ndarray = field(repr=False, default=None)
     clean_pos: np.ndarray = field(repr=False, default=None)
@@ -197,25 +202,32 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[2]
 
+    @cached_property
+    def noise(self) -> np.ndarray:
+        """(n, T, d) the epsilon drawn for each token."""
+        return _draw_noise(copy.deepcopy(self.noise_rng), self.config)
 
-def _build_tokens(y_true: np.ndarray, noise: np.ndarray, signals: SignalBasis,
+
+def _draw_noise(rng: np.random.Generator, config: DataConfig) -> np.ndarray:
+    """Token noise of a whole dataset, i.i.d. N(0, sigma_eps^2), (n, T, d)."""
+    return rng.normal(0.0, config.sigma_eps, (config.n, config.T, config.d))
+
+
+def _build_tokens(y_true: np.ndarray, tokens: np.ndarray, signals: SignalBasis,
                   rho: float, n_weak_same: int) -> np.ndarray:
-    """tokens = role signal + noise, added in place one sample at a time so
-    that no (n, d) temporary exists besides the copy of the noise.
-
-    Reconstruction is bit-exact: recomputing ``signal_part + noise`` with the
-    same expressions reproduces the stored tokens.
-    """
-    X = noise.copy()
+    """Add the role signals in place to ``tokens`` (n, T, d), which holds
+    the noise on entry, one sample at a time (no temporaries); returns it.
+    Reconstruction is bit-exact: adding the role signals to the noise with
+    the same expressions reproduces the stored tokens."""
     plus, minus = signals.mu_plus, signals.mu_minus
     by_label = {1: (plus, rho * plus, rho * minus),
                 -1: (minus, rho * minus, rho * plus)}
-    for x, y in zip(X, y_true):
+    for x, y in zip(tokens, y_true):
         sig, weak_sig, weak_opp = by_label[1 if y > 0 else -1]
         x[0] += sig
         x[1] += weak_opp
         x[2:2 + n_weak_same] += weak_sig
-    return X
+    return tokens
 
 
 def sample_from_p_star(config: DataConfig, signals: SignalBasis,
@@ -224,7 +236,7 @@ def sample_from_p_star(config: DataConfig, signals: SignalBasis,
     tokens assembled by role.  The training label equals the true label."""
     y = 1 if rng.random() < 0.5 else -1
     noise = rng.normal(0.0, config.sigma_eps, size=(config.T, config.d))
-    X = _build_tokens(np.array([y]), noise[None], signals, config.rho,
+    X = _build_tokens(np.array([y]), noise[None].copy(), signals, config.rho,
                       config.n_weak_same)[0]
     return Sample(tokens=X, y_train=y, y_true=y,
                   roles=roles_for(config.T, config.n_weak_same),
@@ -235,24 +247,22 @@ def generate_dataset(config: DataConfig, signals: SignalBasis,
                      rng: np.random.Generator) -> Dataset:
     """Draw n samples i.i.d., then flip each training label independently
     with probability eta.  Token draws and label flips use independent
-    child streams, so the same tokens appear for any eta."""
+    child streams, so the same tokens appear for any eta.  The noise is
+    drawn into the token array itself and the signals are added in place."""
     tok_rng, flip_rng = rng.spawn(2)
     n = config.n
     y_true = np.where(tok_rng.random(n) < 0.5, 1, -1).astype(np.int64)
-    noise = tok_rng.normal(0.0, config.sigma_eps, size=(n, config.T, config.d))
-    X = _build_tokens(y_true, noise, signals, config.rho, config.n_weak_same)
+    noise_rng = copy.deepcopy(tok_rng)
+    X = _build_tokens(y_true, _draw_noise(tok_rng, config), signals,
+                      config.rho, config.n_weak_same)
     flips = flip_rng.random(n) < config.eta
     y_train = np.where(flips, -y_true, y_true).astype(np.int64)
 
-    roles = roles_for(config.T, config.n_weak_same)
-    samples = [Sample(tokens=X[i], y_train=int(y_train[i]), y_true=int(y_true[i]),
-                      roles=roles, noise_vectors=noise[i]) for i in range(n)]
     idx = np.arange(n)
     clean = y_train == y_true
     return Dataset(
-        config=config,
-        samples=samples, X=X, noise=noise, y_train=y_train, y_true=y_true,
-        roles=roles,
+        config=config, X=X, y_train=y_train, y_true=y_true,
+        roles=roles_for(config.T, config.n_weak_same), noise_rng=noise_rng,
         clean_idx=idx[clean], noisy_idx=idx[~clean],
         clean_pos=idx[clean & (y_train > 0)], clean_neg=idx[clean & (y_train < 0)],
         noisy_pos=idx[~clean & (y_train > 0)], noisy_neg=idx[~clean & (y_train < 0)],

@@ -402,6 +402,8 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
     seed-averaged table.  Writes ``heatmap.csv`` and ``heatmap_mean.csv``
     when ``out_dir`` is given.  Cells are independent; each derives its own
     seed from (seed, d-index, mu-index, seed-index)."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     cells = [(di, mi, si)
              for di in range(len(spec.d_values))
              for mi in range(len(spec.mu_values))
@@ -442,7 +444,6 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
 # --------------------------------------------------------------------------
 
 def _random_instance(rng, n=4, T=3, d=8):
-    from .model import ModelState
     cfg = DataConfig(n=n, T=T, d=d, mu_norm=2.0, sigma_eps=1.0, eta=0.25,
                      rho=0.3, n_weak_same=1)
     signals = make_signals(d, cfg.mu_norm, "random_orthogonal", rng)

@@ -100,6 +100,39 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def loss_derivative(z):
+    """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in (-1, 0).
+
+    Evaluated as -e/(1 + e) for z >= 0 and -1/(1 + e) for z < 0, with
+    e = exp(-|z|), so the exponential never overflows."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
+    return out if out.ndim else float(out)
+
+
+def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
+    """Attention scores X q and token scores X nu of stacked X (n, T, d),
+    both (n, T), given q = W^T p."""
+    n, T, d = X.shape
+    flat = X.reshape(n * T, d)
+    return (flat @ q).reshape(n, T), (flat @ nu).reshape(n, T)
+
+
+def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None):
+    """Softmax of attention scores u (n, T) over tokens and the outputs
+    f_i = <s_i, gamma_i>.  Given training labels y, also the token weights
+    (1/n) l'(y_i f_i) y_i s_t (gamma_t - f_i), whose sum against the tokens
+    is gbar; otherwise None in their place."""
+    probs = softmax(u, axis=-1)
+    out = np.einsum("it,it->i", probs, gamma)
+    if y is None:
+        return probs, out, None
+    lprime = loss_derivative(y * out)
+    omega = probs * (gamma - out[:, None])
+    return probs, out, (lprime * y / len(y))[:, None] * omega
+
+
 @dataclass(frozen=True)
 class ForwardResult:
     attn_scores: np.ndarray   # (T,)  X W^T p
@@ -138,11 +171,7 @@ class EvalResult:
 
 def batch_outputs(X: np.ndarray, state: ModelState) -> np.ndarray:
     """Model outputs for stacked sequences X (n, T, d)."""
-    n, T, d = X.shape
-    attn = (X.reshape(n * T, d) @ (state.W.T @ state.p)).reshape(n, T)
-    probs = softmax(attn, axis=-1)
-    gamma = (X.reshape(n * T, d) @ state.nu).reshape(n, T)
-    return np.einsum("it,it->i", probs, gamma)
+    return _attend(*_token_scores(X, state.W.T @ state.p, state.nu))[1]
 
 
 def evaluate(dataset: Dataset, state: ModelState) -> EvalResult:

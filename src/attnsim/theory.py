@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataConfig, Dataset, Role, SignalBasis, snr as data_snr
-from .model import ModelState, softmax
+from .model import (ModelState, _attend, _token_scores, loss_derivative,
+                    softmax)
 from .multiclass import MulticlassConfig, head_gradient_estimate
 from .train import (TrainTrace, gamma_token_indices, gd_step, grad_p, grad_w,
-                    lambda_token_indices, loss_derivative)
+                    lambda_token_indices)
 
 __all__ = [
     "CheckResult",
@@ -167,12 +168,8 @@ class InteractionTerms:
 
     def __init__(self, state: ModelState, dataset: Dataset,
                  signals: SignalBasis):
-        n, T, d = dataset.X.shape
-        flat = dataset.X.reshape(n * T, d)
-        u = (flat @ (state.W.T @ state.p)).reshape(n, T)
-        probs = softmax(u, axis=-1)
-        gamma = (flat @ state.nu).reshape(n, T)
-        out = np.einsum("it,it->i", probs, gamma)
+        u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
+        probs, out, _ = _attend(u, gamma)
         self.omega = probs * (gamma - out[:, None])
         self.outputs = out
         self.probs = probs

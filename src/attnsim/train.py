@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ConfigError, Dataset, Role, SignalBasis
-from .model import ModelState, softmax
+from .model import (ModelState, _attend, _token_scores, evaluate, forward,
+                    loss_derivative)
 
 __all__ = [
     "TrainConfig",
@@ -96,46 +97,9 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-def loss_derivative(z):
-    """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in (-1, 0).
-
-    Evaluated as -e/(1 + e) for z >= 0 and -1/(1 + e) for z < 0, with
-    e = exp(-|z|), so the exponential never overflows."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
-    return out if out.ndim else float(out)
-
-
-def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
-    """Attention scores X q and token scores X nu of stacked X (n, T, d),
-    both (n, T), given q = W^T p."""
-    n, T, d = X.shape
-    flat = X.reshape(n * T, d)
-    return (flat @ q).reshape(n, T), (flat @ nu).reshape(n, T)
-
-
-def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None):
-    """Softmax of attention scores u (n, T) over tokens and the outputs
-    f_i = <s_i, gamma_i>.  Given training labels y, also the token weights
-    (1/n) l'(y_i f_i) y_i s_t (gamma_t - f_i), whose sum against the tokens
-    is gbar; otherwise None in their place."""
-    probs = softmax(u, axis=-1)
-    out = np.einsum("it,it->i", probs, gamma)
-    if y is None:
-        return probs, out, None
-    lprime = loss_derivative(y * out)
-    omega = probs * (gamma - out[:, None])
-    return probs, out, (lprime * y / len(y))[:, None] * omega
-
-
 def empirical_loss(dataset: Dataset, state: ModelState) -> float:
     """(1/n) sum_i log(1 + exp(-y_i f(X_i))), evaluated log1p-stably."""
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    _, out, _ = _attend(*_token_scores(dataset.X, state.W.T @ state.p,
-                                       state.nu))
-    return float(np.mean(np.logaddexp(0.0, -dataset.y_train * out)))
+    return evaluate(dataset, state).loss
 
 
 def _gbar(dataset: Dataset, state: ModelState) -> np.ndarray:
@@ -163,10 +127,8 @@ def output_grads(X: np.ndarray, state: ModelState):
     Both scale exactly linearly in the head: replacing nu by c*nu multiplies
     them by c (the softmax does not depend on nu).
     """
-    attn = X @ (state.W.T @ state.p)
-    s = softmax(attn)
-    gamma = X @ state.nu
-    c = ((s * (gamma - s @ gamma)) @ X)
+    fw = forward(X, state)
+    c = (fw.probs * (fw.token_scores - fw.output)) @ X
     return np.outer(state.p, c), state.W @ c
 
 

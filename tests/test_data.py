@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestGenerateDataset:
         sig = make_signals(2000, 20.0, "random_orthogonal", stream(1, "s"))
         ds = generate_dataset(cfg, sig, stream(1, "d"))
         assert ds.X.shape == (20, 8, 2000)
-        assert len(ds.samples) == 20
+        assert ds.noise.shape == (20, 8, 2000)
 
     def test_roles_layout(self):
         cfg = small_config(n_weak_same=2, T=6)
@@ -114,14 +115,14 @@ class TestGenerateDataset:
         sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
                            stream(3, "s"))
         ds = generate_dataset(cfg, sig, stream(3, "d"))
-        for s in ds.samples:
-            own = sig.signal_for(s.y_true)
-            opp = sig.signal_for(-s.y_true)
-            assert np.array_equal(s.tokens[0], s.noise_vectors[0] + own)
-            assert np.array_equal(s.tokens[1], s.noise_vectors[1] + cfg.rho * opp)
-            assert np.array_equal(s.tokens[2], s.noise_vectors[2] + cfg.rho * own)
+        for x, eps, y in zip(ds.X, ds.noise, ds.y_true):
+            own = sig.signal_for(y)
+            opp = sig.signal_for(-y)
+            assert np.array_equal(x[0], eps[0] + own)
+            assert np.array_equal(x[1], eps[1] + cfg.rho * opp)
+            assert np.array_equal(x[2], eps[2] + cfg.rho * own)
             for t in range(3, cfg.T):
-                assert np.array_equal(s.tokens[t], s.noise_vectors[t])
+                assert np.array_equal(x[t], eps[t])
 
     @pytest.mark.parametrize("n_weak_same", [0, 1, 2])
     def test_build_tokens_matches_vectorized_formula(self, n_weak_same):
@@ -130,7 +131,6 @@ class TestGenerateDataset:
         y = np.array([1, -1, -1, 1, 1, -1])
         noise = rng.normal(size=(len(y), 5, 40))
         rho = 0.3
-        X = _build_tokens(y, noise, sig, rho, n_weak_same)
         own = np.where((y > 0)[:, None], sig.mu_plus, sig.mu_minus)
         opp = np.where((y > 0)[:, None], sig.mu_minus, sig.mu_plus)
         ref = noise.copy()
@@ -138,8 +138,42 @@ class TestGenerateDataset:
         ref[:, 1, :] += rho * opp
         for j in range(n_weak_same):
             ref[:, 2 + j, :] += rho * own
+        X = _build_tokens(y, noise, sig, rho, n_weak_same)
         assert np.array_equal(X, ref)
-        assert not np.shares_memory(X, noise)
+        assert X is noise   # the signals are added in place
+
+    @pytest.mark.parametrize("sigma_eps", [1.0, 0.0])
+    def test_noise_regenerated_from_stream(self, sigma_eps):
+        # the noise is the same draw as an eager one from the token stream,
+        # made only when first read, and reading it leaves X alone
+        cfg = small_config(sigma_eps=sigma_eps)
+        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
+                           stream(4, "s"))
+        ds = generate_dataset(cfg, sig, stream(4, "d"))
+        tok_rng, _ = stream(4, "d").spawn(2)
+        tok_rng.random(cfg.n)
+        eager = tok_rng.normal(0.0, sigma_eps, size=(cfg.n, cfg.T, cfg.d))
+        X = ds.X.copy()
+        assert "noise" not in ds.__dict__
+        assert np.array_equal(ds.noise, eager)
+        assert ds.noise is ds.noise
+        assert np.array_equal(ds.X, X)
+        ref = _build_tokens(ds.y_true, eager.copy(), sig, cfg.rho,
+                            cfg.n_weak_same)
+        assert np.array_equal(ds.X, ref)
+
+    def test_one_token_array_in_memory(self):
+        cfg = DataConfig(n=300, T=8, d=1500, mu_norm=20.0, sigma_eps=1.0,
+                         eta=0.2, rho=0.1)
+        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
+                           stream(5, "s"))
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(cfg, sig, stream(5, "d"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * ds.X.nbytes
 
     def test_partition_invariants(self):
         cfg = small_config(n=50)

@@ -21,7 +21,7 @@ from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  run_check_suites, sweep)
 from attnsim.model import init_params
 from attnsim.rng import stream
-from attnsim.train import TrainConfig
+from attnsim.train import TrainConfig, train
 
 
 def tiny_config(seed=0, **train_kw):
@@ -158,6 +158,14 @@ class TestBuildInputs:
         assert np.array_equal(bare[1].y_train, full[1].y_train)
         assert np.array_equal(bare[3].W, full[3].W)
         assert np.array_equal(bare[3].p, full[3].p)
+
+    def test_training_leaves_test_noise_unread(self):
+        # the test set is scored through X alone, so its noise is never
+        # regenerated
+        cfg = tiny_config(seed=1)
+        signals, dataset, test_set, state0 = build_inputs(cfg)
+        train(state0, dataset, signals, cfg.train, test_set=test_set)
+        assert "noise" not in test_set.__dict__
 
     def test_init_error_propagates_and_thread_ends(self, monkeypatch):
         def failing_init(*args, **kwargs):
@@ -337,6 +345,19 @@ class TestCli:
         path.write_text(json.dumps(spec))
         assert cli_main(["sweep", "--config", str(path), "--out-dir",
                          str(tmp_path / "out")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_sweep_threads_below_one_rejected(self, tmp_path, capsys,
+                                              threads):
+        spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),
+                         base=tiny_config())
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec.to_json()))
+        code = cli_main(["sweep", "--config", str(path), "--out-dir",
+                         str(tmp_path / "out"), "--threads", threads])
+        assert code == EXIT_USAGE
+        assert "config error: threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()   # nothing ran
 
     def test_numerical_error_exit_four(self, tmp_path, capsys, monkeypatch):
         # a ValueError raised while computing is not a config error

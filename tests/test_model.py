@@ -206,8 +206,7 @@ class TestEvaluate:
 
     def test_empty_rejected(self):
         ds, sig = self.make_dataset()
-        empty = type(ds)(config=ds.config, samples=[], X=np.zeros((0, 5, 24)),
-                         noise=np.zeros((0, 5, 24)),
+        empty = type(ds)(config=ds.config, X=np.zeros((0, 5, 24)),
                          y_train=np.zeros(0, dtype=int),
                          y_true=np.zeros(0, dtype=int), roles=ds.roles)
         state = ModelState(W=np.zeros((24, 24)), p=np.zeros(24), nu=np.zeros(24))

@@ -400,16 +400,16 @@ class TestSubspaceAgainstGdStep:
         # a NaN loss derivative at the gradient of step ``fault_at`` is a
         # non-finite update between two folds; the engine and the oracle
         # both compute one loss derivative per step, in step order
-        train_mod = importlib.import_module("attnsim.train")
+        model_mod = importlib.import_module("attnsim.model")
         calls = []
-        exact = train_mod.loss_derivative
+        exact = model_mod.loss_derivative
 
         def faulty(z):
             calls.append(None)
             out = exact(z)
             return out * np.nan if len(calls) == fault_at else out
 
-        monkeypatch.setattr(train_mod, "loss_derivative", faulty)
+        monkeypatch.setattr(model_mod, "loss_derivative", faulty)
         state, ds, sig, test = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=3 * _FOLD, log_every=5)
         res = train(state, ds, sig, tcfg, test_set=test,
