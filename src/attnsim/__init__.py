@@ -6,10 +6,8 @@ checking the dynamical laws that govern token selection: g-linear growth of
 attention gaps, one-step update identities, softmax concentration brackets,
 finite-scale good-run events, grokking, and SNR-based overfitting regimes.
 """
-from .data import (AssumptionCheck, AssumptionReport, ConfigError, DataConfig,
-                   Dataset, Role, Sample, SignalBasis, a8_sigma,
-                   check_assumptions, generate_dataset, make_signals,
-                   sample_from_p_star, snr)
+from .data import (ConfigError, DataConfig, Dataset, Role, SignalBasis,
+                   a8_sigma, generate_dataset, make_signals, snr)
 from .model import (EvalResult, ForwardResult, ModelState, evaluate, forward,
                     init_params, make_head, predict, softmax)
 from .multiclass import (MulticlassConfig, MulticlassDataset, MulticlassState,
@@ -18,15 +16,14 @@ from .multiclass import (MulticlassConfig, MulticlassDataset, MulticlassState,
                          multiclass_loss_and_grads)
 from .rng import cell_seed, stream
 from .theory import (AttentionDiagnostics, CheckResult, GLinearityResult,
-                     GoodRunReport, GoodRunTolerances, GrokkingTimes,
-                     InitThresholds, InteractionTerms, Regime, TheoryReport,
-                     classify_regime, compute_diagnostics,
-                     compute_interactions, etf_gradient_check, g, g_linearity,
-                     good_run_check, init_checks, loss_derivative_balance,
-                     measure_grokking, noisy_stage_windows,
-                     pre_saturation_window, signal_growth_check,
+                     GoodRunTolerances, GrokkingTimes, InitThresholds,
+                     InteractionTerms, Regime, TheoryReport, check_assumptions,
+                     classify_regime, compute_diagnostics, etf_gradient_check,
+                     g, g_linearity, good_run_check, init_checks,
+                     loss_derivative_balance, measure_grokking,
+                     noisy_stage_windows, pre_saturation_window,
                      softmax_bound_check, softmax_bound_scan,
-                     token_score_check, verify_update_identity)
+                     verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainResult, TrainTrace,
                     empirical_loss, finite_diff_grad, gd_step, grad_p, grad_w,
                     loss_derivative, output_grads, train)

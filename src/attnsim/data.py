@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -21,22 +22,27 @@ __all__ = [
     "Role",
     "SignalBasis",
     "DataConfig",
-    "Sample",
     "Dataset",
     "ConfigError",
     "make_signals",
-    "sample_from_p_star",
     "generate_dataset",
     "snr",
     "a8_sigma",
-    "AssumptionCheck",
-    "AssumptionReport",
-    "check_assumptions",
 ]
 
 
 class ConfigError(ValueError):
     """Invalid or malformed configuration."""
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is an integer
+    (``kind`` int; numpy integers included) or a real number (``kind``
+    float).  bool is neither."""
+    abc, what = ((numbers.Integral, "an integer") if kind is int
+                 else (numbers.Real, "a real number"))
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 class Role(str, Enum):
@@ -92,7 +98,10 @@ def make_signals(d: int, mu_norm: float, mode: str = "random_orthogonal",
     return SignalBasis(mu_plus=mu_plus, mu_minus=mu_minus)
 
 
-_DATA_FIELDS = ("n", "T", "d", "mu_norm", "sigma_eps", "eta", "rho", "n_weak_same")
+# field -> kind: counts are integers, scales and rates real numbers
+_DATA_FIELDS = {"n": int, "T": int, "d": int, "mu_norm": float,
+                "sigma_eps": float, "eta": float, "rho": float,
+                "n_weak_same": int}
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,8 @@ class DataConfig:
     n_weak_same: int = 1
 
     def __post_init__(self):
+        for name, kind in _DATA_FIELDS.items():
+            _check_type(name, getattr(self, name), kind)
         if self.n < 1 or self.T < 1:
             raise ConfigError("n and T must be positive")
         if self.d < 2:
@@ -158,17 +169,6 @@ def roles_for(T: int, n_weak_same: int) -> tuple[Role, ...]:
     roles += [Role.WEAK_SAME] * n_weak_same
     roles += [Role.IRRELEVANT] * (T - 2 - n_weak_same)
     return tuple(roles)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One token sequence with its labels, roles and retained noise."""
-
-    tokens: np.ndarray          # (T, d); row t-1 holds token t
-    y_train: int
-    y_true: int
-    roles: tuple[Role, ...]
-    noise_vectors: np.ndarray   # (T, d); the epsilon drawn for each token
 
 
 @dataclass(frozen=True)
@@ -230,19 +230,6 @@ def _build_tokens(y_true: np.ndarray, tokens: np.ndarray, signals: SignalBasis,
     return tokens
 
 
-def sample_from_p_star(config: DataConfig, signals: SignalBasis,
-                       rng: np.random.Generator) -> Sample:
-    """Draw one clean sample: uniform true label, Gaussian token noise,
-    tokens assembled by role.  The training label equals the true label."""
-    y = 1 if rng.random() < 0.5 else -1
-    noise = rng.normal(0.0, config.sigma_eps, size=(config.T, config.d))
-    X = _build_tokens(np.array([y]), noise[None].copy(), signals, config.rho,
-                      config.n_weak_same)[0]
-    return Sample(tokens=X, y_train=y, y_true=y,
-                  roles=roles_for(config.T, config.n_weak_same),
-                  noise_vectors=noise)
-
-
 def generate_dataset(config: DataConfig, signals: SignalBasis,
                      rng: np.random.Generator) -> Dataset:
     """Draw n samples i.i.d., then flip each training label independently
@@ -284,92 +271,3 @@ def a8_sigma(config: DataConfig, delta: float = 0.01, scale: float = 1.0) -> flo
     denom = max(config.mu_norm * math.sqrt(config.d),
                 config.sigma_eps * config.d) * log_term ** 2
     return math.sqrt(scale / denom)
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    value: float
-    lower: float | None = None
-    upper: float | None = None
-    note: str = ""
-
-    @property
-    def holds(self) -> bool:
-        if self.lower is not None and self.value < self.lower:
-            return False
-        if self.upper is not None and self.value > self.upper:
-            return False
-        return True
-
-    @property
-    def margin(self) -> float:
-        """Distance to the nearest bound; positive means slack."""
-        margins = []
-        if self.lower is not None:
-            margins.append(self.value - self.lower)
-        if self.upper is not None:
-            margins.append(self.upper - self.value)
-        return min(margins) if margins else math.inf
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    def __getitem__(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    @property
-    def holds_all(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"name": c.name, "value": c.value, "lower": c.lower,
-             "upper": c.upper, "holds": c.holds, "margin": c.margin,
-             "note": c.note}
-            for c in self.checks
-        ]
-
-
-def check_assumptions(config: DataConfig, sigma_w: float, sigma_p: float,
-                      alpha: float, C: float = 1.0, delta: float = 0.01,
-                      a8_slack: float = 10.0) -> AssumptionReport:
-    """Evaluate the eight scaling conditions A1-A8 relating d, ||mu||, n,
-    rho, alpha, eta, T and the initialization variances.
-
-    The universal constant C is a caller choice (default 1); per-inequality
-    margins matter more than the aggregate verdict at desk scale.  A8 is a
-    two-sided band around the target variance with slack ``a8_slack``.
-    """
-    if C <= 0 or delta <= 0 or a8_slack < 1:
-        raise ValueError("C, delta must be positive and a8_slack >= 1")
-    n, T, d = config.n, config.T, config.d
-    mu, sig, eta, rho = config.mu_norm, config.sigma_eps, config.eta, config.rho
-    log_term = math.log(T * n / delta)
-    sig_hat = max(sig, 1.0 / sig) if sig > 0 else math.inf
-    a8_target = 1.0 / (max(mu * math.sqrt(d), sig * d) * log_term ** 2)
-    checks = (
-        AssumptionCheck("A1_dimension", value=d,
-                        lower=C * sig_hat * n * mu ** (4 / 3) * log_term ** 3),
-        AssumptionCheck("A2_signal_norm", value=mu,
-                        lower=C * sig * d ** (3 / 8) * log_term),
-        AssumptionCheck("A3_weak_scale", value=rho,
-                        lower=C * sig * log_term / mu, upper=1.0 / C),
-        AssumptionCheck("A4_step_size", value=alpha,
-                        upper=1.0 / (C * max(mu * math.sqrt(d), sig * d))),
-        AssumptionCheck("A5_sample_count", value=n,
-                        lower=C * math.log(d / delta)),
-        AssumptionCheck("A6_noise_rate", value=eta, upper=1.0 / C),
-        AssumptionCheck("A7_token_count", value=T,
-                        note="constant-order by construction; no numeric bound"),
-        AssumptionCheck("A8_init_variance_w", value=sigma_w ** 2,
-                        lower=a8_target / a8_slack, upper=a8_target * a8_slack),
-        AssumptionCheck("A8_init_variance_p", value=sigma_p ** 2,
-                        lower=a8_target / a8_slack, upper=a8_target * a8_slack),
-    )
-    return AssumptionReport(checks=checks)

@@ -18,15 +18,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
-                   make_signals, snr)
+from .data import (ConfigError, DataConfig, _check_type, a8_sigma,
+                   generate_dataset, make_signals, snr)
 from .model import ModelState, init_params, make_head
 from .multiclass import MulticlassConfig, make_class_signals
 from .rng import cell_seed, stream
 from .theory import (CheckResult, TheoryReport, classify_regime,
                      etf_gradient_check, good_run_check, g_linearity,
                      init_checks, loss_derivative_balance, measure_grokking,
-                     pre_saturation_window, softmax_bound_scan,
+                     pre_saturation_window, rel_err, softmax_bound_scan,
                      verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainTrace,
                     finite_diff_grad, grad_p, grad_w, train)
@@ -69,14 +69,17 @@ class ModelParams:
         if isinstance(self.head_scale, str):
             if self.head_scale not in ("inverse_mu", "unit"):
                 raise ConfigError(f"unknown head_scale {self.head_scale!r}")
-        elif not isinstance(self.head_scale, (int, float)):
-            raise ConfigError("head_scale must be 'inverse_mu', 'unit' or a number")
+        else:
+            _check_type("head_scale", self.head_scale, float)
+        _check_type("assumption_delta", self.assumption_delta, float)
         if self.assumption_delta <= 0:
             raise ConfigError("assumption_delta must be positive")
         for name in ("sigma_w", "sigma_p"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ConfigError(f"{name} must be >= 0, got {v}")
+            if v is not None:
+                _check_type(name, v, float)
+                if v < 0:
+                    raise ConfigError(f"{name} must be >= 0, got {v}")
 
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in _MODEL_FIELDS}
@@ -103,7 +106,17 @@ class ExperimentConfig:
     tracked_samples: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _check_type("seed", self.seed, int)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tracked_samples is not None:
+            if not isinstance(self.tracked_samples, (list, tuple)):
+                raise ConfigError(f"tracked_samples must be a list of sample "
+                                  f"indices, got {self.tracked_samples!r}")
+            object.__setattr__(self, "tracked_samples",
+                               tuple(self.tracked_samples))
+            for i in self.tracked_samples:
+                _check_type("tracked_samples", i, int)
             bad = [i for i in self.tracked_samples
                    if not 0 <= i < self.data.n]
             if bad:
@@ -129,13 +142,12 @@ class ExperimentConfig:
         for key in ("data", "train"):
             if key not in obj:
                 raise ConfigError(f"missing config section {key!r}")
-        tracked = obj.get("tracked_samples")
         return cls(
             data=DataConfig.from_json(obj["data"]),
             train=TrainConfig.from_json(obj["train"]),
             model=ModelParams.from_json(obj.get("model", {})),
-            seed=int(obj.get("seed", 0)),
-            tracked_samples=tuple(tracked) if tracked is not None else None,
+            seed=obj.get("seed", 0),
+            tracked_samples=obj.get("tracked_samples"),
         )
 
     def config_hash(self) -> str:
@@ -347,8 +359,19 @@ class SweepSpec:
     base: ExperimentConfig
 
     def __post_init__(self):
+        # grids are stored as tuples of int d, float mu_norm and int seeds
+        for name, kind in (("d_values", int), ("mu_values", float),
+                           ("seeds", int)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            for v in values:
+                _check_type(name, v, kind)
+            object.__setattr__(self, name, tuple(kind(v) for v in values))
         if not self.d_values or not self.mu_values or not self.seeds:
             raise ConfigError("sweep grids must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         for d in self.d_values:
             for mu in self.mu_values:
                 replace(self.base.data, d=d, mu_norm=mu)  # validates the cell
@@ -369,9 +392,8 @@ class SweepSpec:
         missing = [k for k in _SWEEP_FIELDS if k not in obj]
         if missing:
             raise ConfigError(f"missing sweep keys: {missing}")
-        return cls(d_values=tuple(int(v) for v in obj["d_values"]),
-                   mu_values=tuple(float(v) for v in obj["mu_values"]),
-                   seeds=tuple(int(v) for v in obj["seeds"]),
+        return cls(d_values=obj["d_values"], mu_values=obj["mu_values"],
+                   seeds=obj["seeds"],
                    base=ExperimentConfig.from_json(obj["base"]))
 
 
@@ -461,7 +483,6 @@ def _suite_gradients(config: ExperimentConfig) -> TheoryReport:
         ds, _, state = _random_instance(rng)
         fd_w, fd_p = finite_diff_grad(ds, state, h=1e-5)
         gw, gp = grad_w(ds, state), grad_p(ds, state)
-        from .theory import rel_err
         # floor at the finite-difference resolution for h = 1e-5
         worst = max(worst, float(np.max(rel_err(gw, fd_w, floor=3e-5))),
                     float(np.max(rel_err(gp, fd_p, floor=3e-5))))
@@ -507,16 +528,9 @@ def _suite_goodrun(config: ExperimentConfig) -> TheoryReport:
     # statements and stay report-level at typical run sizes
     signals, dataset, _, state0 = _build_train_inputs(config)
     sw, sp = config.resolved_sigmas()
-    gr = good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp,
-                        groups=("noise_norms", "noise_inner", "init_norms",
-                                "init_inner", "signal_noise_inner"))
-    report = TheoryReport()
-    for e in gr.events:
-        report.checks.append(CheckResult(
-            f"good_run_{e.name}", passed=e.holds,
-            measured={"measured": e.measured, "vacuous": e.vacuous},
-            threshold={"lo": e.lo, "hi": e.hi}))
-    return report
+    return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp,
+                          groups=("noise_norms", "noise_inner", "init_norms",
+                                  "init_inner", "signal_noise_inner"))
 
 
 def _suite_init(config: ExperimentConfig) -> TheoryReport:

@@ -111,6 +111,17 @@ def loss_derivative(z):
     return out if out.ndim else float(out)
 
 
+def _fits(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Strict-sign match of outputs with labels: a zero output is a misfit
+    against either label, the tie rule of :func:`predict`."""
+    return (out != 0) & (np.sign(out) == y)
+
+
+def _logistic_loss(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-output logistic loss log(1 + exp(-y f)), evaluated stably."""
+    return np.logaddexp(0.0, -y * out)
+
+
 def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
     """Attention scores X q and token scores X nu of stacked X (n, T, d),
     both (n, T), given q = W^T p."""
@@ -183,9 +194,9 @@ def evaluate(dataset: Dataset, state: ModelState) -> EvalResult:
     if dataset.n == 0:
         raise ValueError("cannot evaluate an empty dataset")
     out = batch_outputs(dataset.X, state)
-    fit_train = (out != 0) & (np.sign(out) == dataset.y_train)
-    fit_true = (out != 0) & (np.sign(out) == dataset.y_true)
-    loss = float(np.mean(np.logaddexp(0.0, -dataset.y_train * out)))
+    fit_train = _fits(out, dataset.y_train)
+    fit_true = _fits(out, dataset.y_true)
+    loss = float(np.mean(_logistic_loss(out, dataset.y_train)))
     return EvalResult(
         acc_train=float(fit_train.mean()),
         acc_true=float(fit_true.mean()),

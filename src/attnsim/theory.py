@@ -1,13 +1,14 @@
 """Diagnostics and empirical checks for the token-selection dynamics.
 
-Everything here is a pure function of model snapshots, datasets, or traces:
-attention gaps and their g-transformed linear growth, one-step update
-identities for signal/noise attention, softmax concentration brackets,
-high-probability ("good run") events at finite scale, initialization
-uniformity, regime classification from the signal-to-noise ratio, grokking
-times, and the ETF geometry of the head gradient at zero initialization.
-Checks report measured values and margins; pass flags use explicit caller
-tolerances.
+Everything here is a pure function of model snapshots, datasets, traces or
+configurations: attention gaps and their g-transformed linear growth,
+one-step update identities for signal/noise attention, softmax
+concentration brackets, high-probability ("good run") events at finite
+scale, the scaling assumptions A1-A8, initialization uniformity, regime
+classification from the signal-to-noise ratio, grokking times, and the ETF
+geometry of the head gradient at zero initialization.  Every check returns
+:class:`CheckResult` rows in a :class:`TheoryReport`, with measured values
+and margins; pass flags use explicit caller tolerances.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataConfig, Dataset, Role, SignalBasis, snr as data_snr
+from .data import DataConfig, Dataset, SignalBasis, snr as data_snr
 from .model import (ModelState, _attend, _token_scores, loss_derivative,
                     softmax)
 from .multiclass import MulticlassConfig, head_gradient_estimate
@@ -32,20 +33,16 @@ __all__ = [
     "g",
     "rel_err",
     "compute_diagnostics",
-    "compute_interactions",
     "verify_update_identity",
-    "token_score_check",
     "softmax_bound_check",
     "softmax_bound_scan",
     "GoodRunTolerances",
-    "GoodRunEvent",
-    "GoodRunReport",
     "good_run_check",
+    "check_assumptions",
     "GLinearityResult",
     "g_linearity",
     "pre_saturation_window",
     "noisy_stage_windows",
-    "signal_growth_check",
     "classify_regime",
     "measure_grokking",
     "etf_gradient_check",
@@ -76,11 +73,27 @@ class CheckResult:
                 "note": self.note}
 
 
+def _bounds_check(name: str, value: float, lo: float | None,
+                  hi: float | None, measured: dict,
+                  note: str = "") -> CheckResult:
+    """Passes unless ``value`` lies below ``lo`` or above ``hi``; a bound
+    of None is absent."""
+    passed = not ((lo is not None and value < lo)
+                  or (hi is not None and value > hi))
+    return CheckResult(name, passed, measured, {"lo": lo, "hi": hi}, note)
+
+
 @dataclass
 class TheoryReport:
     checks: list[CheckResult] = field(default_factory=list)
     config_hash: str = ""
     seed: int | None = None
+
+    def __getitem__(self, name: str) -> CheckResult:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
 
     @property
     def passed_all(self) -> bool:
@@ -162,8 +175,9 @@ class InteractionTerms:
         Iw_{i,+-}   = <W c_i, W mu_+->      Iw_{i,j,u}  = <W c_i, W eps_u^(j)>
         Ip_i        = <W c_i, p>
 
-    Noise-indexed families are computed lazily per requested (j, u) to keep
-    memory at O(n d) instead of O(n^2 T) tensors times d-sized work.
+    The signal and p families are attributes; the noise-indexed families
+    are ``c @ eps`` and ``Wc @ (W eps)``, which :func:`verify_update_identity`
+    forms for every (j, u) at once.
     """
 
     def __init__(self, state: ModelState, dataset: Dataset,
@@ -175,35 +189,11 @@ class InteractionTerms:
         self.probs = probs
         self.c = np.einsum("it,itd->id", self.omega, dataset.X)
         self.Wc = self.c @ state.W.T
-        self._W = state.W
-        self._p = state.p
-        self._noise = dataset.noise
         self.I_plus = self.c @ signals.mu_plus
         self.I_minus = self.c @ signals.mu_minus
         self.Iw_plus = self.Wc @ (state.W @ signals.mu_plus)
         self.Iw_minus = self.Wc @ (state.W @ signals.mu_minus)
         self.I_p = self.Wc @ state.p
-
-    def I_noise(self, j: int, u: int) -> np.ndarray:
-        return self.c @ self._noise[j, u]
-
-    def Iw_noise(self, j: int, u: int) -> np.ndarray:
-        return self.Wc @ (self._W @ self._noise[j, u])
-
-    def noise_tensor(self) -> np.ndarray:
-        """All I_{i,j,u}, shape (n, n, T).  Materialize only at small scale."""
-        n, T, d = self._noise.shape
-        return (self.c @ self._noise.reshape(n * T, d).T).reshape(n, n, T)
-
-    def noise_tensor_w(self) -> np.ndarray:
-        n, T, d = self._noise.shape
-        WE = self._noise.reshape(n * T, d) @ self._W.T
-        return (self.Wc @ WE.T).reshape(n, n, T)
-
-
-def compute_interactions(state: ModelState, dataset: Dataset,
-                         signals: SignalBasis) -> InteractionTerms:
-    return InteractionTerms(state, dataset, signals)
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +212,7 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
     inner products of W applied to both signals and every noise vector.
     """
     n, T, d = dataset.X.shape
-    inter = compute_interactions(state, dataset, signals)
+    inter = InteractionTerms(state, dataset, signals)
     y = dataset.y_train
     lp = loss_derivative(y * inter.outputs)
     a_coef = (-lp) * y / n                     # (n,)
@@ -232,10 +222,10 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
 
     pp = float(state.p @ state.p)
     E = dataset.noise.reshape(n * T, d)         # noise vectors, row-major (j,u)
-    I_noise = (inter.c @ E.T)                   # (n, nT)
+    I_eps = (inter.c @ E.T)                     # (n, nT)
     WE0 = E @ state.W.T
     WE1 = E @ new.W.T
-    Iw_noise = inter.Wc @ WE0.T                 # (n, nT)
+    Iw_eps = inter.Wc @ WE0.T                   # (n, nT)
     q0 = state.W.T @ state.p
     q1 = new.W.T @ new.p
     cross = gw.T @ gp                           # (d,) since gw is rank one
@@ -259,7 +249,7 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
         add(nm, lhs, rhs)
 
     lhs_rho = E @ q1 - E @ q0                                   # (nT,)
-    rhs_rho = alpha * (a_coef @ (Iw_noise + pp * I_noise)) \
+    rhs_rho = alpha * (a_coef @ (Iw_eps + pp * I_eps)) \
         + alpha * alpha * (E @ cross)
     add("update_rho", lhs_rho, rhs_rho)
 
@@ -285,7 +275,7 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
     rho0 = E @ q0                                               # (nT,)
     gwE = E @ gw.T                                              # (nT, d)
     lhs_wn = np.einsum("md,md->m", WE1, WE1) - np.einsum("md,md->m", WE0, WE0)
-    rhs_wn = 2 * alpha * rho0 * (a_coef @ I_noise) \
+    rhs_wn = 2 * alpha * rho0 * (a_coef @ I_eps) \
         + alpha * alpha * np.einsum("md,md->m", gwE, gwE)
     add("update_w_norm_eps", lhs_wn, rhs_wn)
 
@@ -296,14 +286,14 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
 
     for k in ("+", "-"):
         lhs_c = WE1 @ Wmu1[k] - WE0 @ Wmu0[k]                   # (nT,)
-        rhs_c = alpha * ((a_coef @ I_noise) * lam[k]
+        rhs_c = alpha * ((a_coef @ I_eps) * lam[k]
                          + float(a_coef @ I_sig[k]) * rho0) \
             + alpha * alpha * (gwE @ gwmu[k])
         add(f"update_w_cross_mu_{k}_eps", lhs_c, rhs_c)
 
     # pairwise noise-noise inner products
     lhs_pair = WE1 @ WE1.T - WE0 @ WE0.T                        # (nT, nT)
-    s_vec = a_coef @ I_noise                                    # (nT,)
+    s_vec = a_coef @ I_eps                                      # (nT,)
     rhs_pair = np.outer(rho0, s_vec) + np.outer(s_vec, rho0)
     rhs_pair *= alpha
     rhs_pair += alpha * alpha * (gwE @ gwE.T)
@@ -314,89 +304,8 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
 
 
 # --------------------------------------------------------------------------
-# Token scores
-# --------------------------------------------------------------------------
-
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def token_score_check(dataset: Dataset, nu: np.ndarray,
-                      binom_sigmas: float = 3.0) -> TheoryReport:
-    """Verify the sign/scale pattern of token scores gamma_t = nu^T x_t.
-
-    For clean samples the relevant token score matches the label, same-class
-    weak tokens match, and the confusing token opposes; for noisy samples the
-    pattern flips.  Pass thresholds are the Gaussian-noise success
-    probabilities minus ``binom_sigmas`` binomial standard errors, so the
-    check is exact at sigma_eps = 0 and statistical otherwise.
-    """
-    n, T, d = dataset.X.shape
-    gamma = (dataset.X.reshape(n * T, d) @ nu).reshape(n, T)
-    signal_score = ((dataset.X - dataset.noise).reshape(n * T, d) @ nu).reshape(n, T)
-    noise_score = gamma - signal_score
-    sigma_nu = dataset.config.sigma_eps * float(np.linalg.norm(nu))
-
-    roles = dataset.roles
-    cols = {Role.RELEVANT: [t for t, r in enumerate(roles) if r == Role.RELEVANT],
-            Role.WEAK_CONFUSING: [t for t, r in enumerate(roles)
-                                  if r == Role.WEAK_CONFUSING],
-            Role.WEAK_SAME: [t for t, r in enumerate(roles) if r == Role.WEAK_SAME]}
-    report = TheoryReport()
-    abs_noise = np.abs(noise_score)
-    quantiles = {"median_abs_noise": float(np.median(abs_noise)),
-                 "p95_abs_noise": float(np.quantile(abs_noise, 0.95))}
-
-    def frac_and_expected(idx, col_list, sign):
-        if len(idx) == 0 or not col_list:
-            return None
-        ys = dataset.y_train[idx][:, None]
-        got = sign * ys * gamma[np.ix_(idx, col_list)] > 0
-        margin = np.abs(signal_score[np.ix_(idx, col_list)])
-        if sigma_nu == 0:
-            expected = 1.0
-        else:
-            expected = float(np.mean([_phi(m / sigma_nu) for m in margin.ravel()]))
-        count = got.size
-        slack = binom_sigmas * math.sqrt(max(expected * (1 - expected), 0.0) / count)
-        return float(got.mean()), expected, slack, float(np.mean(margin))
-
-    cases = [
-        ("token_score_relevant_clean", dataset.clean_idx, cols[Role.RELEVANT], +1),
-        ("token_score_confusing_clean", dataset.clean_idx,
-         cols[Role.WEAK_CONFUSING], -1),
-        ("token_score_weak_same_clean", dataset.clean_idx, cols[Role.WEAK_SAME], +1),
-        ("token_score_relevant_noisy", dataset.noisy_idx, cols[Role.RELEVANT], -1),
-        ("token_score_confusing_noisy", dataset.noisy_idx,
-         cols[Role.WEAK_CONFUSING], +1),
-    ]
-    for name, idx, col_list, sign in cases:
-        stats = frac_and_expected(idx, col_list, sign)
-        if stats is None:
-            report.checks.append(CheckResult(name, True, {"count": 0},
-                                             note="no samples in this class"))
-            continue
-        frac, expected, slack, margin = stats
-        report.checks.append(CheckResult(
-            name, passed=frac >= expected - slack - 1e-9,
-            measured={"fraction": frac, "expected": expected,
-                      "mean_signal_margin": margin, **quantiles},
-            threshold={"min_fraction": expected - slack}))
-    return report
-
-
-# --------------------------------------------------------------------------
 # Softmax concentration
 # --------------------------------------------------------------------------
-
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
 
 def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
                         identity_tol: float = 1e-12,
@@ -412,11 +321,12 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
     n, Tm1 = Lambda.shape
     T = Tm1 + 1
     lhs = probs[:, 0] * probs[:, 1:].sum(axis=1)
-    # rhs = sig(L) * sig(-L) with L = log sum_t exp(-Lambda_t), stably
+    # rhs = sig(L) * sig(-L) with L = log sum_t exp(-Lambda_t), stably;
+    # l'(z) = -sig(-z), so the two signs cancel
     neg = -Lambda
     m = neg.max(axis=1, keepdims=True)
     L = (m + np.log(np.exp(neg - m).sum(axis=1, keepdims=True))).ravel()
-    rhs = _sigmoid(L) * _sigmoid(-L)
+    rhs = loss_derivative(L) * loss_derivative(-L)
     id_err = float(np.max(rel_err(lhs, rhs, floor=1e-300)))
 
     cprime = np.exp(Lambda.max(axis=1) - Lambda.min(axis=1))
@@ -448,29 +358,21 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
 
 def softmax_bound_scan(trace: TrainTrace,
                        identity_tol: float = 1e-12) -> TheoryReport:
-    """Run :func:`softmax_bound_check` at every logged step of a trace and
-    aggregate the worst case."""
-    worst_id = 0.0
-    bracket_all = True
-    d2_all = True
-    skipped = 0
-    for k in range(trace.n_logged):
-        rep = softmax_bound_check(trace.probs[k], trace.Lambda[k],
-                                  identity_tol=identity_tol)
-        worst_id = max(worst_id, rep.checks[0].measured["max_rel_err"])
-        bracket_all &= rep.checks[1].passed
-        skipped += rep.checks[1].measured["skipped_saturated_rows"]
-        d2_all &= rep.checks[2].passed
-    report = TheoryReport()
-    report.checks.append(CheckResult(
-        "softmax_identity_full_trace", passed=worst_id <= identity_tol,
-        measured={"max_rel_err": worst_id}, threshold=identity_tol))
-    report.checks.append(CheckResult(
-        "softmax_bracket_full_trace", passed=bracket_all,
-        measured={"skipped_saturated_rows": skipped}))
-    report.checks.append(CheckResult(
-        "softmax_best_token_full_trace", passed=d2_all, measured={}))
-    return report
+    """:func:`softmax_bound_check` over every logged row of a trace at
+    once: every check is row-wise, so its worst case over the stacked
+    (L*n, T) rows is the worst case over the logged steps."""
+    L, n, T = trace.probs.shape
+    identity, bracket, best = softmax_bound_check(
+        trace.probs.reshape(L * n, T), trace.Lambda.reshape(L * n, T - 1),
+        identity_tol=identity_tol).checks
+    skipped = bracket.measured["skipped_saturated_rows"]
+    return TheoryReport([
+        CheckResult("softmax_identity_full_trace", identity.passed,
+                    identity.measured, identity_tol),
+        CheckResult("softmax_bracket_full_trace", bracket.passed,
+                    {"skipped_saturated_rows": skipped}),
+        CheckResult("softmax_best_token_full_trace", best.passed, {}),
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -484,45 +386,6 @@ class GoodRunTolerances:
     delta: float = 0.01          # failure probability inside log terms
 
 
-@dataclass(frozen=True)
-class GoodRunEvent:
-    name: str
-    measured: float              # worst case over the indexed family
-    lo: float | None
-    hi: float | None
-    vacuous: bool = False
-
-    @property
-    def holds(self) -> bool:
-        if self.vacuous:
-            return True
-        if self.lo is not None and self.measured < self.lo:
-            return False
-        if self.hi is not None and self.measured > self.hi:
-            return False
-        return True
-
-
-@dataclass
-class GoodRunReport:
-    events: list[GoodRunEvent]
-
-    def __getitem__(self, name: str) -> GoodRunEvent:
-        for e in self.events:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def holds_all(self) -> bool:
-        return all(e.holds for e in self.events)
-
-    def to_json(self) -> list[dict]:
-        return [{"name": e.name, "measured": e.measured, "lo": e.lo,
-                 "hi": e.hi, "holds": e.holds, "vacuous": e.vacuous}
-                for e in self.events]
-
-
 ALL_GOOD_RUN_GROUPS = ("noise_norms", "noise_inner", "init_norms",
                        "init_inner", "signal_noise_inner", "counts")
 
@@ -531,35 +394,37 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
                    signals: SignalBasis, sigma_w: float = 0.0,
                    sigma_p: float = 0.0,
                    tol: GoodRunTolerances = GoodRunTolerances(),
-                   groups=ALL_GOOD_RUN_GROUPS) -> GoodRunReport:
+                   groups=ALL_GOOD_RUN_GROUPS) -> TheoryReport:
     """Finite-scale concentration events over one realized dataset and
     initialization: noise-norm bands, inner-product caps scaled by
-    ``tol.inner_c``, and clean/noisy class-count brackets.
+    ``tol.inner_c``, and clean/noisy class-count brackets, one
+    ``good_run_<event>`` row each with the worst case over the indexed
+    family in ``measured`` and its band in ``threshold``.
 
     Events whose natural scale is zero (for instance noise events at
-    sigma_eps = 0) are reported as vacuous rather than pass/fail.
+    sigma_eps = 0) are reported as vacuous: they carry no bounds and pass.
     """
     cfg = dataset.config
     n, T, d = dataset.X.shape
     sig = cfg.sigma_eps
     mu = cfg.mu_norm
     log_term = math.log(T * n / tol.delta)
-    events: list[GoodRunEvent] = []
+    report = TheoryReport()
     E = dataset.noise.reshape(n * T, d)
+
+    def event(name, value, hi=None, lo=None, vacuous=False):
+        if vacuous:
+            lo = hi = None
+        report.checks.append(_bounds_check(
+            f"good_run_{name}", value, lo, hi,
+            {"measured": value, "vacuous": vacuous}))
 
     def band(name, values, scale, vacuous=False):
         if vacuous or scale == 0.0:
-            events.append(GoodRunEvent(name, float(np.max(np.abs(values))),
-                                       None, None, vacuous=True))
-            return
-        dev = float(np.max(np.abs(values / scale - 1.0)))
-        events.append(GoodRunEvent(name, dev, None, tol.norm_rtol))
-
-    def cap(name, worst, bound, vacuous=False):
-        if vacuous:
-            events.append(GoodRunEvent(name, worst, None, None, vacuous=True))
-            return
-        events.append(GoodRunEvent(name, worst, None, bound))
+            event(name, float(np.max(np.abs(values))), vacuous=True)
+        else:
+            event(name, float(np.max(np.abs(values / scale - 1.0))),
+                  tol.norm_rtol)
 
     if "noise_norms" in groups:
         band("norm_eps", np.linalg.norm(E, axis=1), sig * math.sqrt(d),
@@ -567,12 +432,12 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
 
     if "noise_inner" in groups:
         if sig == 0:
-            cap("inner_eps_eps", 0.0, None, vacuous=True)
+            event("inner_eps_eps", 0.0, vacuous=True)
         else:
             gram = E @ E.T
             off = gram[~np.eye(n * T, dtype=bool)]
-            cap("inner_eps_eps", float(np.max(np.abs(off))),
-                tol.inner_c * sig * sig * math.sqrt(d) * log_term)
+            event("inner_eps_eps", float(np.max(np.abs(off))),
+                  tol.inner_c * sig * sig * math.sqrt(d) * log_term)
 
     need_W = init_state is not None and any(
         grp in groups for grp in ("init_norms", "init_inner"))
@@ -593,57 +458,106 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
         if "init_inner" in groups:
             sw2 = sigma_w * sigma_w
             vac_w = sigma_w == 0
-            cap("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
-                tol.inner_c * sw2 * mu * mu * math.sqrt(d) * log_term,
-                vacuous=vac_w)
-            cap("inner_Wmu_Weps",
-                float(np.max(np.abs(np.concatenate([WE @ Wmu_p, WE @ Wmu_m]))))
-                if sig > 0 else 0.0,
-                tol.inner_c * sw2 * sig * mu * d * log_term,
-                vacuous=vac_w or sig == 0)
+            event("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
+                  tol.inner_c * sw2 * mu * mu * math.sqrt(d) * log_term,
+                  vacuous=vac_w)
+            event("inner_Wmu_Weps",
+                  float(np.max(np.abs(np.concatenate(
+                      [WE @ Wmu_p, WE @ Wmu_m])))) if sig > 0 else 0.0,
+                  tol.inner_c * sw2 * sig * mu * d * log_term,
+                  vacuous=vac_w or sig == 0)
             if sig > 0 and not vac_w:
                 gw = WE @ WE.T
-                cap("inner_Weps_Weps",
-                    float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
-                    tol.inner_c * sw2 * sig * sig * d ** 1.5 * log_term)
+                event("inner_Weps_Weps",
+                      float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
+                      tol.inner_c * sw2 * sig * sig * d ** 1.5 * log_term)
             else:
-                cap("inner_Weps_Weps", 0.0, None, vacuous=True)
-            cap("inner_Wmu_p",
-                max(abs(float(Wmu_p @ p0)), abs(float(Wmu_m @ p0))),
-                tol.inner_c * sigma_w * sigma_p * mu * math.sqrt(d) * log_term,
-                vacuous=vac_w or sigma_p == 0)
-            cap("inner_Weps_p", float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
-                tol.inner_c * sigma_w * sigma_p * sig * d * log_term,
-                vacuous=vac_w or sigma_p == 0 or sig == 0)
+                event("inner_Weps_Weps", 0.0, vacuous=True)
+            event("inner_Wmu_p",
+                  max(abs(float(Wmu_p @ p0)), abs(float(Wmu_m @ p0))),
+                  tol.inner_c * sigma_w * sigma_p * mu * math.sqrt(d)
+                  * log_term,
+                  vacuous=vac_w or sigma_p == 0)
+            event("inner_Weps_p",
+                  float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
+                  tol.inner_c * sigma_w * sigma_p * sig * d * log_term,
+                  vacuous=vac_w or sigma_p == 0 or sig == 0)
 
     if "signal_noise_inner" in groups:
         if sig == 0:
-            cap("inner_mu_eps", 0.0, None, vacuous=True)
-            cap("inner_nu_eps", 0.0, None, vacuous=True)
+            event("inner_mu_eps", 0.0, vacuous=True)
+            event("inner_nu_eps", 0.0, vacuous=True)
         else:
             worst_mu = float(np.max(np.abs(
                 np.concatenate([E @ signals.mu_plus, E @ signals.mu_minus]))))
-            cap("inner_mu_eps", worst_mu,
-                tol.inner_c * sig * mu * math.sqrt(log_term))
+            event("inner_mu_eps", worst_mu,
+                  tol.inner_c * sig * mu * math.sqrt(log_term))
             if init_state is not None:
                 nu_norm = float(np.linalg.norm(init_state.nu))
-                cap("inner_nu_eps", float(np.max(np.abs(E @ init_state.nu))),
-                    tol.inner_c * sig * nu_norm * math.sqrt(log_term),
-                    vacuous=(nu_norm == 0))
+                event("inner_nu_eps", float(np.max(np.abs(E @ init_state.nu))),
+                      tol.inner_c * sig * nu_norm * math.sqrt(log_term),
+                      vacuous=(nu_norm == 0))
 
     if "counts" in groups:
         eta = cfg.eta
         for name, count in (("count_clean_pos", len(dataset.clean_pos)),
                             ("count_clean_neg", len(dataset.clean_neg))):
-            events.append(GoodRunEvent(name, float(count),
-                                       (2 - 3 * eta) * n / 4,
-                                       (2 - eta) * n / 4))
+            event(name, float(count), lo=(2 - 3 * eta) * n / 4,
+                  hi=(2 - eta) * n / 4)
         for name, count in (("count_noisy_pos", len(dataset.noisy_pos)),
                             ("count_noisy_neg", len(dataset.noisy_neg))):
-            events.append(GoodRunEvent(name, float(count),
-                                       eta * n / 4, 3 * eta * n / 4))
+            event(name, float(count), lo=eta * n / 4, hi=3 * eta * n / 4)
 
-    return GoodRunReport(events=events)
+    return report
+
+
+# --------------------------------------------------------------------------
+# Scaling assumptions
+# --------------------------------------------------------------------------
+
+def check_assumptions(config: DataConfig, sigma_w: float, sigma_p: float,
+                      alpha: float, C: float = 1.0, delta: float = 0.01,
+                      a8_slack: float = 10.0) -> TheoryReport:
+    """Evaluate the eight scaling conditions A1-A8 relating d, ||mu||, n,
+    rho, alpha, eta, T and the initialization variances.
+
+    Each row carries the value and its margin (distance to the nearest
+    bound; positive means slack) in ``measured`` and the bounds in
+    ``threshold``.  The universal constant C is a caller choice (default
+    1); per-inequality margins matter more than the aggregate verdict at
+    desk scale.  A8 is a two-sided band around the target variance with
+    slack ``a8_slack``.
+    """
+    if C <= 0 or delta <= 0 or a8_slack < 1:
+        raise ValueError("C, delta must be positive and a8_slack >= 1")
+    n, T, d = config.n, config.T, config.d
+    mu, sig, eta, rho = config.mu_norm, config.sigma_eps, config.eta, config.rho
+    log_term = math.log(T * n / delta)
+    sig_hat = max(sig, 1.0 / sig) if sig > 0 else math.inf
+    a8_target = 1.0 / (max(mu * math.sqrt(d), sig * d) * log_term ** 2)
+    report = TheoryReport()
+
+    def condition(name, value, lo=None, hi=None, note=""):
+        margin = min(math.inf if lo is None else value - lo,
+                     math.inf if hi is None else hi - value)
+        report.checks.append(_bounds_check(
+            name, value, lo, hi, {"value": value, "margin": margin}, note))
+
+    condition("A1_dimension", d,
+              lo=C * sig_hat * n * mu ** (4 / 3) * log_term ** 3)
+    condition("A2_signal_norm", mu, lo=C * sig * d ** (3 / 8) * log_term)
+    condition("A3_weak_scale", rho, lo=C * sig * log_term / mu, hi=1.0 / C)
+    condition("A4_step_size", alpha,
+              hi=1.0 / (C * max(mu * math.sqrt(d), sig * d)))
+    condition("A5_sample_count", n, lo=C * math.log(d / delta))
+    condition("A6_noise_rate", eta, hi=1.0 / C)
+    condition("A7_token_count", T,
+              note="constant-order by construction; no numeric bound")
+    condition("A8_init_variance_w", sigma_w ** 2,
+              lo=a8_target / a8_slack, hi=a8_target * a8_slack)
+    condition("A8_init_variance_p", sigma_p ** 2,
+              lo=a8_target / a8_slack, hi=a8_target * a8_slack)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -785,38 +699,6 @@ def noisy_stage_windows(trace: TrainTrace, s1_floor: float = 0.02,
         late_start, late_end = max(floor_idx, L - 2), L - 1
     late = (int(trace.steps[late_start]), int(trace.steps[late_end]))
     return early, late
-
-
-def signal_growth_check(trace: TrainTrace, burn_in: float = 0.1) -> TheoryReport:
-    """Growth of the class-signal attention lambda_k(tau).
-
-    Reports whether both lambdas rise after a burn-in, the fraction of
-    increasing steps, and the slope of lambda against log(tau)."""
-    report = TheoryReport()
-    k0 = max(1, int(burn_in * trace.n_logged))
-    steps = trace.steps.astype(float)
-    n_snr2 = None
-    meta = trace.meta
-    if all(k in meta for k in ("n", "d", "mu_norm", "sigma_eps")):
-        if meta["sigma_eps"] > 0:
-            n_snr2 = meta["n"] * (meta["mu_norm"] ** 2
-                                  / (meta["sigma_eps"] ** 2 * meta["d"]))
-    for name, lam in (("lambda_plus", trace.lambda_plus),
-                      ("lambda_minus", trace.lambda_minus)):
-        tail = lam[k0:]
-        diffs = np.diff(tail)
-        frac_up = float((diffs > 0).mean()) if len(diffs) else math.nan
-        rise = float(tail[-1] - tail[0]) if len(tail) else math.nan
-        pos = steps[k0:] > 0
-        fit = _ols(np.log(steps[k0:][pos]), tail[pos]) if pos.sum() >= 2 else None
-        measured = {"rise_after_burn_in": rise, "fraction_increasing": frac_up,
-                    "log_tau_slope": fit.slope if fit else math.nan,
-                    "n_snr2": n_snr2}
-        report.checks.append(CheckResult(
-            f"signal_growth_{name}",
-            passed=bool(rise > 0 and frac_up > 0.5),
-            measured=measured))
-    return report
 
 
 class Regime:

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError, Dataset, Role, SignalBasis
-from .model import (ModelState, _attend, _token_scores, evaluate, forward,
-                    loss_derivative)
+from .data import ConfigError, Dataset, Role, SignalBasis, _check_type
+from .model import (ModelState, _attend, _fits, _logistic_loss, _token_scores,
+                    evaluate, forward, loss_derivative)
 
 __all__ = [
     "TrainConfig",
@@ -45,8 +45,10 @@ __all__ = [
     "gamma_token_indices",
 ]
 
-_TRAIN_FIELDS = ("alpha", "steps", "log_every", "test_size",
-                 "fit_threshold", "gen_threshold")
+# field -> kind: counts are integers, the step size and thresholds reals
+_TRAIN_FIELDS = {"alpha": float, "steps": int, "log_every": int,
+                 "test_size": int, "fit_threshold": float,
+                 "gen_threshold": float}
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ class TrainConfig:
     gen_threshold: float = 0.95
 
     def __post_init__(self):
+        for name, kind in _TRAIN_FIELDS.items():
+            _check_type(name, getattr(self, name), kind)
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
         if self.steps < 0:
@@ -268,8 +272,7 @@ class _Recorder:
     quantities.  Test-set metrics are scored after the loop and handed to
     :meth:`finish`."""
 
-    def __init__(self, dataset: Dataset, signals: SignalBasis, rho: float,
-                 hooks=()):
+    def __init__(self, dataset: Dataset, rho: float, hooks=()):
         self.ds = dataset
         self.rho_scale = rho
         self.hooks = hooks
@@ -283,15 +286,13 @@ class _Recorder:
         roles = dataset.roles
         self._weak_same_cols = np.array(
             [t for t, r in enumerate(roles) if r == Role.WEAK_SAME], dtype=int)
-        self._irrelevant_cols = np.array(
-            [t for t, r in enumerate(roles) if r == Role.IRRELEVANT], dtype=int)
 
     def log(self, step: int, u: np.ndarray, probs: np.ndarray,
             out: np.ndarray, lam_plus: float, lam_minus: float):
         ds = self.ds
-        fit_train = (out != 0) & (np.sign(out) == ds.y_train)
-        fit_true = (out != 0) & (np.sign(out) == ds.y_true)
-        loss = float(np.mean(np.logaddexp(0.0, -ds.y_train * out)))
+        fit_train = _fits(out, ds.y_train)
+        fit_true = _fits(out, ds.y_true)
+        loss = float(np.mean(_logistic_loss(out, ds.y_train)))
 
         # noise attention: subtract each token's signal contribution to the
         # score, using lambda for the sample's true class
@@ -371,8 +372,8 @@ def _test_metrics(test_set: Dataset, nu: np.ndarray, rows: np.ndarray,
         b = scores.shape[0]
         _, out, _ = _attend(scores.reshape(b * m, T), gamma[:b * m])
         out = out.reshape(b, m)
-        acc[lo:lo + b] = ((out != 0) & (np.sign(out) == y)).mean(axis=1)
-        loss[lo:lo + b] = np.logaddexp(0.0, -y * out).mean(axis=1)
+        acc[lo:lo + b] = _fits(out, y).mean(axis=1)
+        loss[lo:lo + b] = _logistic_loss(out, y).mean(axis=1)
     return acc, loss
 
 
@@ -534,7 +535,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     :class:`DivergenceError` carrying it is raised unless
     ``raise_on_divergence`` is False.
     """
-    recorder = _Recorder(dataset, signals, dataset.config.rho, hooks=hooks)
+    recorder = _Recorder(dataset, dataset.config.rho, hooks=hooks)
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
     n, T, nT = eng.n, eng.T, eng.nT
     log_at = _log_points(config.steps, config.log_every)

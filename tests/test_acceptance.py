@@ -308,8 +308,8 @@ class TestCriterion6GoodRunFrequencies:
             ds = generate_dataset(cfg, sig, stream(k, "accept-goodrun"))
             rep = good_run_check(ds, None, sig, tol=tol,
                                  groups=("noise_norms", "noise_inner"))
-            norm_hold += rep["norm_eps"].holds
-            inner_hold += rep["inner_eps_eps"].holds
+            norm_hold += rep["good_run_norm_eps"].passed
+            inner_hold += rep["good_run_inner_eps_eps"].passed
         ok = norm_hold >= 0.99 * draws and inner_hold >= 0.99 * draws
         record_criterion(
             "6 good-run event frequencies (200 draws at d=5000)", ok,

@@ -6,9 +6,9 @@ import pytest
 from scipy import stats
 
 from attnsim.data import (ConfigError, DataConfig, Role, _build_tokens,
-                          a8_sigma, check_assumptions, generate_dataset,
-                          make_signals, sample_from_p_star, snr)
+                          a8_sigma, generate_dataset, make_signals, snr)
 from attnsim.rng import stream
+from attnsim.theory import check_assumptions
 
 
 def small_config(**kw):
@@ -66,23 +66,28 @@ class TestConfigValidation:
 
 
 class TestSampleFromPStar:
+    """Draws from the clean distribution p*: the token layout at zero noise
+    and, at eta = 0, training labels equal to the true labels."""
+
     def test_zero_noise_degenerate(self):
         cfg = small_config(T=4, d=8, sigma_eps=0.0, n_weak_same=1, rho=0.2)
         sig = make_signals(8, 4.0, "axis_aligned")
-        s = sample_from_p_star(cfg, sig, stream(0, "x"))
-        own = sig.signal_for(s.y_true)
-        opp = sig.signal_for(-s.y_true)
-        assert np.array_equal(s.tokens[0], own)
-        assert np.array_equal(s.tokens[1], 0.2 * opp)
-        assert np.array_equal(s.tokens[2], 0.2 * own)
-        assert np.array_equal(s.tokens[3], np.zeros(8))
+        ds = generate_dataset(cfg, sig, stream(0, "x"))
+        for tokens, y in zip(ds.X, ds.y_true):
+            own = sig.signal_for(y)
+            opp = sig.signal_for(-y)
+            assert np.array_equal(tokens[0], own)
+            assert np.array_equal(tokens[1], 0.2 * opp)
+            assert np.array_equal(tokens[2], 0.2 * own)
+            assert np.array_equal(tokens[3], np.zeros(8))
 
     def test_train_label_equals_true_label(self):
-        cfg = small_config()
+        cfg = small_config(eta=0.0)
         sig = make_signals(cfg.d, cfg.mu_norm, "axis_aligned")
         for k in range(10):
-            s = sample_from_p_star(cfg, sig, stream(k, "x"))
-            assert s.y_train == s.y_true
+            ds = generate_dataset(cfg, sig, stream(k, "x"))
+            assert np.array_equal(ds.y_train, ds.y_true)
+            assert len(ds.noisy_idx) == 0
 
     def test_noise_norm_concentration(self):
         # ||eps||_2 within 5% of sigma*sqrt(d) in >= 99% of 1000 draws
@@ -246,25 +251,28 @@ class TestAssumptions:
         rep = check_assumptions(cfg, sigma_w=s, sigma_p=s, alpha=5e-3, C=1.0)
         assert len(rep.checks) == 9
         for c in rep.checks:
-            assert math.isfinite(c.value)
+            assert math.isfinite(c.measured["value"])
+            assert set(c.threshold) == {"lo", "hi"}
         # the a8-derived sigmas sit exactly at the A8 target
-        assert rep["A8_init_variance_w"].holds
-        assert rep["A8_init_variance_p"].holds
+        assert rep["A8_init_variance_w"].passed
+        assert rep["A8_init_variance_p"].passed
 
     def test_large_d_direction(self):
         lo = check_assumptions(self.fig3b(), 0.01, 0.01, 1e-4)
         big = DataConfig(n=20, T=8, d=10 ** 9, mu_norm=20.0, sigma_eps=1.0,
                          eta=0.2, rho=0.1)
         hi = check_assumptions(big, 0.01, 0.01, 1e-4)
-        assert hi["A1_dimension"].holds
-        assert not hi["A2_signal_norm"].holds
-        assert hi["A1_dimension"].margin > lo["A1_dimension"].margin
+        assert hi["A1_dimension"].passed
+        assert not hi["A2_signal_norm"].passed
+        assert (hi["A1_dimension"].measured["margin"]
+                > lo["A1_dimension"].measured["margin"])
 
     def test_rho_band(self):
         cfg = self.fig3b()
         rep = check_assumptions(cfg, 0.01, 0.01, 1e-4, C=1.0)
         # rho = 0.1 < sigma*log(Tn/delta)/mu ~ 0.48 at C=1
-        assert not rep["A3_weak_scale"].holds
+        assert not rep["A3_weak_scale"].passed
         wide = DataConfig(n=20, T=8, d=2000, mu_norm=2000.0, sigma_eps=1.0,
                           eta=0.2, rho=0.1)
-        assert check_assumptions(wide, 0.01, 0.01, 1e-4)["A3_weak_scale"].holds
+        rep = check_assumptions(wide, 0.01, 0.01, 1e-4)
+        assert rep["A3_weak_scale"].passed

@@ -236,6 +236,22 @@ class TestCheckSuites:
         for row in rep.to_json():
             assert set(row) >= {"name", "pass", "measured", "threshold",
                                 "config_hash", "seed"}
+        goodrun = run_check_suites(default_config(), ["goodrun"]).to_json()
+        assert goodrun
+        for row in goodrun:
+            assert row["name"].startswith("good_run_")
+            assert set(row["measured"]) == {"measured", "vacuous"}
+            assert set(row["threshold"]) == {"lo", "hi"}
+
+
+@pytest.mark.parametrize("module", [
+    "attnsim.data", "attnsim.model", "attnsim.multiclass", "attnsim.theory",
+    "attnsim.train", "attnsim.experiments"])
+def test_public_names_resolve(module):
+    # a deletion that leaves a stale export fails here
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
 
 
 class TestCli:
@@ -320,6 +336,19 @@ class TestCli:
         ("model", "sigma_w", -1.0),
         ("model", "sigma_p", -0.5),
         ("data", "d", 1),
+        # values of the wrong JSON type
+        (None, "seed", "abc"),
+        (None, "seed", 1.7),
+        (None, "seed", True),
+        (None, "seed", -1),
+        (None, "tracked_samples", 5),
+        (None, "tracked_samples", [1.0]),
+        ("data", "n", "20"),
+        ("data", "d", 800.5),
+        ("data", "mu_norm", "6"),
+        ("train", "steps", "10"),
+        ("train", "alpha", "x"),
+        ("model", "sigma_w", "0.1"),
     ])
     def test_config_fault_rejected_at_load(self, tmp_path, capsys, section,
                                            key, value):
@@ -335,16 +364,28 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()   # nothing ran
 
-    def test_sweep_cell_fault_rejected_at_load(self, tmp_path):
+    @pytest.mark.parametrize("key, value, match", [
+        ("d_values", [48, 1], "d must be"),
+        ("d_values", 5, "d_values"),
+        ("d_values", [48.5], "d_values"),
+        ("mu_values", ["4"], "mu_values"),
+        ("seeds", [0.5], "seeds"),
+        ("seeds", [0, -1], "seeds"),
+    ], ids=["d-below-two", "d-not-list", "d-float", "mu-string",
+            "seed-float", "seed-negative"])
+    def test_sweep_cell_fault_rejected_at_load(self, tmp_path, capsys, key,
+                                               value, match):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),
                          base=tiny_config()).to_json()
-        spec["d_values"] = [48, 1]
-        with pytest.raises(ConfigError, match="d must be"):
+        spec[key] = value
+        with pytest.raises(ConfigError, match=match):
             SweepSpec.from_json(spec)
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(spec))
         assert cli_main(["sweep", "--config", str(path), "--out-dir",
                          str(tmp_path / "out")]) == EXIT_USAGE
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()   # nothing ran
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_sweep_threads_below_one_rejected(self, tmp_path, capsys,
