@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -311,6 +312,7 @@ def _summarize(config: ExperimentConfig, trace: TrainTrace) -> dict:
         "tau_gen": grok.tau_gen,
         "theory_digest": digest,
         "diverged_at": trace.diverged_at,
+        "divergence": trace.divergence,
     }
 
 
@@ -318,7 +320,6 @@ def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
     """Execute one run and write ``trace.csv`` (or .json) plus
     ``summary.json`` into ``out_dir``.  On divergence the partial trace and
     summary are still written before the error propagates."""
-    import os
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, f"trace.{fmt}")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -430,6 +431,8 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
              for di in range(len(spec.d_values))
              for mi in range(len(spec.mu_values))
              for si in range(len(spec.seeds))]
+    # more threads than cores only oversubscribe them
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda c: _sweep_cell(spec, *c), cells))
@@ -447,7 +450,6 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
                                  for m in metrics}})
 
     if out_dir is not None:
-        import os
         os.makedirs(out_dir, exist_ok=True)
         for name, table in (("heatmap.csv", rows),
                             ("heatmap_mean.csv", mean_rows)):

@@ -92,11 +92,24 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("softmax input must be finite")
-    # the max runs over a copy with ``axis`` leading, so that it reduces
-    # whole rows instead of many short runs; the max is exact either way
-    m = v.swapaxes(axis, 0).copy().max(axis=0, keepdims=True).swapaxes(axis, 0)
-    shifted = v - m
-    e = np.exp(shifted)
+    return _softmax(v, axis)
+
+
+# Above this many entries the softmax max runs over a token-major copy.
+_TOKEN_MAJOR_MIN = 4096
+
+
+def _softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:func:`softmax` of finite float input, without the check."""
+    if v.size >= _TOKEN_MAJOR_MIN:
+        # a copy with ``axis`` leading reduces whole rows instead of many
+        # short runs, which pays on the test-scoring blocks; the max is
+        # exact either way
+        m = (v.swapaxes(axis, 0).copy().max(axis=0, keepdims=True)
+             .swapaxes(axis, 0))
+    else:
+        m = v.max(axis=axis, keepdims=True)
+    e = np.exp(v - m)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -107,7 +120,7 @@ def loss_derivative(z):
     e = exp(-|z|), so the exponential never overflows."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))
+    out = np.where(z >= 0, e, 1.0) / (-1.0 - e)
     return out if out.ndim else float(out)
 
 
@@ -130,12 +143,14 @@ def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
     return (flat @ q).reshape(n, T), (flat @ nu).reshape(n, T)
 
 
-def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None):
+def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None,
+            checked: bool = False):
     """Softmax of attention scores u (n, T) over tokens and the outputs
     f_i = <s_i, gamma_i>.  Given training labels y, also the token weights
     (1/n) l'(y_i f_i) y_i s_t (gamma_t - f_i), whose sum against the tokens
-    is gbar; otherwise None in their place."""
-    probs = softmax(u, axis=-1)
+    is gbar; otherwise None in their place.  ``checked`` says the caller
+    has already found u finite."""
+    probs = _softmax(u) if checked else softmax(u, axis=-1)
     out = np.einsum("it,it->i", probs, gamma)
     if y is None:
         return probs, out, None

@@ -316,10 +316,9 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
     for the best-attended token t.
 
     Rows whose gaps exceed ``saturation_gap`` in magnitude are skipped by
-    the bracket (exp underflow makes both sides zero).
+    the bracket (exp underflow makes both sides zero), before c is formed.
     """
-    n, Tm1 = Lambda.shape
-    T = Tm1 + 1
+    T = Lambda.shape[1] + 1
     lhs = probs[:, 0] * probs[:, 1:].sum(axis=1)
     # rhs = sig(L) * sig(-L) with L = log sum_t exp(-Lambda_t), stably;
     # l'(z) = -sig(-z), so the two signs cancel
@@ -330,17 +329,21 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
     id_err = float(np.max(rel_err(lhs, rhs, floor=1e-300)))
 
     cprime = np.exp(Lambda.max(axis=1) - Lambda.min(axis=1))
-    c = cprime ** 3 * T / (T - 1)
-    denom = 2.0 + 2.0 * np.cosh(np.clip(Lambda - math.log(T), -700, 700))
-    bound = 1.0 / denom
     live = np.abs(Lambda).max(axis=1) <= saturation_gap
-    ok_upper = lhs[live, None] <= c[live, None] * bound[live] * (1 + 1e-9)
-    ok_lower = lhs[live, None] * (1 + 1e-9) >= bound[live] / c[live, None]
+    c = cprime[live, None] ** 3 * T / (T - 1)
+    denom = 2.0 + 2.0 * np.cosh(np.clip(Lambda[live] - math.log(T), -700, 700))
+    bound = 1.0 / denom
+    ok_upper = lhs[live, None] <= c * bound * (1 + 1e-9)
+    ok_lower = lhs[live, None] * (1 + 1e-9) >= bound / c
     bracket_ok = bool(np.all(ok_upper) and np.all(ok_lower))
 
-    sq = probs * (1.0 - probs)
-    best = sq[np.arange(n), probs.argmax(axis=1)]
-    d2_ok = bool(np.all(sq <= best[:, None] * (1 + 1e-12) + 1e-300))
+    # the best token's s_t (1 - s_t) as s_t * sum_{u != t} s_u, which does
+    # not cancel (to 0 when s_t rounds to 1), against the other tokens
+    is_top = np.arange(T) == probs.argmax(axis=1)[:, None]
+    others = np.where(is_top, 0.0, probs)
+    best = probs[is_top] * others.sum(axis=1)
+    d2_ok = bool(np.all(others * (1.0 - others)
+                        <= best[:, None] * (1 + 1e-12) + 1e-300))
 
     report = TheoryReport()
     report.checks.append(CheckResult(

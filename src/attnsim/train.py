@@ -93,12 +93,15 @@ class TrainConfig:
 
 class DivergenceError(RuntimeError):
     """Raised when a gradient or score goes non-finite; carries the partial
-    trace accumulated so far (may be None for single-step calls)."""
+    trace (None for single-step calls) and its ``divergence`` record."""
 
     def __init__(self, step: int, trace=None):
-        super().__init__(f"non-finite update at step {step}")
-        self.step = step
-        self.trace = trace
+        self.step, self.trace = step, trace
+        self.divergence = trace.divergence if trace is not None else None
+        super().__init__(
+            f"non-finite update at step {step}" if self.divergence is None
+            else "non-finite {quantity} at step {step}; last finite "
+                 "{last_finite}".format(**self.divergence))
 
 
 def empirical_loss(dataset: Dataset, state: ModelState) -> float:
@@ -161,34 +164,20 @@ def finite_diff_grad(dataset: Dataset, state: ModelState, h: float = 1e-5):
     if h <= 0:
         raise ValueError("h must be positive")
     d = state.d
-    W = state.W.copy()
-    p = state.p.copy()
-    fd_w = np.zeros((d, d))
-    fd_p = np.zeros(d)
+    theta = np.concatenate([state.W.ravel(), state.p])
+    probe = ModelState.__new__(ModelState)     # views of theta
+    probe.W, probe.p, probe.nu = (theta[:d * d].reshape(d, d), theta[d * d:],
+                                  state.nu)
 
-    def loss_at(Wm, pm):
-        probe = ModelState.__new__(ModelState)
-        probe.W, probe.p, probe.nu = Wm, pm, state.nu
+    def loss_at(i, value):
+        theta[i] = value
         return empirical_loss(dataset, probe)
 
-    for a in range(d):
-        for b in range(d):
-            orig = W[a, b]
-            W[a, b] = orig + h
-            up = loss_at(W, p)
-            W[a, b] = orig - h
-            down = loss_at(W, p)
-            W[a, b] = orig
-            fd_w[a, b] = (up - down) / (2.0 * h)
-    for a in range(d):
-        orig = p[a]
-        p[a] = orig + h
-        up = loss_at(W, p)
-        p[a] = orig - h
-        down = loss_at(W, p)
-        p[a] = orig
-        fd_p[a] = (up - down) / (2.0 * h)
-    return fd_w, fd_p
+    fd = np.empty_like(theta)
+    for i, orig in enumerate(theta.copy()):
+        fd[i] = central_difference(lambda v: loss_at(i, v), orig, h)
+        theta[i] = orig
+    return fd[:d * d].reshape(d, d), fd[d * d:]
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +224,11 @@ class TrainTrace:
     clean_idx: np.ndarray
     noisy_idx: np.ndarray
     meta: dict = field(default_factory=dict)
-    diverged_at: int | None = None
+    divergence: dict | None = None     # _SubspaceEngine.divergence record
+
+    @property
+    def diverged_at(self) -> int | None:
+        return self.divergence["step"] if self.divergence else None
 
     @property
     def n_logged(self) -> int:
@@ -320,7 +313,7 @@ class _Recorder:
             hook(step, {"probs": probs, "outputs": out, "loss": loss,
                         "lambda_plus": lam_plus, "lambda_minus": lam_minus})
 
-    def finish(self, meta: dict, test, diverged_at=None) -> TrainTrace:
+    def finish(self, meta: dict, test, divergence=None) -> TrainTrace:
         """Assemble the trace; ``test`` is (test_acc, test_loss) per logged
         step, or None without a test set."""
         ds = self.ds
@@ -346,7 +339,7 @@ class _Recorder:
             clean_idx=ds.clean_idx.copy(),
             noisy_idx=ds.noisy_idx.copy(),
             meta=meta,
-            diverged_at=diverged_at,
+            divergence=divergence,
         )
 
 
@@ -378,13 +371,11 @@ def _test_metrics(test_set: Dataset, nu: np.ndarray, rows: np.ndarray,
 
 
 def _log_points(steps: int, log_every: int):
-    pts = set(range(0, steps + 1, log_every))
-    pts.add(steps)
-    return pts
+    return set(range(0, steps + 1, log_every)) | {steps}
 
 
-# Number of steps whose rank-one terms pi beta^T of S are applied as thin
-# products before one GEMM folds them into S.
+# Number of steps whose rank-one terms wait beside L and Z before one GEMM
+# folds them in.
 _FOLD = 32
 
 
@@ -393,22 +384,20 @@ class _SubspaceEngine:
 
     With B the (nT + 2) x d matrix stacking all training tokens plus the two
     class signals as probe rows, every gradient direction is B^T beta for
-    coefficients beta supported on the token rows.  Writing
+    coefficients beta supported on the token rows.  With P = [p0 | W0 B^T],
 
-        p(t) = a(t) p0 + V pi(t),            V = W0 B^T,
-        W(t) = W0 - alpha p0 r(t)^T B - alpha V S(t) B,
+        p(t) = P x(t),   W(t) = W0 - alpha P Z(t) B,   x = [a; pi],
 
-    the updates close over (a, pi, r, S) with the Gram matrices G = B B^T
-    and Q = V^T V as the only precomputation; the per-step cost does not
-    depend on d.  The attention scores of the B rows, computed once per
-    step, are
-
-        u = w - alpha G c,     c = r pdot + S^T w,
-        w = V^T p = a v0 + Q pi,   pdot = p0 . p = a |p0|^2 + v0 . pi,
-
-    with v0 = V^T p0.  S gains pi beta^T each step;
-    the last few pairs wait in two buffers, enter S^T w and S G beta as thin
-    products, and are folded into S by one GEMM every ``_FOLD`` steps.
+    each step adds x beta^T to Z = [r^T; S] and alpha^2 Z G beta -
+    alpha [0; beta] to x, where G = B B^T.  The scores of the B rows are
+    u = w - alpha M K x with K = P^T P, M = G Z^T and w = V^T p the last
+    entries of K x.  Kept as L = J - alpha M, J = [0 | I], M gives u = L K x
+    and, as Z G beta = M^T beta, the new x = x + L^T bt, bt = -alpha beta.
+    So a step is three matrix-vector products whatever d is: bt against
+    the token rows of [G | L], K x, and L K x.  L gains (G bt) x^T per step;
+    the last few terms wait as columns G bt_j beside L and rows K x_j below
+    K, where the same products pick them up, and one GEMM every ``_FOLD``
+    steps folds them into L (and their x_j beta_j^T into Z).
     """
 
     def __init__(self, state0, dataset, signals, alpha):
@@ -418,73 +407,85 @@ class _SubspaceEngine:
         tokens = dataset.X.reshape(n * T, d)
         B = np.vstack([tokens, signals.mu_plus, signals.mu_minus])
         N = self.N = B.shape[0]
-        W0, p0 = state0.W, state0.p
-        V = W0 @ B.T                     # (d, N)
-        self.G = B @ B.T
-        self.Q = V.T @ V
-        self.v0 = V.T @ p0
-        self.pp0 = float(p0 @ p0)
+        P = np.empty((d, N + 1))
+        P[:, 0] = state0.p
+        np.matmul(state0.W, B.T, out=P[:, 1:])
+        # [G | L | pending G bt_j] and [K; pending K x_j]
+        self._GL = np.zeros((N, 2 * N + 1 + _FOLD))
+        np.matmul(B, B.T, out=self._GL[:, :N])
+        self._GL[:, N + 1:2 * N + 1] = np.eye(N)
+        self._KP = np.empty((N + 1 + _FOLD, N + 1))
+        np.matmul(P.T, P, out=self._KP[:N + 1])
         self.gamma = (tokens @ state0.nu).reshape(n, T)
-        self._W0, self._p0, self._B, self._V = W0, p0, B, V
-        self._nu = state0.nu
+        self._W0, self._B, self._P, self._nu = state0.W, B, P, state0.nu
 
-        self.a = 1.0
-        self.pi = np.zeros(N)
-        self.r = np.zeros(N)
-        self.S = np.zeros((N, N))
-        self._beta = np.zeros(N)         # probe rows stay zero
-        self._pending_pi = np.empty((_FOLD, N))
+        self.x = np.r_[1.0, np.zeros(N)]
+        self.Z = np.zeros((N + 1, N))    # probe columns stay zero
+        self._pending_x = np.empty((_FOLD, N + 1))
         self._pending_beta = np.empty((_FOLD, self.nT))
         self._pending = 0
         self._score()
 
     def _score(self):
         """Scores ``u`` of every B row at the current state (token rows,
-        then the two probes) and the correction ``c`` behind them."""
-        a, pi, k = self.a, self.pi, self._pending
-        pdot = a * self.pp0 + self.v0 @ pi
-        w = a * self.v0 + self.Q @ pi
-        c = self.r * pdot + self.S.T @ w
-        if k:
-            c[:self.nT] += self._pending_beta[:k].T @ (self._pending_pi[:k] @ w)
-        self.c = c
-        self.u = w - self.alpha * (self.G @ c)
+        then the two probes), and ``Kx`` = [K x; (K x_j . x)_j]."""
+        N, k = self.N, self._pending
+        self.Kx = self._KP[:N + 1 + k] @ self.x
+        self.u = self._GL[:, N:2 * N + 1 + k] @ self.Kx
 
     def _fold(self):
         k = self._pending
         if k:
-            self.S[:, :self.nT] += (self._pending_pi[:k].T
-                                    @ self._pending_beta[:k])
+            N, x = self.N, self._pending_x[:k]
+            self._GL[:, N:2 * N + 1] += self._GL[:, 2 * N + 1:][:, :k] @ x
+            self.Z[:, :self.nT] += x.T @ self._pending_beta[:k]
             self._pending = 0
 
     def step(self, weights):
         """Advance one GD step given the token weights of the current
         state, then score the new state."""
-        alpha, nT, k = self.alpha, self.nT, self._pending
-        beta = self._beta
-        beta[:nT] = weights.reshape(nT)
-        Gb = self.G @ beta
-        SGb = self.S @ Gb
+        N, nT, k = self.N, self.nT, self._pending
+        beta = weights.reshape(nT)
+        bt = beta * -self.alpha
+        # [G bt; L^T bt; (G bt_j . bt)_j]
+        g = bt @ self._GL[:nT, :2 * N + 1 + k]
+        x = g[N:2 * N + 1]
         if k:
-            SGb += self._pending_pi[:k].T @ (self._pending_beta[:k] @ Gb[:nT])
-        new_a = self.a + alpha * alpha * float(self.r @ Gb)
-        new_pi = self.pi - alpha * beta + alpha * alpha * SGb
-        self.r += self.a * beta
-        self._pending_pi[k] = self.pi
-        self._pending_beta[k] = beta[:nT]
+            x += self._pending_x[:k].T @ g[2 * N + 1:]
+        x += self.x
+        self._prev = self.x, self.u, beta
+        self._pending_x[k] = self.x
+        self._pending_beta[k] = beta
+        self._GL[:, 2 * N + 1 + k] = g[:N]
+        self._KP[N + 1 + k] = self.Kx[:N + 1]
         self._pending = k + 1
+        self.x = x
         if self._pending == _FOLD:
             self._fold()
-        self.a, self.pi = new_a, new_pi
         self._score()
 
+    def divergence(self, step):
+        """The record of non-finite scores at ``step``: the first of that
+        step's weights beta, a, pi and scores u to go non-finite, and the
+        last finite max|u|, a and ||pi||."""
+        if step == 0:
+            return {"step": 0, "quantity": "u", "last_finite": None}
+        x, u, beta = self._prev
+        named = {"beta": beta, "a": self.x[:1], "pi": self.x[1:], "u": self.u}
+        last = {"max_abs_u": float(np.abs(u).max()), "a": float(x[0]),
+                "pi_norm": float(np.linalg.norm(x[1:]))}
+        return {"step": step, "last_finite": last, "quantity": next(
+            k for k, v in named.items() if not np.isfinite(v).all())}
+
     def coefficients(self, row):
-        """Write the current state's row (a, pi, -alpha c) into ``row``:
-        W^T p = [W0^T p0 | W0^T V | B^T] @ row."""
-        N = self.N
-        row[0] = self.a
-        row[1:N + 1] = self.pi
-        np.multiply(self.c, -self.alpha, out=row[N + 1:])
+        """Write the current state's row (x, -alpha c) with c = Z^T K x
+        into ``row``: W^T p = [W0^T P | B^T] @ row."""
+        N, nT, k = self.N, self.nT, self._pending
+        c = self.Z.T @ self.Kx[:N + 1]
+        if k:
+            c[:nT] += self._pending_beta[:k].T @ self.Kx[N + 1:]
+        row[:N + 1] = self.x
+        np.multiply(c, -self.alpha, out=row[N + 1:])
 
     def test_scorer(self, test_set, L):
         """A map from a block of coefficient rows to the flat test scores
@@ -495,28 +496,26 @@ class _SubspaceEngine:
         Otherwise each state's W^T p is formed in d dimensions and the
         tokens are multiplied by it, which never forms W0^T V.
         """
-        N, W0, p0, V, B = self.N, self._W0, self._p0, self._V, self._B
+        N, W0, P, B = self.N, self._W0, self._P, self._B
         flat_test = test_set.X.reshape(test_set.n * self.T, -1)
         if L > 2 * N + 1:
             proj = np.empty((2 * N + 1, flat_test.shape[0]))
-            np.matmul(p0 @ W0, flat_test.T, out=proj[0])
-            np.matmul(V.T @ W0, flat_test.T, out=proj[1:N + 1])
+            np.matmul(P.T @ W0, flat_test.T, out=proj[:N + 1])
             np.matmul(B, flat_test.T, out=proj[N + 1:])
             return lambda rows: rows @ proj
 
         def scores(rows):
-            p = np.outer(rows[:, 0], p0) + rows[:, 1:N + 1] @ V.T
-            return (p @ W0 + rows[:, N + 1:] @ B) @ flat_test.T
+            return ((rows[:, :N + 1] @ P.T) @ W0
+                    + rows[:, N + 1:] @ B) @ flat_test.T
         return scores
 
     def materialize(self):
         self._fold()
-        W = (self._W0
-             - self.alpha * np.outer(self._p0, self._B.T @ self.r)
-             - self.alpha * ((self._V @ self.S) @ self._B))
-        p = self.a * self._p0 + self._V @ self.pi
+        W = (self._P @ self.Z) @ self._B
+        W *= -self.alpha
+        W += self._W0
         final = ModelState.__new__(ModelState)
-        final.W, final.p, final.nu = W, p, self._nu
+        final.W, final.p, final.nu = W, self._P @ self.x, self._nu
         return final
 
 
@@ -544,18 +543,18 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     scorer = (eng.test_scorer(test_set, len(coefs)) if test_set is not None
               else None)
     logged = 0
-    diverged_at = None
+    divergence = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps + 1):
             if step:
                 eng.step(weights)
             u_all = eng.u
-            if not np.all(np.isfinite(u_all)):
-                diverged_at = step
+            if not np.isfinite(u_all).all():
+                divergence = eng.divergence(step)
                 break
             u = u_all[:nT].reshape(n, T)
-            probs, out, weights = _attend(u, eng.gamma, y)
+            probs, out, weights = _attend(u, eng.gamma, y, checked=True)
             if step in log_at:
                 eng.coefficients(coefs[logged])
                 logged += 1
@@ -571,8 +570,8 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                  "sigma_eps": dataset.config.sigma_eps}
     if meta:
         full_meta.update(meta)
-    trace = recorder.finish(full_meta, test, diverged_at=diverged_at)
+    trace = recorder.finish(full_meta, test, divergence=divergence)
     result = TrainResult(trace, eng.materialize)
-    if diverged_at is not None and raise_on_divergence:
-        raise DivergenceError(diverged_at, trace)
+    if divergence is not None and raise_on_divergence:
+        raise DivergenceError(trace.diverged_at, trace)
     return result

@@ -74,6 +74,7 @@ class TestRun:
         assert ExperimentConfig.from_json(summary["config"]) == tiny_config()
         assert summary["final"]["step"] == 60
         assert summary["diverged_at"] is None
+        assert summary["divergence"] is None
         assert summary["regime"] in ("harmful", "benign", "not-overfitting")
 
     def test_zero_steps_single_row(self, tmp_path):
@@ -193,12 +194,30 @@ class TestSweep:
         assert lines[0] == "d,mu_norm,seed,train_loss,test_loss,train_acc,test_acc"
         assert len(lines) == 9
 
-    def test_thread_count_invariance(self, tmp_path):
+    def test_thread_count_invariance(self, tmp_path, monkeypatch):
+        # eight threads whatever the machine has, past the pool's cap
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
         sweep(self.spec(), threads=1, out_dir=tmp_path / "t1")
         sweep(self.spec(), threads=8, out_dir=tmp_path / "t8")
         for name in ("heatmap.csv", "heatmap_mean.csv"):
             assert ((tmp_path / "t1" / name).read_bytes()
                     == (tmp_path / "t8" / name).read_bytes())
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # more sweep threads than cores run as many threads as cores
+        pools = []
+        real_pool = experiments.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", pool)
+        rows, _ = sweep(self.spec(), threads=8)
+        assert len(rows) == 8
+        # build_inputs opens a one-worker pool per cell for the W(0) draw
+        assert sorted(pools) == [1] * 8 + [2]
 
     def test_single_cell_matches_run(self):
         spec = SweepSpec(d_values=(64,), mu_values=(6.0,), seeds=(0,),
@@ -329,6 +348,10 @@ class TestCli:
         assert (tmp_path / "out" / "trace.csv").exists()
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["diverged_at"] == 1
+        assert summary["divergence"]["step"] == 1
+        assert summary["divergence"]["quantity"] == "u"
+        assert set(summary["divergence"]["last_finite"]) == {
+            "max_abs_u", "a", "pi_norm"}
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "engine", "subspace"),

@@ -233,11 +233,11 @@ class TestSoftmaxBounds:
 
     def test_scan_matches_per_step_loop(self):
         # planted scores with two saturated rows (|Lambda| > 500), once
-        # consistent and once with one step's softmax row replaced by a
-        # one-hot, so that the identity and the bracket fail there.  The
-        # saturated rows fail the best-token check in floating point (the
-        # top probability rounds to 1), and their gap ratio overflows to
-        # inf before the bracket skips them.
+        # consistent and once with one step's softmax row replaced by a row
+        # off the simplex that gives token 1 no mass and whose best token
+        # does not dominate, so that all three checks fail there.  The
+        # saturated rows pass the best-token check (their top probability
+        # rounds to 1) and are skipped by the bracket without overflow.
         L, n, T = 6, 5, 4
         u = stream(0, "scan").normal(0.0, 2.0, (L, n, T))
         u[2, 1, 0] += 600.0
@@ -245,11 +245,11 @@ class TestSoftmaxBounds:
         Lam = u[:, :, :1] - u[:, :, 1:]
         probs = softmax(u, axis=-1)
         broken = probs.copy()
-        broken[3, 0] = [1.0, 0.0, 0.0, 0.0]
+        broken[3, 0] = [0.0, 0.5, 0.3, 0.0]
         passed = []
         for p in (probs, broken):
             tr = planted_trace(np.arange(L), p, Lambda=Lam)
-            with np.errstate(over="ignore"):
+            with np.errstate(all="raise"):
                 got = [{k: v for k, v in row.items()
                         if k not in ("config_hash", "seed")}
                        for row in softmax_bound_scan(tr).to_json()]
@@ -257,7 +257,7 @@ class TestSoftmaxBounds:
             assert got == ref
             assert ref[1]["measured"]["skipped_saturated_rows"] == 2
             passed.append([row["pass"] for row in ref])
-        assert passed == [[True, True, False], [False, False, False]]
+        assert passed == [[True, True, True], [False, False, False]]
 
 
 NO_COUNT_GROUPS = ("noise_norms", "noise_inner", "init_norms", "init_inner",

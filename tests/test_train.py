@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
                           make_signals)
-from attnsim.model import ModelState, evaluate, init_params, make_head, softmax
+from attnsim.model import (ModelState, _attend, evaluate, init_params,
+                           make_head, softmax)
 from attnsim.rng import stream
 from attnsim.theory import compute_diagnostics, rel_err
 from attnsim.train import (_FOLD, DivergenceError, TrainConfig,
+                           _SubspaceEngine,
                            central_difference, empirical_loss,
                            finite_diff_grad, gd_step, grad_p, grad_w,
                            loss_derivative, output_grads, train)
@@ -75,15 +77,24 @@ class TestLossDerivative:
         assert loss_derivative(-37.0) == -1.0
 
     @given(st.floats(allow_nan=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(745.0)
+    @example(-745.0)
     @settings(max_examples=300, deadline=None)
     def test_matches_both_closed_forms(self, z):
         # scalar and array calls pick the branch whose exponential cannot
-        # overflow, and match its closed form exactly
+        # overflow, and match its closed form exactly: same value, same
+        # sign of a zero, NaN for NaN
         with np.errstate(over="ignore"):
             want = (-1.0 / (1.0 + np.exp(z)) if z < 0
                     else -np.exp(-z) / (1.0 + np.exp(-z)))
-        assert loss_derivative(z) == want
-        assert loss_derivative(np.array([z, -z]))[0] == want
+        for got in (loss_derivative(z), loss_derivative(np.array([z, -z]))[0]):
+            np.testing.assert_array_equal(got, want)
+            assert math.isnan(want) or np.signbit(got) == np.signbit(want)
 
 
 class TestGradients:
@@ -260,6 +271,12 @@ class TestTrainLoop:
         assert err.value.trace is not None
         assert err.value.trace.n_logged >= 1
         assert err.value.trace.diverged_at == 1
+        # the update itself stays finite; its scores overflow
+        record = err.value.divergence
+        assert record["quantity"] == "u"
+        assert record["last_finite"]["a"] == 1.0
+        assert record["last_finite"]["pi_norm"] == 0.0
+        assert str(err.value).startswith("non-finite u at step 1; last finite")
 
 
 class TestTraceDiagnostics:
@@ -420,6 +437,73 @@ class TestSubspaceAgainstGdStep:
         assert diverged == fault_at
         assert res.trace.diverged_at == fault_at
         assert_trace_matches(res.trace, logged, ds, sig, test)
+        record = res.trace.divergence
+        assert record["step"] == fault_at and record["quantity"] == "beta"
+        assert all(math.isfinite(v) for v in record["last_finite"].values())
+
+    def test_kept_products_match_recomputed(self):
+        # L = J - alpha G Z^T is kept by rank-one terms and folds; after
+        # several folds, between two folds, and after folding the pending
+        # terms, it must equal the product recomputed from Z, and Z the sum
+        # of the x beta^T terms of the steps.  The tolerance is the float64
+        # rounding of those sums: 4 (N + steps) eps times the sum of the
+        # magnitudes of their terms.
+        state, ds, sig, _ = self.setup_run()
+        alpha, steps = 0.05, 3 * _FOLD + _FOLD // 2
+        eng = _SubspaceEngine(state, ds, sig, alpha)
+        N, nT = eng.N, eng.nT
+        xs, betas = [], []
+        for _ in range(steps):
+            u = eng.u[:nT].reshape(eng.n, eng.T)
+            weights = _attend(u, eng.gamma, ds.y_train)[2]
+            xs.append(eng.x.copy())
+            betas.append(weights.reshape(nT).copy())
+            eng.step(weights)
+        xs, betas = np.array(xs), np.array(betas)
+        G = eng._GL[:, :N]
+        J = np.eye(N, N + 1, k=1)
+        Z_sum = np.zeros((N + 1, N))
+        Z_sum[:, :nT] = xs.T @ betas
+        Z_mag = np.zeros((N + 1, N))
+        Z_mag[:, :nT] = np.abs(xs).T @ np.abs(betas)
+        tol = 4 * (N + steps) * np.finfo(float).eps
+        k = eng._pending
+        assert k == _FOLD // 2
+        for folded in (False, True):
+            if folded:
+                eng._fold()
+                k = 0
+            px = eng._pending_x[:k]
+            Z = eng.Z.copy()
+            Z[:, :nT] += px.T @ eng._pending_beta[:k]
+            L = eng._GL[:, N:2 * N + 1] + eng._GL[:, 2 * N + 1:][:, :k] @ px
+            assert np.all(np.abs(Z - Z_sum) <= tol * Z_mag)
+            assert np.all(np.abs(L - (J - alpha * G @ Z.T))
+                          <= tol * (J + alpha * np.abs(G) @ Z_mag.T))
+
+    @pytest.mark.slow
+    def test_harmful_point_drift(self):
+        # the kept products over a 20000-step run at the harmful point
+        # (d=5000, n=20, T=8): the trace's final probabilities and lambdas
+        # against the scores recomputed from the materialized final state,
+        # at the oracle tolerances of assert_trace_matches
+        d = 5000
+        cfg = DataConfig(n=20, T=8, d=d, mu_norm=5.0, sigma_eps=1.0,
+                         eta=0.2, rho=0.1, n_weak_same=1)
+        sig = make_signals(d, 5.0, "random_orthogonal", stream(0, "s"))
+        ds = generate_dataset(cfg, sig, stream(0, "d"))
+        s = 3 * a8_sigma(cfg)
+        W, p = init_params(d, s, s, stream(0, "i"))
+        state = ModelState(W=W, p=p, nu=make_head(sig))
+        res = train(state, ds, sig, run_config(alpha=5e-3, steps=20000,
+                                               log_every=20000, test_size=0))
+        diag = compute_diagnostics(res.final_state(), ds, sig)
+        tr = res.trace
+        assert tr.steps[-1] == 20000
+        assert np.max(np.abs(tr.probs[-1]
+                             - softmax(diag.attn_scores, axis=-1))) < 1e-9
+        assert rel_err(tr.lambda_plus[-1], diag.lambda_plus) < 1e-9
+        assert rel_err(tr.lambda_minus[-1], diag.lambda_minus) < 1e-9
 
     @pytest.mark.slow
     def test_paper_scale(self):
