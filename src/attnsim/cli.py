@@ -9,8 +9,8 @@ Subcommands: ``run`` (single experiment, trace + summary), ``sweep``
 * 2 usage or configuration error (``ConfigError``), found when the config
   is loaded, before any computation
 * 3 numerical divergence of training (partial trace kept)
-* 4 other numerical error (a ``ValueError`` raised while computing, e.g.
-  non-finite test-set scores)
+* 4 other numerical error (a ``ValueError`` or ``ArithmeticError`` raised
+  while computing, e.g. non-finite test-set scores)
 """
 from __future__ import annotations
 
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_USAGE

@@ -19,6 +19,7 @@ oracle the engine is tested against.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,7 +263,7 @@ class TrainResult:
 
 class _Recorder:
     """Accumulates one row per logged step from the engine's role-resolved
-    quantities.  Test-set metrics are scored after the loop and handed to
+    quantities.  Test-set metrics are scored beside the loop and handed to
     :meth:`finish`."""
 
     def __init__(self, dataset: Dataset, rho: float, hooks=()):
@@ -343,31 +344,55 @@ class _Recorder:
         )
 
 
-# Logged states scored together on the test set after the loop: bounds the
-# (block, m*T) score temporaries.
+# Logged states scored together on the test set: bounds the (block, m*T)
+# score temporaries.
 _TEST_BLOCK = 32
 
 
-def _test_metrics(test_set: Dataset, nu: np.ndarray, rows: np.ndarray,
-                  to_scores) -> tuple[np.ndarray, np.ndarray]:
-    """Test accuracy and mean logistic loss of every logged state.
+class _TestScoring:
+    """Test accuracy and mean logistic loss of every logged state, scored
+    on ``pool``'s one worker while the loop runs.
 
-    ``rows`` holds one row per state; ``to_scores`` maps a block of rows to
-    the flat test scores of those states, shape (block, m*T).
+    The worker first forms the test scores gamma and the engine's
+    ``test_scorer``, then scores each block of ``_TEST_BLOCK`` rows of
+    ``coefs`` handed to :meth:`submit` once the loop has written them.
+    Blocks are scored in order, with the expressions of a serial pass.
     """
-    m, T, d = test_set.X.shape
-    y = test_set.y_true
-    gamma = np.tile((test_set.X.reshape(m * T, d) @ nu).reshape(m, T),
-                    (min(_TEST_BLOCK, len(rows)), 1))
-    acc, loss = np.empty(len(rows)), np.empty(len(rows))
-    for lo in range(0, len(rows), _TEST_BLOCK):
-        scores = to_scores(rows[lo:lo + _TEST_BLOCK])
-        b = scores.shape[0]
-        _, out, _ = _attend(scores.reshape(b * m, T), gamma[:b * m])
+
+    def __init__(self, pool, eng, test_set: Dataset, coefs: np.ndarray):
+        self.pool, self.coefs, self.y = pool, coefs, test_set.y_true
+        self.acc, self.loss = np.empty(len(coefs)), np.empty(len(coefs))
+        self.submitted = 0
+        self.jobs = [pool.submit(self._setup, eng, test_set)]
+
+    def _setup(self, eng, test_set):
+        m, T, d = test_set.X.shape
+        L = len(self.coefs)
+        self.gamma = np.tile((test_set.X.reshape(m * T, d) @ eng._nu)
+                             .reshape(m, T), (min(_TEST_BLOCK, L), 1))
+        self.to_scores = eng.test_scorer(test_set, L)
+
+    def _block(self, lo, hi):
+        m, b = len(self.y), hi - lo
+        scores = self.to_scores(self.coefs[lo:hi])
+        _, out, _ = _attend(scores.reshape(b * m, -1), self.gamma[:b * m])
         out = out.reshape(b, m)
-        acc[lo:lo + b] = _fits(out, y).mean(axis=1)
-        loss[lo:lo + b] = _logistic_loss(out, y).mean(axis=1)
-    return acc, loss
+        self.acc[lo:hi] = _fits(out, self.y).mean(axis=1)
+        self.loss[lo:hi] = _logistic_loss(out, self.y).mean(axis=1)
+
+    def submit(self, logged: int):
+        """Queue rows up to ``logged`` for scoring."""
+        self.jobs.append(self.pool.submit(self._block, self.submitted, logged))
+        self.submitted = logged
+
+    def result(self, logged: int) -> tuple[np.ndarray, np.ndarray]:
+        """Score the rows left, wait for every block and return the metrics
+        of the first ``logged`` states; a worker's error is raised here."""
+        if logged > self.submitted:
+            self.submit(logged)
+        for job in self.jobs:
+            job.result()
+        return self.acc[:logged], self.loss[:logged]
 
 
 def _log_points(steps: int, log_every: int):
@@ -528,10 +553,12 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     Logs step 0, every ``log_every``-th step, and the final step: losses,
     accuracies (training labels, true labels, held-out clean set), softmax
     vectors, signal/noise attention and both attention-gap families.  Hooks
-    see each logged step as it happens; the held-out set is scored for all
-    logged steps after the loop.  When an update or the scores it leads to
-    go non-finite, training stops; the partial trace is preserved and a
-    :class:`DivergenceError` carrying it is raised unless
+    see each logged step as it happens.  The held-out set is scored on a
+    second thread while the loop runs, each block of logged states once the
+    loop has logged it, so hooks see test metrics only in the finished
+    trace; an error raised there is raised here.  When an update or the
+    scores it leads to go non-finite, training stops; the partial trace is
+    preserved and a :class:`DivergenceError` carrying it is raised unless
     ``raise_on_divergence`` is False.
     """
     recorder = _Recorder(dataset, dataset.config.rho, hooks=hooks)
@@ -540,29 +567,30 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     log_at = _log_points(config.steps, config.log_every)
     y = dataset.y_train
     coefs = np.empty((len(log_at), 2 * eng.N + 1))
-    scorer = (eng.test_scorer(test_set, len(coefs)) if test_set is not None
-              else None)
     logged = 0
     divergence = None
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps + 1):
-            if step:
-                eng.step(weights)
-            u_all = eng.u
-            if not np.isfinite(u_all).all():
-                divergence = eng.divergence(step)
-                break
-            u = u_all[:nT].reshape(n, T)
-            probs, out, weights = _attend(u, eng.gamma, y, checked=True)
-            if step in log_at:
-                eng.coefficients(coefs[logged])
-                logged += 1
-                recorder.log(step, u, probs, out, float(u_all[nT]),
-                             float(u_all[nT + 1]))
-
-    test = (_test_metrics(test_set, state0.nu, coefs[:logged], scorer)
-            if scorer is not None else None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        scoring = (_TestScoring(pool, eng, test_set, coefs)
+                   if test_set is not None else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(config.steps + 1):
+                if step:
+                    eng.step(weights)
+                u_all = eng.u
+                if not np.isfinite(u_all).all():
+                    divergence = eng.divergence(step)
+                    break
+                u = u_all[:nT].reshape(n, T)
+                probs, out, weights = _attend(u, eng.gamma, y, checked=True)
+                if step in log_at:
+                    eng.coefficients(coefs[logged])
+                    logged += 1
+                    if scoring is not None and logged % _TEST_BLOCK == 0:
+                        scoring.submit(logged)
+                    recorder.log(step, u, probs, out, float(u_all[nT]),
+                                 float(u_all[nT + 1]))
+        test = scoring.result(logged) if scoring is not None else None
     full_meta = {"alpha": config.alpha, "steps": config.steps,
                  "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
                  "d": dataset.d, "rho": dataset.config.rho,

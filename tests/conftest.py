@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 ACCEPTANCE_LINES = []
@@ -34,3 +36,15 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started still running: the
+    input draw, the sweep and the test-set scoring each join their pool."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.is_alive()]
+    if left:
+        pytest.fail(f"threads left running: {left}")

@@ -424,18 +424,47 @@ class TestCli:
         assert not (tmp_path / "out").exists()   # nothing ran
 
     def test_numerical_error_exit_four(self, tmp_path, capsys, monkeypatch):
-        # a ValueError raised while computing is not a config error
+        # a ValueError raised while computing is not a config error, also
+        # when the worker that scores the test set raises it
         def nonfinite(*args, **kwargs):
             raise ValueError("softmax input must be finite")
 
-        monkeypatch.setattr(importlib.import_module("attnsim.train"),
-                            "_test_metrics", nonfinite)
+        monkeypatch.setattr(importlib.import_module("attnsim.train")
+                            ._TestScoring, "_block", nonfinite)
         code = cli_main(["run", "--config", self.write_config(tmp_path),
                          "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical error: softmax input must be finite" in err
         assert "config error" not in err
+
+    def test_arithmetic_error_exit_four(self, tmp_path, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(experiments, "loss_derivative_balance", overflow)
+        code = cli_main(["run", "--config", self.write_config(tmp_path),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical error: math range error" in capsys.readouterr().err
+
+    def test_large_head_scale_run_completes(self, tmp_path):
+        # outputs reach |f| ~ 1600 without diverging: past where e^|f|
+        # overflows, so the balance check must not form it
+        cfg = ExperimentConfig(
+            data=DataConfig(n=8, T=4, d=64, mu_norm=5.0, sigma_eps=1.0,
+                            eta=0.25, rho=0.2),
+            train=TrainConfig(alpha=5e-3, steps=50, log_every=10,
+                              test_size=50),
+            model=ModelParams(head_scale=1000.0),
+            seed=0)
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", self.write_config(tmp_path, cfg),
+                         "--out-dir", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged_at"] is None
+        assert summary["theory_digest"]["loss_derivative_balance"] is True
 
     def test_sweep_cli(self, tmp_path):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0, 8.0), seeds=(0,),

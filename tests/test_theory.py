@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -516,4 +517,17 @@ class TestLossDerivativeBalance:
                                                 log_every=10, test_size=0))
         check = loss_derivative_balance(res.trace)
         assert check.passed
-        assert check.measured["max_ratio"] <= check.threshold * (1 + 1e-12)
+        assert check.measured["max_log_ratio"] <= check.threshold + 1e-12
+
+    def test_outputs_past_exp_overflow(self):
+        # e^800 overflows and l'(800) underflows to zero; in log space the
+        # ratio of a row holding f = 800 and f = -800 is the bound itself
+        trace = SimpleNamespace(y_train=np.array([1.0, 1.0, -1.0]),
+                                outputs=np.array([[800.0, -800.0, 3.0],
+                                                  [1.0, 0.0, -2.0]]))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            check = loss_derivative_balance(trace)
+        assert check.passed
+        assert check.threshold == 800.0
+        assert check.measured["max_log_ratio"] == pytest.approx(800.0,
+                                                                rel=1e-15)

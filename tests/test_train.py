@@ -1,5 +1,6 @@
 import importlib
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
                           make_signals)
-from attnsim.model import (ModelState, _attend, evaluate, init_params,
-                           make_head, softmax)
+from attnsim.model import (ModelState, _attend, _fits, _logistic_loss,
+                           evaluate, init_params, make_head, softmax)
 from attnsim.rng import stream
 from attnsim.theory import compute_diagnostics, rel_err
-from attnsim.train import (_FOLD, DivergenceError, TrainConfig,
-                           _SubspaceEngine,
+from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError, TrainConfig,
+                           _log_points, _SubspaceEngine, _TestScoring,
                            central_difference, empirical_loss,
                            finite_diff_grad, gd_step, grad_p, grad_w,
                            loss_derivative, output_grads, train)
@@ -522,3 +523,102 @@ class TestSubspaceAgainstGdStep:
         assert_matches_gd_oracle(
             state, ds, sig, test,
             run_config(alpha=5e-3, steps=5000, log_every=500))
+
+
+def serial_test_metrics(test_set, nu, rows, to_scores):
+    """The scoring of logged states as one serial pass after the loop: the
+    reference the scoring beside the loop must match bit for bit."""
+    m, T, d = test_set.X.shape
+    y = test_set.y_true
+    gamma = np.tile((test_set.X.reshape(m * T, d) @ nu).reshape(m, T),
+                    (min(_TEST_BLOCK, len(rows)), 1))
+    acc, loss = np.empty(len(rows)), np.empty(len(rows))
+    for lo in range(0, len(rows), _TEST_BLOCK):
+        scores = to_scores(rows[lo:lo + _TEST_BLOCK])
+        b = scores.shape[0]
+        _, out, _ = _attend(scores.reshape(b * m, T), gamma[:b * m])
+        out = out.reshape(b, m)
+        acc[lo:lo + b] = _fits(out, y).mean(axis=1)
+        loss[lo:lo + b] = _logistic_loss(out, y).mean(axis=1)
+    return acc, loss
+
+
+class TestConcurrentTestScoring:
+    """The held-out set is scored on a worker thread, block by block, while
+    the loop runs; the metrics must equal a serial scoring of the same
+    logged states."""
+
+    def setup_run(self, seed=11, d=64):
+        cfg = DataConfig(n=6, T=4, d=d, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
+                         rho=0.2)
+        sig = make_signals(d, 4.0, "random_orthogonal", stream(seed, "s"))
+        ds = generate_dataset(cfg, sig, stream(seed, "d"))
+        test = generate_dataset(replace(cfg, n=40, eta=0.0), sig,
+                                stream(seed, "t"))
+        W, p = init_params(d, 0.05, 0.05, stream(seed, "i"))
+        return ModelState(W=W, p=p, nu=make_head(sig)), ds, sig, test
+
+    # N = nT + 2 = 26, so more than 2N + 1 = 53 logged states are scored
+    # through the test set's projection onto the basis, fewer through each
+    # state's W^T p; the fault diverges the run mid-block, after 40 rows
+    @pytest.mark.parametrize("steps, log_every, fault_at, projected", [
+        pytest.param(100, 1, None, True, id="101-rows-projected"),
+        pytest.param(63, 1, None, True, id="64-rows-whole-blocks"),
+        pytest.param(90, 2, None, False, id="46-rows-per-state"),
+        pytest.param(3 * _TEST_BLOCK, 1, 40, True, id="diverges-mid-block"),
+    ])
+    def test_equals_serial_scoring(self, monkeypatch, steps, log_every,
+                                   fault_at, projected):
+        rows, engines = [], []
+        exact_coefficients = _SubspaceEngine.coefficients
+
+        def recording(eng, row):
+            exact_coefficients(eng, row)
+            rows.append(row.copy())
+            engines.append(eng)
+
+        monkeypatch.setattr(_SubspaceEngine, "coefficients", recording)
+        if fault_at is not None:
+            model_mod = importlib.import_module("attnsim.model")
+            calls = []
+            exact = model_mod.loss_derivative
+
+            def faulty(z):
+                calls.append(None)
+                out = exact(z)
+                return out * np.nan if len(calls) == fault_at else out
+
+            monkeypatch.setattr(model_mod, "loss_derivative", faulty)
+        state, ds, sig, test = self.setup_run()
+        tcfg = run_config(alpha=0.05, steps=steps, log_every=log_every)
+        res = train(state, ds, sig, tcfg, test_set=test,
+                    raise_on_divergence=False)
+        assert res.trace.diverged_at == fault_at
+        assert res.trace.n_logged == len(rows)
+        if fault_at is not None:
+            assert len(rows) % _TEST_BLOCK != 0
+        eng = engines[0]
+        L = len(_log_points(steps, log_every))
+        assert (L > 2 * eng.N + 1) == projected
+        acc, loss = serial_test_metrics(test, state.nu, np.array(rows),
+                                        eng.test_scorer(test, L))
+        assert res.trace.test_acc.tobytes() == acc.tobytes()
+        assert res.trace.test_loss.tobytes() == loss.tobytes()
+
+    def test_worker_error_propagates_and_thread_ends(self, monkeypatch):
+        blocks = []
+
+        def failing(self, lo, hi):
+            blocks.append((lo, hi))
+            raise RuntimeError("block scoring failed")
+
+        monkeypatch.setattr(_TestScoring, "_block", failing)
+        state, ds, sig, test = self.setup_run()
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="block scoring failed"):
+            train(state, ds, sig, run_config(steps=100, log_every=1),
+                  test_set=test)
+        assert set(threading.enumerate()) <= before
+        # the first block failed while the loop ran on; the rest were
+        # still scored before the error was raised
+        assert blocks[0] == (0, _TEST_BLOCK) and blocks[-1][1] == 101
