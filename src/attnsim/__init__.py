@@ -16,11 +16,10 @@ from .multiclass import (MulticlassConfig, MulticlassDataset, MulticlassState,
                          multiclass_loss_and_grads)
 from .rng import cell_seed, stream
 from .theory import (AttentionDiagnostics, CheckResult, GLinearityResult,
-                     GoodRunTolerances, GrokkingTimes, InitThresholds,
-                     InteractionTerms, Regime, TheoryReport, check_assumptions,
-                     classify_regime, compute_diagnostics, etf_gradient_check,
-                     g, g_linearity, good_run_check, init_checks,
-                     loss_derivative_balance, measure_grokking,
+                     GrokkingTimes, InteractionTerms, Regime, TheoryReport,
+                     check_assumptions, classify_regime, compute_diagnostics,
+                     etf_gradient_check, g, g_linearity, good_run_check,
+                     init_checks, loss_derivative_balance, measure_grokking,
                      noisy_stage_windows, pre_saturation_window,
                      softmax_bound_check, softmax_bound_scan,
                      verify_update_identity)

@@ -24,11 +24,11 @@ from .data import (ConfigError, DataConfig, _check_type, a8_sigma,
 from .model import ModelState, init_params, make_head
 from .multiclass import MulticlassConfig, make_class_signals
 from .rng import cell_seed, stream
-from .theory import (CheckResult, TheoryReport, classify_regime,
-                     etf_gradient_check, good_run_check, g_linearity,
-                     init_checks, loss_derivative_balance, measure_grokking,
-                     pre_saturation_window, rel_err, softmax_bound_scan,
-                     verify_update_identity)
+from .theory import (UPDATE_IDENTITY_TOL, CheckResult, TheoryReport,
+                     classify_regime, etf_gradient_check, good_run_check,
+                     g_linearity, init_checks, loss_derivative_balance,
+                     measure_grokking, pre_saturation_window, rel_err,
+                     softmax_bound_scan, verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainTrace,
                     finite_diff_grad, grad_p, grad_w, train)
 
@@ -504,7 +504,7 @@ def _suite_identities(config: ExperimentConfig) -> TheoryReport:
         worst = max(c.measured["max_rel_err"] for c in rep.checks)
         report.checks.append(CheckResult(
             f"update_identities_trial_{trial}", passed=rep.passed_all,
-            measured={"max_rel_err": worst}, threshold=1e-9))
+            measured={"max_rel_err": worst}, threshold=UPDATE_IDENTITY_TOL))
     return report
 
 

@@ -160,9 +160,13 @@ def grad_wv(dataset: MulticlassDataset, state: MulticlassState) -> np.ndarray:
     return pooled.T @ coeff / n
 
 
+# Monte Carlo draws generated together by head_gradient_estimate.
+_ESTIMATE_BATCH = 4096
+
+
 def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
-                           mc_samples: int, rng: np.random.Generator,
-                           batch: int = 4096) -> np.ndarray:
+                           mc_samples: int,
+                           rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo estimate of the negative head gradient at the fully
     zero-initialized model, one column per class (d, K).
 
@@ -178,7 +182,7 @@ def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
     total = np.zeros((d, K))
     remaining = mc_samples
     while remaining > 0:
-        m = min(batch, remaining)
+        m = min(_ESTIMATE_BATCH, remaining)
         ds = generate_multiclass_dataset(
             MulticlassConfig(n=m, T=config.T, d=d, K=K, mu_norm=config.mu_norm,
                              sigma_eps=config.sigma_eps, eta=config.eta,

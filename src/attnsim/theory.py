@@ -21,8 +21,7 @@ from .data import DataConfig, Dataset, SignalBasis, snr as data_snr
 from .model import (ModelState, _attend, _token_scores, loss_derivative,
                     softmax)
 from .multiclass import MulticlassConfig, head_gradient_estimate
-from .train import (TrainTrace, gamma_token_indices, gd_step, grad_p, grad_w,
-                    lambda_token_indices)
+from .train import TrainTrace, attention_gaps, gd_step, grad_p, grad_w
 
 __all__ = [
     "CheckResult",
@@ -36,7 +35,6 @@ __all__ = [
     "verify_update_identity",
     "softmax_bound_check",
     "softmax_bound_scan",
-    "GoodRunTolerances",
     "good_run_check",
     "check_assumptions",
     "GLinearityResult",
@@ -49,6 +47,23 @@ __all__ = [
     "init_checks",
     "loss_derivative_balance",
 ]
+
+# Fixed tolerances and levels of the checks and trace windows below; a
+# check reports the one it passes against as its ``threshold``.
+UPDATE_IDENTITY_TOL = 1e-9        # max relative error of a one-step identity
+SOFTMAX_IDENTITY_TOL = 1e-12      # max relative error of the s_1 rewriting
+SATURATION_GAP = 500.0            # |gap| beyond which the bracket skips a row
+GOOD_RUN_NORM_RTOL = 0.10         # two-sided band around each norm scale
+GOOD_RUN_INNER_C = 5.0            # multiplier on the inner-product caps
+GOOD_RUN_DELTA = 0.01             # failure probability inside log terms
+INIT_S_UNIFORMITY = 0.25          # max_t |s_t(0) - 1/T| * T
+INIT_LAMBDA_GAP = 0.5             # max |Lambda(0)|
+INIT_GAMMA_GAP = 0.5              # max |Gamma(0)|
+INIT_FIRST_STEP_DRIFT = 0.1       # max |delta lambda|, |delta rho|
+SATURATION_LEVEL = 0.99           # relevant-token softmax ending the window
+NOISY_S1_FLOOR = 0.02             # mean noisy s_1 ending stage 1
+NOISY_S2_TAKEOVER = 0.50          # s_2 crossing that starts stage 2
+NOISY_S2_SATURATION = 0.99        # s_2 level ending stage 2
 
 
 def rel_err(a, b, floor: float = 1e-12):
@@ -136,9 +151,7 @@ class AttentionDiagnostics:
     """Signal/noise attention and both attention-gap families at one state.
 
     lambda_plus/minus: <W mu_k, p>.  rho_attn[i, t]: <W eps_t^(i), p>.
-    Lambda[i, j]: score gap of token 1 over token lambda_token_indices(T)[j];
-    Gamma[i, j]: gap of token 2 over token gamma_token_indices(T)[j].
-    ``Gamma[:, 0] == -Lambda[:, 0]`` exactly (both compare tokens 1 and 2).
+    Lambda and Gamma: the gap families of :func:`attention_gaps`.
     """
 
     lambda_plus: float
@@ -155,12 +168,13 @@ def compute_diagnostics(state: ModelState, dataset: Dataset,
     q = state.W.T @ state.p
     u = (dataset.X.reshape(n * T, d) @ q).reshape(n, T)
     rho_attn = (dataset.noise.reshape(n * T, d) @ q).reshape(n, T)
+    Lambda, Gamma = attention_gaps(u)
     return AttentionDiagnostics(
         lambda_plus=float(signals.mu_plus @ q),
         lambda_minus=float(signals.mu_minus @ q),
         rho_attn=rho_attn,
-        Lambda=u[:, :1] - u[:, lambda_token_indices(T)],
-        Gamma=u[:, 1:2] - u[:, gamma_token_indices(T)],
+        Lambda=Lambda,
+        Gamma=Gamma,
         attn_scores=u,
     )
 
@@ -201,11 +215,10 @@ class InteractionTerms:
 # --------------------------------------------------------------------------
 
 def verify_update_identity(state: ModelState, dataset: Dataset,
-                           signals: SignalBasis, alpha: float,
-                           tol: float = 1e-9) -> TheoryReport:
+                           signals: SignalBasis, alpha: float) -> TheoryReport:
     """Check that one GD step moves every tracked bilinear quantity by its
     interaction-term expression (first order in alpha) plus the exact
-    alpha^2 cross term.
+    alpha^2 cross term, to relative error ``UPDATE_IDENTITY_TOL``.
 
     Covers the signal/noise attention updates (lambda_+1, lambda_-1, every
     rho_{j,u}), the squared norm of p, and the squared norms / pairwise
@@ -235,8 +248,8 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
     def add(name, lhs, rhs):
         err = float(np.max(rel_err(lhs, rhs))) if np.size(lhs) else 0.0
         report.checks.append(CheckResult(
-            name=name, passed=err <= tol,
-            measured={"max_rel_err": err}, threshold=tol))
+            name=name, passed=err <= UPDATE_IDENTITY_TOL,
+            measured={"max_rel_err": err}, threshold=UPDATE_IDENTITY_TOL))
 
     # signal and noise attention
     for nm, mu, Iw, I in (("update_lambda_plus", signals.mu_plus,
@@ -307,16 +320,15 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
 # Softmax concentration
 # --------------------------------------------------------------------------
 
-def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
-                        identity_tol: float = 1e-12,
-                        saturation_gap: float = 500.0) -> TheoryReport:
+def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray) -> TheoryReport:
     """At one state: (a) the exact rewriting of s_1 (1 - s_1) in terms of
     attention gaps, (b) the cosh bracket with the measured gap-ratio
     constant c = c'^3 T / (T - 1), and (c) s_u (1 - s_u) <= s_t (1 - s_t)
     for the best-attended token t.
 
-    Rows whose gaps exceed ``saturation_gap`` in magnitude are skipped by
-    the bracket (exp underflow makes both sides zero), before c is formed.
+    Rows whose gaps exceed ``SATURATION_GAP`` in magnitude are skipped by
+    the bracket (exp underflow makes both sides zero).  The bracket is
+    compared in log space, where neither c nor the cosh overflows.
     """
     T = Lambda.shape[1] + 1
     lhs = probs[:, 0] * probs[:, 1:].sum(axis=1)
@@ -328,13 +340,19 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
     rhs = loss_derivative(L) * loss_derivative(-L)
     id_err = float(np.max(rel_err(lhs, rhs, floor=1e-300)))
 
-    cprime = np.exp(Lambda.max(axis=1) - Lambda.min(axis=1))
-    live = np.abs(Lambda).max(axis=1) <= saturation_gap
-    c = cprime[live, None] ** 3 * T / (T - 1)
-    denom = 2.0 + 2.0 * np.cosh(np.clip(Lambda[live] - math.log(T), -700, 700))
-    bound = 1.0 / denom
-    ok_upper = lhs[live, None] <= c * bound * (1 + 1e-9)
-    ok_lower = lhs[live, None] * (1 + 1e-9) >= bound / c
+    gap_range = Lambda.max(axis=1) - Lambda.min(axis=1)
+    with np.errstate(over="ignore"):
+        cprime = np.exp(gap_range)
+    live = np.abs(Lambda).max(axis=1) <= SATURATION_GAP
+    log_c = 3.0 * gap_range[live, None] + math.log(T / (T - 1))
+    # bound = 1 / (2 + 2 cosh x) and 2 + 2 cosh x = (e^(x/2) + e^(-x/2))^2
+    half = 0.5 * (Lambda[live] - math.log(T))
+    log_bound = -2.0 * np.logaddexp(half, -half)
+    with np.errstate(divide="ignore"):
+        log_lhs = np.log(lhs[live, None])      # -inf where s_1 (1 - s_1) = 0
+    slack = math.log1p(1e-9)
+    ok_upper = log_lhs <= log_c + log_bound + slack
+    ok_lower = log_lhs + slack >= log_bound - log_c
     bracket_ok = bool(np.all(ok_upper) and np.all(ok_lower))
 
     # the best token's s_t (1 - s_t) as s_t * sum_{u != t} s_u, which does
@@ -347,8 +365,8 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
 
     report = TheoryReport()
     report.checks.append(CheckResult(
-        "softmax_identity", passed=id_err <= identity_tol,
-        measured={"max_rel_err": id_err}, threshold=identity_tol))
+        "softmax_identity", passed=id_err <= SOFTMAX_IDENTITY_TOL,
+        measured={"max_rel_err": id_err}, threshold=SOFTMAX_IDENTITY_TOL))
     report.checks.append(CheckResult(
         "softmax_bracket", passed=bracket_ok,
         measured={"max_gap_ratio": float(cprime.max()),
@@ -359,19 +377,18 @@ def softmax_bound_check(probs: np.ndarray, Lambda: np.ndarray,
     return report
 
 
-def softmax_bound_scan(trace: TrainTrace,
-                       identity_tol: float = 1e-12) -> TheoryReport:
+def softmax_bound_scan(trace: TrainTrace) -> TheoryReport:
     """:func:`softmax_bound_check` over every logged row of a trace at
     once: every check is row-wise, so its worst case over the stacked
     (L*n, T) rows is the worst case over the logged steps."""
     L, n, T = trace.probs.shape
     identity, bracket, best = softmax_bound_check(
-        trace.probs.reshape(L * n, T), trace.Lambda.reshape(L * n, T - 1),
-        identity_tol=identity_tol).checks
+        trace.probs.reshape(L * n, T),
+        trace.Lambda.reshape(L * n, T - 1)).checks
     skipped = bracket.measured["skipped_saturated_rows"]
     return TheoryReport([
         CheckResult("softmax_identity_full_trace", identity.passed,
-                    identity.measured, identity_tol),
+                    identity.measured, SOFTMAX_IDENTITY_TOL),
         CheckResult("softmax_bracket_full_trace", bracket.passed,
                     {"skipped_saturated_rows": skipped}),
         CheckResult("softmax_best_token_full_trace", best.passed, {}),
@@ -382,13 +399,6 @@ def softmax_bound_scan(trace: TrainTrace,
 # Good-run events
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoodRunTolerances:
-    norm_rtol: float = 0.10      # two-sided band around each norm scale
-    inner_c: float = 5.0         # multiplier on the inner-product caps
-    delta: float = 0.01          # failure probability inside log terms
-
-
 ALL_GOOD_RUN_GROUPS = ("noise_norms", "noise_inner", "init_norms",
                        "init_inner", "signal_noise_inner", "counts")
 
@@ -396,11 +406,11 @@ ALL_GOOD_RUN_GROUPS = ("noise_norms", "noise_inner", "init_norms",
 def good_run_check(dataset: Dataset, init_state: ModelState | None,
                    signals: SignalBasis, sigma_w: float = 0.0,
                    sigma_p: float = 0.0,
-                   tol: GoodRunTolerances = GoodRunTolerances(),
                    groups=ALL_GOOD_RUN_GROUPS) -> TheoryReport:
     """Finite-scale concentration events over one realized dataset and
-    initialization: noise-norm bands, inner-product caps scaled by
-    ``tol.inner_c``, and clean/noisy class-count brackets, one
+    initialization: noise-norm bands of relative width
+    ``GOOD_RUN_NORM_RTOL``, inner-product caps scaled by
+    ``GOOD_RUN_INNER_C``, and clean/noisy class-count brackets, one
     ``good_run_<event>`` row each with the worst case over the indexed
     family in ``measured`` and its band in ``threshold``.
 
@@ -411,7 +421,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
     n, T, d = dataset.X.shape
     sig = cfg.sigma_eps
     mu = cfg.mu_norm
-    log_term = math.log(T * n / tol.delta)
+    log_term = math.log(T * n / GOOD_RUN_DELTA)
     report = TheoryReport()
     E = dataset.noise.reshape(n * T, d)
 
@@ -427,7 +437,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
             event(name, float(np.max(np.abs(values))), vacuous=True)
         else:
             event(name, float(np.max(np.abs(values / scale - 1.0))),
-                  tol.norm_rtol)
+                  GOOD_RUN_NORM_RTOL)
 
     if "noise_norms" in groups:
         band("norm_eps", np.linalg.norm(E, axis=1), sig * math.sqrt(d),
@@ -440,7 +450,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
             gram = E @ E.T
             off = gram[~np.eye(n * T, dtype=bool)]
             event("inner_eps_eps", float(np.max(np.abs(off))),
-                  tol.inner_c * sig * sig * math.sqrt(d) * log_term)
+                  GOOD_RUN_INNER_C * sig * sig * math.sqrt(d) * log_term)
 
     need_W = init_state is not None and any(
         grp in groups for grp in ("init_norms", "init_inner"))
@@ -462,28 +472,28 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
             sw2 = sigma_w * sigma_w
             vac_w = sigma_w == 0
             event("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
-                  tol.inner_c * sw2 * mu * mu * math.sqrt(d) * log_term,
+                  GOOD_RUN_INNER_C * sw2 * mu * mu * math.sqrt(d) * log_term,
                   vacuous=vac_w)
             event("inner_Wmu_Weps",
                   float(np.max(np.abs(np.concatenate(
                       [WE @ Wmu_p, WE @ Wmu_m])))) if sig > 0 else 0.0,
-                  tol.inner_c * sw2 * sig * mu * d * log_term,
+                  GOOD_RUN_INNER_C * sw2 * sig * mu * d * log_term,
                   vacuous=vac_w or sig == 0)
             if sig > 0 and not vac_w:
                 gw = WE @ WE.T
                 event("inner_Weps_Weps",
                       float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
-                      tol.inner_c * sw2 * sig * sig * d ** 1.5 * log_term)
+                      GOOD_RUN_INNER_C * sw2 * sig * sig * d ** 1.5 * log_term)
             else:
                 event("inner_Weps_Weps", 0.0, vacuous=True)
             event("inner_Wmu_p",
                   max(abs(float(Wmu_p @ p0)), abs(float(Wmu_m @ p0))),
-                  tol.inner_c * sigma_w * sigma_p * mu * math.sqrt(d)
+                  GOOD_RUN_INNER_C * sigma_w * sigma_p * mu * math.sqrt(d)
                   * log_term,
                   vacuous=vac_w or sigma_p == 0)
             event("inner_Weps_p",
                   float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
-                  tol.inner_c * sigma_w * sigma_p * sig * d * log_term,
+                  GOOD_RUN_INNER_C * sigma_w * sigma_p * sig * d * log_term,
                   vacuous=vac_w or sigma_p == 0 or sig == 0)
 
     if "signal_noise_inner" in groups:
@@ -494,11 +504,11 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
             worst_mu = float(np.max(np.abs(
                 np.concatenate([E @ signals.mu_plus, E @ signals.mu_minus]))))
             event("inner_mu_eps", worst_mu,
-                  tol.inner_c * sig * mu * math.sqrt(log_term))
+                  GOOD_RUN_INNER_C * sig * mu * math.sqrt(log_term))
             if init_state is not None:
                 nu_norm = float(np.linalg.norm(init_state.nu))
                 event("inner_nu_eps", float(np.max(np.abs(E @ init_state.nu))),
-                      tol.inner_c * sig * nu_norm * math.sqrt(log_term),
+                      GOOD_RUN_INNER_C * sig * nu_norm * math.sqrt(log_term),
                       vacuous=(nu_norm == 0))
 
     if "counts" in groups:
@@ -600,8 +610,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> SeriesFit:
 
 
 def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
-                window: tuple[int, int],
-                pooled: str = "mean") -> GLinearityResult:
+                window: tuple[int, int]) -> GLinearityResult:
     """Least-squares fit of g(attention gap) against the step index.
 
     ``quantity`` selects the gap family: "Lambda" (token 1 against every
@@ -609,11 +618,10 @@ def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
     "Gamma_relevant_shifted" (token 2 against token 1, shifted down by
     log(1/rho) so the comparison is on the weak-signal scale).
 
-    The pooled fit targets the common rate law: by default it fits the mean
-    of the selected series, which measures linearity in time without being
-    diluted by the constant-factor slope spread between samples and tokens
-    (per-series fits are returned alongside).  ``pooled="stacked"`` fits all
-    points jointly instead.
+    The pooled fit targets the common rate law: it fits the mean of the
+    selected series, which measures linearity in time without being diluted
+    by the constant-factor slope spread between samples and tokens
+    (per-series fits are returned alongside).
     """
     samples = np.asarray(sample_indices, dtype=int)
     lo, hi = window
@@ -636,40 +644,35 @@ def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
     if series.shape[1] == 0:
         raise ValueError("no gap series selected (empty samples or T too small)")
     fits = [_ols(x, series[:, k]) for k in range(series.shape[1])]
-    if pooled == "mean":
-        pooled_fit = _ols(x, series.mean(axis=1))
-    elif pooled == "stacked":
-        pooled_fit = _ols(np.repeat(x, series.shape[1]), series.ravel())
-    else:
-        raise ValueError(f"unknown pooled mode {pooled!r}")
-    return GLinearityResult(pooled=pooled_fit, per_series=fits,
+    return GLinearityResult(pooled=_ols(x, series.mean(axis=1)),
+                            per_series=fits,
                             n_points=int(mask.sum()), window=(lo, hi))
 
 
-def pre_saturation_window(trace: TrainTrace, level: float = 0.99) -> tuple[int, int]:
+def pre_saturation_window(trace: TrainTrace) -> tuple[int, int]:
     """From the first logged step after 0 until the relevant-token softmax
-    of any sample first exceeds ``level`` (the dynamics saturate beyond)."""
+    of any sample first exceeds ``SATURATION_LEVEL`` (the dynamics saturate
+    beyond)."""
     s1_max = trace.probs[:, :, 0].max(axis=1)
     start = int(trace.steps[1]) if trace.n_logged > 1 else int(trace.steps[0])
-    crossed = np.nonzero(s1_max > level)[0]
+    crossed = np.nonzero(s1_max > SATURATION_LEVEL)[0]
     end = int(trace.steps[crossed[0]]) if len(crossed) else int(trace.steps[-1])
     if end <= start:
         end = int(trace.steps[-1])
     return start, end
 
 
-def noisy_stage_windows(trace: TrainTrace, s1_floor: float = 0.02,
-                        s2_takeover: float = 0.50,
-                        s2_saturation: float = 0.99) -> tuple[tuple[int, int],
-                                                              tuple[int, int]]:
+def noisy_stage_windows(trace: TrainTrace) -> tuple[tuple[int, int],
+                                                   tuple[int, int]]:
     """Empirical stage split for noisy samples.
 
     Stage 1 is the relevant-token suppression phase: it starts where the
     mean noisy s_1 peaks (at moderate SNR the shared signal growth lifts s_1
-    first) and ends when the mean drops below ``s1_floor`` (suppression
+    first) and ends when the mean drops below ``NOISY_S1_FLOOR`` (suppression
     exhausted).  Stage 2 covers the confusing-token takeover: from the last
-    crossing of ``s2_takeover`` among samples that ever cross it, to their
-    saturation at ``s2_saturation``.  Returns (early, late) in raw steps.
+    crossing of ``NOISY_S2_TAKEOVER`` among samples that ever cross it, to
+    their saturation at ``NOISY_S2_SATURATION``.  Returns (early, late) in
+    raw steps.
     """
     noisy = trace.noisy_idx
     if len(noisy) == 0:
@@ -678,7 +681,7 @@ def noisy_stage_windows(trace: TrainTrace, s1_floor: float = 0.02,
     s1 = trace.probs[:, noisy, 0].mean(axis=1)
     s2 = trace.probs[:, noisy, 1]
     onset = int(s1.argmax())
-    below = np.nonzero(s1[onset:] < s1_floor)[0]
+    below = np.nonzero(s1[onset:] < NOISY_S1_FLOOR)[0]
     floor_idx = onset + int(below[0]) if len(below) else L - 1
     onset = min(onset, L - 2)
     if floor_idx <= onset:
@@ -687,14 +690,14 @@ def noisy_stage_windows(trace: TrainTrace, s1_floor: float = 0.02,
 
     takeover = []
     for j in range(len(noisy)):
-        hit = np.nonzero(s2[:, j] >= s2_takeover)[0]
+        hit = np.nonzero(s2[:, j] >= NOISY_S2_TAKEOVER)[0]
         if len(hit):
             takeover.append(int(hit[0]))
     if takeover:
         late_start = min(max(takeover), L - 2)
         crossed = s2[:, [j for j in range(len(noisy))
-                         if len(np.nonzero(s2[:, j] >= s2_takeover)[0])]]
-        sat = np.nonzero(crossed.min(axis=1) >= s2_saturation)[0]
+                         if len(np.nonzero(s2[:, j] >= NOISY_S2_TAKEOVER)[0])]]
+        sat = np.nonzero(crossed.min(axis=1) >= NOISY_S2_SATURATION)[0]
         late_end = int(sat[0]) if len(sat) else L - 1
         if late_end <= late_start:
             late_end = L - 1
@@ -769,17 +772,8 @@ def etf_gradient_check(config: MulticlassConfig, mus: np.ndarray,
     return cos
 
 
-@dataclass(frozen=True)
-class InitThresholds:
-    s_uniformity: float = 0.25    # max_t |s_t(0) - 1/T| * T
-    lambda_gap: float = 0.5       # max |Lambda(0)|
-    gamma_gap: float = 0.5        # max |Gamma(0)|
-    first_step_drift: float = 0.1  # max |delta lambda|, |delta rho|
-
-
 def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
-                alpha: float,
-                thresholds: InitThresholds = InitThresholds()) -> TheoryReport:
+                alpha: float) -> TheoryReport:
     """Near-uniform softmax and vanishing attention gaps at initialization,
     plus smallness of the first gradient step's attention drift."""
     T = dataset.T
@@ -792,20 +786,20 @@ def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     dlam = max(abs(d1.lambda_plus - d0.lambda_plus),
                abs(d1.lambda_minus - d0.lambda_minus))
     drho = float(np.max(np.abs(d1.rho_attn - d0.rho_attn)))
-    th = thresholds
     report = TheoryReport()
     report.checks.append(CheckResult(
-        "init_softmax_uniformity", s_dev <= th.s_uniformity,
-        {"max_scaled_deviation": s_dev}, th.s_uniformity))
+        "init_softmax_uniformity", s_dev <= INIT_S_UNIFORMITY,
+        {"max_scaled_deviation": s_dev}, INIT_S_UNIFORMITY))
     report.checks.append(CheckResult(
-        "init_lambda_gap", lam_gap <= th.lambda_gap,
-        {"max_abs": lam_gap}, th.lambda_gap))
+        "init_lambda_gap", lam_gap <= INIT_LAMBDA_GAP,
+        {"max_abs": lam_gap}, INIT_LAMBDA_GAP))
     report.checks.append(CheckResult(
-        "init_gamma_gap", gam_gap <= th.gamma_gap,
-        {"max_abs": gam_gap}, th.gamma_gap))
+        "init_gamma_gap", gam_gap <= INIT_GAMMA_GAP,
+        {"max_abs": gam_gap}, INIT_GAMMA_GAP))
     report.checks.append(CheckResult(
-        "init_first_step_drift", max(dlam, drho) <= th.first_step_drift,
-        {"max_dlambda": float(dlam), "max_drho": drho}, th.first_step_drift))
+        "init_first_step_drift", max(dlam, drho) <= INIT_FIRST_STEP_DRIFT,
+        {"max_dlambda": float(dlam), "max_drho": drho},
+        INIT_FIRST_STEP_DRIFT))
     return report
 
 

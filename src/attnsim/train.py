@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError, Dataset, Role, SignalBasis, _check_type
+from .data import ConfigError, Dataset, SignalBasis, _check_type
 from .model import (ModelState, _attend, _fits, _logistic_loss, _token_scores,
                     evaluate, forward, loss_derivative)
 
@@ -42,8 +42,7 @@ __all__ = [
     "train",
     "finite_diff_grad",
     "central_difference",
-    "lambda_token_indices",
-    "gamma_token_indices",
+    "attention_gaps",
 ]
 
 # field -> kind: counts are integers, the step size and thresholds reals
@@ -185,26 +184,25 @@ def finite_diff_grad(dataset: Dataset, state: ModelState, h: float = 1e-5):
 # Instrumented training
 # --------------------------------------------------------------------------
 
-def lambda_token_indices(T: int) -> np.ndarray:
-    """0-based rows compared against token 1 in the relevant-token gaps
-    (tokens 2..T)."""
-    return np.arange(1, T)
+def attention_gaps(scores: np.ndarray):
+    """Both attention-gap families of attention scores (..., T).
 
-
-def gamma_token_indices(T: int) -> np.ndarray:
-    """0-based rows compared against token 2 in the confusing-token gaps
-    (token 1, then tokens 3..T)."""
-    return np.concatenate(([0], np.arange(2, T)))
+    ``Lambda[..., j]`` is the gap of token 1 over token j + 2 (tokens
+    2..T), ``Gamma[..., j]`` that of token 2 over token 1, then over tokens
+    3..T.  ``Gamma[..., 0] == -Lambda[..., 0]`` exactly (both compare
+    tokens 1 and 2).
+    """
+    return (scores[..., :1] - scores[..., 1:],
+            scores[..., 1:2] - np.delete(scores, 1, axis=-1))
 
 
 @dataclass
 class TrainTrace:
     """Time-indexed instrumentation of one training run.
 
-    Arrays are indexed by logged step; ``Lambda[k, i, j]`` is the attention
-    gap between token 1 and token ``lambda_token_indices(T)[j] + 1`` of
-    sample i at logged step k, and ``Gamma`` likewise for token 2 against
-    ``gamma_token_indices(T)``.
+    Arrays are indexed by logged step; ``scores[k, i, t]`` is the attention
+    score of token t + 1 of sample i at logged step k, from which
+    ``Lambda`` and ``Gamma`` are derived by :func:`attention_gaps`.
     """
 
     steps: np.ndarray
@@ -217,9 +215,7 @@ class TrainTrace:
     probs: np.ndarray          # (L, n, T)
     lambda_plus: np.ndarray    # (L,)
     lambda_minus: np.ndarray   # (L,)
-    rho_attn: np.ndarray       # (L, n, T)
-    Lambda: np.ndarray         # (L, n, T-1)
-    Gamma: np.ndarray          # (L, n, T-1)
+    scores: np.ndarray         # (L, n, T)
     y_train: np.ndarray
     y_true: np.ndarray
     clean_idx: np.ndarray
@@ -239,10 +235,20 @@ class TrainTrace:
     def T(self) -> int:
         return self.probs.shape[2]
 
+    @property
+    def Lambda(self) -> np.ndarray:
+        """(L, n, T-1) gaps of token 1 over tokens 2..T."""
+        return attention_gaps(self.scores)[0]
+
+    @property
+    def Gamma(self) -> np.ndarray:
+        """(L, n, T-1) gaps of token 2 over token 1, then tokens 3..T."""
+        return attention_gaps(self.scores)[1]
+
     def validate(self):
         if np.any(np.diff(self.steps) <= 0):
             raise ValueError("logged steps must be strictly increasing")
-        for name in ("train_loss", "probs", "Lambda", "Gamma", "rho_attn"):
+        for name in ("train_loss", "probs", "scores"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"trace field {name} contains non-finite values")
 
@@ -262,79 +268,55 @@ class TrainResult:
 
 
 class _Recorder:
-    """Accumulates one row per logged step from the engine's role-resolved
-    quantities.  Test-set metrics are scored beside the loop and handed to
-    :meth:`finish`."""
+    """Writes one row per logged step, the scores of every B row (training
+    tokens, then the two class-signal probes), the softmax and the outputs,
+    into arrays sized for the run's log points.  Test-set metrics are
+    scored beside the loop and handed to :meth:`finish`."""
 
-    def __init__(self, dataset: Dataset, rho: float, hooks=()):
+    def __init__(self, dataset: Dataset, n_log: int, n_rows: int, hooks=()):
         self.ds = dataset
-        self.rho_scale = rho
         self.hooks = hooks
-        self.rows = {k: [] for k in
-                     ("steps", "train_loss", "train_acc", "train_acc_true",
-                      "outputs", "probs", "lambda_plus", "lambda_minus",
-                      "rho_attn", "Lambda", "Gamma")}
-        T = dataset.T
-        self._lam_cols = lambda_token_indices(T)
-        self._gam_cols = gamma_token_indices(T)
-        roles = dataset.roles
-        self._weak_same_cols = np.array(
-            [t for t, r in enumerate(roles) if r == Role.WEAK_SAME], dtype=int)
+        n, T = dataset.n, dataset.T
+        self.nT = n * T
+        self.steps = np.empty(n_log, dtype=np.int64)
+        self.scores = np.empty((n_log, n_rows))
+        self.probs = np.empty((n_log, n, T))
+        self.outputs = np.empty((n_log, n))
 
-    def log(self, step: int, u: np.ndarray, probs: np.ndarray,
-            out: np.ndarray, lam_plus: float, lam_minus: float):
-        ds = self.ds
-        fit_train = _fits(out, ds.y_train)
-        fit_true = _fits(out, ds.y_true)
-        loss = float(np.mean(_logistic_loss(out, ds.y_train)))
-
-        # noise attention: subtract each token's signal contribution to the
-        # score, using lambda for the sample's true class
-        lam_own = np.where(ds.y_true > 0, lam_plus, lam_minus)
-        lam_opp = np.where(ds.y_true > 0, lam_minus, lam_plus)
-        rho_attn = u.copy()
-        rho_attn[:, 0] -= lam_own
-        rho_attn[:, 1] -= self.rho_scale * lam_opp
-        for t in self._weak_same_cols:
-            rho_attn[:, t] -= self.rho_scale * lam_own
-
-        r = self.rows
-        r["steps"].append(step)
-        r["train_loss"].append(loss)
-        r["train_acc"].append(float(fit_train.mean()))
-        r["train_acc_true"].append(float(fit_true.mean()))
-        r["outputs"].append(out)
-        r["probs"].append(probs)
-        r["lambda_plus"].append(lam_plus)
-        r["lambda_minus"].append(lam_minus)
-        r["rho_attn"].append(rho_attn)
-        r["Lambda"].append(u[:, :1] - u[:, self._lam_cols])
-        r["Gamma"].append(u[:, 1:2] - u[:, self._gam_cols])
+    def log(self, k: int, step: int, u_all: np.ndarray, probs: np.ndarray,
+            out: np.ndarray):
+        """Write logged row ``k``."""
+        self.steps[k] = step
+        self.scores[k] = u_all
+        self.probs[k] = probs
+        self.outputs[k] = out
         for hook in self.hooks:
-            hook(step, {"probs": probs, "outputs": out, "loss": loss,
-                        "lambda_plus": lam_plus, "lambda_minus": lam_minus})
+            hook(step, {"probs": probs, "outputs": out,
+                        "lambda_plus": float(u_all[self.nT]),
+                        "lambda_minus": float(u_all[self.nT + 1])})
 
-    def finish(self, meta: dict, test, divergence=None) -> TrainTrace:
-        """Assemble the trace; ``test`` is (test_acc, test_loss) per logged
-        step, or None without a test set."""
-        ds = self.ds
-        r = self.rows
+    def finish(self, logged: int, meta: dict, test,
+               divergence=None) -> TrainTrace:
+        """Assemble the trace of the first ``logged`` rows; ``test`` is
+        (test_acc, test_loss) per logged step, or None without a test
+        set."""
+        ds, nT = self.ds, self.nT
+        u, out = self.scores[:logged], self.outputs[:logged]
+        probs = self.probs[:logged]
         if test is None:
-            test = (np.full(len(r["steps"]), math.nan),) * 2
+            test = (np.full(logged, math.nan),) * 2
         return TrainTrace(
-            steps=np.array(r["steps"], dtype=np.int64),
-            train_loss=np.array(r["train_loss"]),
-            train_acc=np.array(r["train_acc"]),
-            train_acc_true=np.array(r["train_acc_true"]),
+            steps=self.steps[:logged],
+            train_loss=_logistic_loss(out, ds.y_train).mean(axis=1),
+            train_acc=_fits(out, ds.y_train).mean(axis=1),
+            train_acc_true=_fits(out, ds.y_true).mean(axis=1),
             test_acc=test[0],
             test_loss=test[1],
-            outputs=np.array(r["outputs"]),
-            probs=np.array(r["probs"]),
-            lambda_plus=np.array(r["lambda_plus"]),
-            lambda_minus=np.array(r["lambda_minus"]),
-            rho_attn=np.array(r["rho_attn"]),
-            Lambda=np.array(r["Lambda"]),
-            Gamma=np.array(r["Gamma"]),
+            outputs=out,
+            probs=probs,
+            lambda_plus=u[:, nT],
+            lambda_minus=u[:, nT + 1],
+            scores=u[:, :nT].reshape(probs.shape),
             y_train=ds.y_train.copy(),
             y_true=ds.y_true.copy(),
             clean_idx=ds.clean_idx.copy(),
@@ -356,7 +338,8 @@ class _TestScoring:
     The worker first forms the test scores gamma and the engine's
     ``test_scorer``, then scores each block of ``_TEST_BLOCK`` rows of
     ``coefs`` handed to :meth:`submit` once the loop has written them.
-    Blocks are scored in order, with the expressions of a serial pass.
+    Blocks are scored in order, with the expressions of a serial pass; a
+    block whose setup or earlier block failed is not scored.
     """
 
     def __init__(self, pool, eng, test_set: Dataset, coefs: np.ndarray):
@@ -372,6 +355,10 @@ class _TestScoring:
                              .reshape(m, T), (min(_TEST_BLOCK, L), 1))
         self.to_scores = eng.test_scorer(test_set, L)
 
+    def _block_after(self, prev, lo, hi):
+        prev.result()
+        self._block(lo, hi)
+
     def _block(self, lo, hi):
         m, b = len(self.y), hi - lo
         scores = self.to_scores(self.coefs[lo:hi])
@@ -381,8 +368,13 @@ class _TestScoring:
         self.loss[lo:hi] = _logistic_loss(out, self.y).mean(axis=1)
 
     def submit(self, logged: int):
-        """Queue rows up to ``logged`` for scoring."""
-        self.jobs.append(self.pool.submit(self._block, self.submitted, logged))
+        """Queue rows up to ``logged`` for scoring; the error of a block
+        that has already failed is raised here instead."""
+        for job in self.jobs:
+            if job.done():
+                job.result()
+        self.jobs.append(self.pool.submit(self._block_after, self.jobs[-1],
+                                          self.submitted, logged))
         self.submitted = logged
 
     def result(self, logged: int) -> tuple[np.ndarray, np.ndarray]:
@@ -551,26 +543,31 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     """Run ``config.steps`` full-batch GD iterations with instrumentation.
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
-    accuracies (training labels, true labels, held-out clean set), softmax
-    vectors, signal/noise attention and both attention-gap families.  Hooks
-    see each logged step as it happens.  The held-out set is scored on a
-    second thread while the loop runs, each block of logged states once the
-    loop has logged it, so hooks see test metrics only in the finished
-    trace; an error raised there is raised here.  When an update or the
-    scores it leads to go non-finite, training stops; the partial trace is
-    preserved and a :class:`DivergenceError` carrying it is raised unless
+    accuracies (training labels, true labels, held-out clean set), outputs,
+    softmax vectors, attention scores and the class-signal attention
+    lambda_+-.  Hooks see each logged step as it happens, with its softmax,
+    outputs and lambda_+-.  The held-out set is scored on a second thread
+    while the loop runs, each block of logged states once the loop has
+    logged it, so hooks see test metrics only in the finished trace; an
+    error raised there stops the loop at the next block and is raised
+    here.  When an update or the scores it leads to go non-finite,
+    training stops; the partial trace is preserved and a
+    :class:`DivergenceError` carrying it is raised unless
     ``raise_on_divergence`` is False.
     """
-    recorder = _Recorder(dataset, dataset.config.rho, hooks=hooks)
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
     n, T, nT = eng.n, eng.T, eng.nT
     log_at = _log_points(config.steps, config.log_every)
+    recorder = _Recorder(dataset, len(log_at), eng.N, hooks=hooks)
     y = dataset.y_train
     coefs = np.empty((len(log_at), 2 * eng.N + 1))
     logged = 0
     divergence = None
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    # a scoring error stops the loop at the next block boundary; the
+    # blocks still queued are then cancelled, not scored
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
         scoring = (_TestScoring(pool, eng, test_set, coefs)
                    if test_set is not None else None)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -581,16 +578,17 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                 if not np.isfinite(u_all).all():
                     divergence = eng.divergence(step)
                     break
-                u = u_all[:nT].reshape(n, T)
-                probs, out, weights = _attend(u, eng.gamma, y, checked=True)
+                probs, out, weights = _attend(u_all[:nT].reshape(n, T),
+                                              eng.gamma, y, checked=True)
                 if step in log_at:
                     eng.coefficients(coefs[logged])
+                    recorder.log(logged, step, u_all, probs, out)
                     logged += 1
                     if scoring is not None and logged % _TEST_BLOCK == 0:
                         scoring.submit(logged)
-                    recorder.log(step, u, probs, out, float(u_all[nT]),
-                                 float(u_all[nT + 1]))
         test = scoring.result(logged) if scoring is not None else None
+    finally:
+        pool.shutdown(cancel_futures=True)
     full_meta = {"alpha": config.alpha, "steps": config.steps,
                  "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
                  "d": dataset.d, "rho": dataset.config.rho,
@@ -598,7 +596,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                  "sigma_eps": dataset.config.sigma_eps}
     if meta:
         full_meta.update(meta)
-    trace = recorder.finish(full_meta, test, divergence=divergence)
+    trace = recorder.finish(logged, full_meta, test, divergence=divergence)
     result = TrainResult(trace, eng.materialize)
     if divergence is not None and raise_on_divergence:
         raise DivergenceError(trace.diverged_at, trace)

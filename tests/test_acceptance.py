@@ -30,7 +30,7 @@ from attnsim.multiclass import (MulticlassConfig, MulticlassState,
                                 generate_multiclass_dataset, make_class_signals,
                                 multiclass_loss_and_grads)
 from attnsim.rng import stream
-from attnsim.theory import (GoodRunTolerances, etf_gradient_check, g_linearity,
+from attnsim.theory import (etf_gradient_check, g_linearity,
                             good_run_check, measure_grokking,
                             noisy_stage_windows, pre_saturation_window,
                             rel_err, softmax_bound_scan, verify_update_identity)
@@ -149,7 +149,7 @@ class TestCriterion2UpdateIdentities:
         worst = 0.0
         for _ in range(10):
             ds, sig, state = random_instance(rng)
-            rep = verify_update_identity(state, ds, sig, alpha=0.05, tol=1e-9)
+            rep = verify_update_identity(state, ds, sig, alpha=0.05)
             worst = max(worst, max(c.measured["max_rel_err"]
                                    for c in rep.checks))
             assert rep.passed_all
@@ -301,12 +301,11 @@ class TestCriterion6GoodRunFrequencies:
         cfg = DataConfig(n=20, T=8, d=5000, mu_norm=20.0, sigma_eps=1.0,
                          eta=0.2, rho=0.1)
         sig = make_signals(5000, 20.0, "random_orthogonal", stream(66, "s"))
-        tol = GoodRunTolerances(norm_rtol=0.10, inner_c=5.0, delta=0.01)
         norm_hold = inner_hold = 0
         draws = 200
         for k in range(draws):
             ds = generate_dataset(cfg, sig, stream(k, "accept-goodrun"))
-            rep = good_run_check(ds, None, sig, tol=tol,
+            rep = good_run_check(ds, None, sig,
                                  groups=("noise_norms", "noise_inner"))
             norm_hold += rep["good_run_norm_eps"].passed
             inner_hold += rep["good_run_inner_eps_eps"].passed
@@ -363,7 +362,7 @@ class TestCriterion9SoftmaxBracket:
         worst_id = 0.0
         ok = True
         for tr in fig3b_traces:
-            rep = softmax_bound_scan(tr, identity_tol=1e-12)
+            rep = softmax_bound_scan(tr)
             worst_id = max(worst_id, rep.checks[0].measured["max_rel_err"])
             ok &= rep.passed_all
         record_criterion(

@@ -11,9 +11,9 @@ from scipy import optimize, stats
 from attnsim.data import DataConfig, Role, generate_dataset, make_signals
 from attnsim.model import ModelState, make_head, softmax
 from attnsim.rng import stream
-from attnsim.theory import (InteractionTerms, Regime, classify_regime,
-                            compute_diagnostics, g, g_linearity,
-                            good_run_check, init_checks,
+from attnsim.theory import (SOFTMAX_IDENTITY_TOL, InteractionTerms, Regime,
+                            classify_regime, compute_diagnostics, g,
+                            g_linearity, good_run_check, init_checks,
                             loss_derivative_balance, measure_grokking,
                             softmax_bound_check, softmax_bound_scan,
                             verify_update_identity)
@@ -209,22 +209,36 @@ class TestSoftmaxBounds:
         rep = softmax_bound_check(probs, diag.Lambda)
         assert rep.checks[0].measured["max_rel_err"] <= 1e-12
 
+    def test_live_row_past_overflow_is_bracketed(self):
+        # gap range 300: c = c'^3 T/(T-1) = e^900 T/(T-1) exceeds float
+        # range, so c and the bracket are formed in log space.  A softmax
+        # row that gives token 1 no mass must fail the lower bound, and the
+        # consistent row must pass.
+        u = np.array([[0.0, 0.0, -150.0, -300.0]])
+        Lam = u[:, :1] - u[:, 1:]
+        with np.errstate(all="raise"):
+            good = softmax_bound_check(softmax(u, axis=-1), Lam)
+            bad = softmax_bound_check(np.array([[0.0, 0.5, 0.3, 0.2]]), Lam)
+        assert good["softmax_bracket"].passed
+        assert good["softmax_bracket"].measured["skipped_saturated_rows"] == 0
+        assert not bad["softmax_bracket"].passed
+        assert bad["softmax_bracket"].measured["skipped_saturated_rows"] == 0
+
     @staticmethod
-    def scan_per_step(trace, identity_tol=1e-12):
+    def scan_per_step(trace):
         """The scan as one check per logged step, aggregated afterwards."""
         worst_id, bracket_all, d2_all, skipped = 0.0, True, True, 0
         for k in range(trace.n_logged):
-            rep = softmax_bound_check(trace.probs[k], trace.Lambda[k],
-                                      identity_tol=identity_tol)
+            rep = softmax_bound_check(trace.probs[k], trace.Lambda[k])
             worst_id = max(worst_id, rep.checks[0].measured["max_rel_err"])
             bracket_all &= rep.checks[1].passed
             skipped += rep.checks[1].measured["skipped_saturated_rows"]
             d2_all &= rep.checks[2].passed
         return [
             {"name": "softmax_identity_full_trace",
-             "pass": worst_id <= identity_tol,
+             "pass": worst_id <= SOFTMAX_IDENTITY_TOL,
              "measured": {"max_rel_err": worst_id},
-             "threshold": identity_tol, "note": ""},
+             "threshold": SOFTMAX_IDENTITY_TOL, "note": ""},
             {"name": "softmax_bracket_full_trace", "pass": bracket_all,
              "measured": {"skipped_saturated_rows": skipped},
              "threshold": None, "note": ""},
@@ -243,13 +257,12 @@ class TestSoftmaxBounds:
         u = stream(0, "scan").normal(0.0, 2.0, (L, n, T))
         u[2, 1, 0] += 600.0
         u[4, 3, 2] += 700.0
-        Lam = u[:, :, :1] - u[:, :, 1:]
         probs = softmax(u, axis=-1)
         broken = probs.copy()
         broken[3, 0] = [0.0, 0.5, 0.3, 0.0]
         passed = []
         for p in (probs, broken):
-            tr = planted_trace(np.arange(L), p, Lambda=Lam)
+            tr = planted_trace(np.arange(L), p, scores=u)
             with np.errstate(all="raise"):
                 got = [{k: v for k, v in row.items()
                         if k not in ("config_hash", "seed")}
@@ -320,7 +333,7 @@ class TestGoodRun:
         assert rep.passed_all
 
 
-def planted_trace(steps, probs, test_acc=None, Lambda=None, Gamma=None,
+def planted_trace(steps, probs, test_acc=None, scores=None,
                   train_acc=None, outputs=None, y_train=None,
                   noisy=(), meta=None):
     L = len(steps)
@@ -338,9 +351,7 @@ def planted_trace(steps, probs, test_acc=None, Lambda=None, Gamma=None,
         outputs=outputs if outputs is not None else np.zeros((L, n)),
         probs=probs,
         lambda_plus=z.copy(), lambda_minus=z.copy(),
-        rho_attn=np.zeros((L, n, T)),
-        Lambda=Lambda if Lambda is not None else np.zeros((L, n, T - 1)),
-        Gamma=Gamma if Gamma is not None else np.zeros((L, n, T - 1)),
+        scores=scores if scores is not None else np.zeros((L, n, T)),
         y_train=y_train if y_train is not None else np.ones(n, dtype=int),
         y_true=np.ones(n, dtype=int),
         clean_idx=clean, noisy_idx=noisy,
@@ -360,7 +371,10 @@ class TestGLinearity:
         for k, s in enumerate(steps):
             val = self.g_inverse(-3.0 + 0.05 * s, T)
             Lam[k, :, :] = val
-        tr = planted_trace(steps, np.full((L, n, T), 1.0 / T), Lambda=Lam)
+        # scores [0 | -Lambda] give back Lambda exactly
+        tr = planted_trace(steps, np.full((L, n, T), 1.0 / T),
+                           scores=np.concatenate([np.zeros((L, n, 1)), -Lam],
+                                                 axis=-1))
         fit = g_linearity(tr, [0, 1], "Lambda", (0, int(steps[-1])))
         assert fit.pooled.r2 == pytest.approx(1.0, abs=1e-9)
         assert fit.pooled.slope == pytest.approx(0.05, rel=1e-6)
@@ -383,8 +397,10 @@ class TestGLinearity:
     def test_gamma_shifted_uses_rho(self):
         T, L = 4, 10
         steps = np.arange(0, 10 * L, 10)
-        Gam = np.linspace(0, 1, L)[:, None, None] * np.ones((L, 2, T - 1))
-        tr = planted_trace(steps, np.full((L, 2, T), 1.0 / T), Gamma=Gam,
+        # token 2 scores v, every other token 0: each Gamma gap equals v
+        u = np.zeros((L, 2, T))
+        u[:, :, 1] = np.linspace(0, 1, L)[:, None]
+        tr = planted_trace(steps, np.full((L, 2, T), 1.0 / T), scores=u,
                            meta={"rho": 0.1})
         fit = g_linearity(tr, [0, 1], "Gamma_relevant_shifted",
                           (0, int(steps[-1])))

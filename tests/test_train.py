@@ -1,6 +1,7 @@
 import importlib
 import math
 import threading
+from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -282,8 +283,9 @@ class TestTrainLoop:
 
 class TestTraceDiagnostics:
     def test_trace_matches_definitional_recomputation(self):
-        # the trainer fills lambda/rho/Lambda/Gamma from attention scores;
-        # they must match the definitions recomputed from raw tensors
+        # the trainer stores lambda and the attention scores, from which
+        # Lambda and Gamma derive; they must match the definitions
+        # recomputed from raw tensors
         from attnsim.theory import compute_diagnostics
         cfg = DataConfig(n=6, T=5, d=48, mu_norm=5.0, sigma_eps=1.0, eta=0.3,
                          rho=0.2)
@@ -299,7 +301,39 @@ class TestTraceDiagnostics:
         assert tr.lambda_minus[-1] == pytest.approx(diag.lambda_minus, rel=1e-10)
         np.testing.assert_allclose(tr.Lambda[-1], diag.Lambda, atol=1e-10)
         np.testing.assert_allclose(tr.Gamma[-1], diag.Gamma, atol=1e-10)
-        np.testing.assert_allclose(tr.rho_attn[-1], diag.rho_attn, atol=1e-10)
+
+    def test_derived_rows_equal_per_row_formulas(self, monkeypatch):
+        # every step logged: the stored scores are the engine's, bit for
+        # bit, and the gaps and training metrics derived from the stored
+        # arrays equal the per-row formulas the recorder once applied
+        engine_u = []
+        exact_score = _SubspaceEngine._score
+
+        def recording(eng):
+            exact_score(eng)
+            engine_u.append(eng.u.copy())
+
+        monkeypatch.setattr(_SubspaceEngine, "_score", recording)
+        state, ds, sig, _ = TestTrainLoop().setup_run(seed=4)
+        tr = train(state, ds, sig, run_config(steps=40, log_every=1,
+                                              test_size=0)).trace
+        n, T = ds.n, ds.T
+        lam_cols = np.arange(1, T)
+        gam_cols = np.concatenate(([0], np.arange(2, T)))
+        assert tr.n_logged == len(engine_u) == 41
+        for k, u_all in enumerate(engine_u):
+            u = u_all[:n * T].reshape(n, T)
+            lam, gam = u[:, :1] - u[:, lam_cols], u[:, 1:2] - u[:, gam_cols]
+            out, y, y_true = tr.outputs[k], ds.y_train, ds.y_true
+            assert tr.scores[k].tobytes() == u.tobytes()
+            assert tr.lambda_plus[k] == u_all[n * T]
+            assert tr.lambda_minus[k] == u_all[n * T + 1]
+            assert tr.Lambda[k].tobytes() == lam.tobytes()
+            assert tr.Gamma[k].tobytes() == gam.tobytes()
+            assert tr.train_loss[k] == float(np.mean(_logistic_loss(out, y)))
+            assert tr.train_acc[k] == float(_fits(out, y).mean())
+            assert tr.train_acc_true[k] == float(_fits(out, y_true).mean())
+        np.testing.assert_array_equal(tr.Gamma[..., 0], -tr.Lambda[..., 0])
 
 
 def gd_oracle(state, ds, alpha, steps, log_at):
@@ -337,7 +371,6 @@ def assert_trace_matches(trace, logged, ds, sig, test):
         assert rel_err(trace.lambda_minus[k], diag.lambda_minus) < 1e-9
         assert np.max(np.abs(trace.Lambda[k] - diag.Lambda)) < 1e-8
         assert np.max(np.abs(trace.Gamma[k] - diag.Gamma)) < 1e-8
-        assert np.max(np.abs(trace.rho_attn[k] - diag.rho_attn)) < 1e-8
         if test is not None:
             ev = evaluate(test, state)
             assert trace.test_acc[k] == ev.acc_true
@@ -606,19 +639,45 @@ class TestConcurrentTestScoring:
         assert res.trace.test_loss.tobytes() == loss.tobytes()
 
     def test_worker_error_propagates_and_thread_ends(self, monkeypatch):
-        blocks = []
+        # the first block fails only once the loop has queued the second,
+        # which must then not be scored
+        blocks, queued = [], threading.Event()
 
         def failing(self, lo, hi):
             blocks.append((lo, hi))
+            assert queued.wait(timeout=30)
             raise RuntimeError("block scoring failed")
+
+        def hook(step, _info):
+            if step == 2 * _TEST_BLOCK:
+                queued.set()
 
         monkeypatch.setattr(_TestScoring, "_block", failing)
         state, ds, sig, test = self.setup_run()
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block scoring failed"):
             train(state, ds, sig, run_config(steps=100, log_every=1),
-                  test_set=test)
+                  test_set=test, hooks=(hook,))
         assert set(threading.enumerate()) <= before
-        # the first block failed while the loop ran on; the rest were
-        # still scored before the error was raised
-        assert blocks[0] == (0, _TEST_BLOCK) and blocks[-1][1] == 101
+        assert blocks == [(0, _TEST_BLOCK)]
+
+    def test_worker_error_stops_loop_at_next_block(self, monkeypatch):
+        # with the failed block finished before the next block boundary,
+        # the loop stops there instead of running to its last step
+        exact_submit = _TestScoring.submit
+
+        def failing(self, lo, hi):
+            raise RuntimeError("block scoring failed")
+
+        def settled_submit(self, logged):
+            futures.wait(self.jobs, timeout=30)
+            exact_submit(self, logged)
+
+        monkeypatch.setattr(_TestScoring, "_block", failing)
+        monkeypatch.setattr(_TestScoring, "submit", settled_submit)
+        state, ds, sig, test = self.setup_run()
+        seen = []
+        with pytest.raises(RuntimeError, match="block scoring failed"):
+            train(state, ds, sig, run_config(steps=100, log_every=1),
+                  test_set=test, hooks=(lambda step, _: seen.append(step),))
+        assert seen[-1] == 2 * _TEST_BLOCK - 1
