@@ -173,16 +173,20 @@ def roles_for(T: int, n_weak_same: int) -> tuple[Role, ...]:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n token sequences.  ``X`` is the only copy of the tokens; ``noise``
-    is redrawn on first read from ``noise_rng``, a snapshot of the token
-    stream taken just before the noise draw, bit-identical to the noise in X."""
+    """n token sequences.  The tokens ``X`` are drawn from ``noise_rng``, a
+    snapshot of the token stream taken just before the noise draw: the
+    noise is drawn into the token array and the role signals are added in
+    place.  ``X`` is held from the start unless the dataset was generated
+    ``lazy``; then it is drawn whole on first read, and
+    :meth:`token_chunks` reads it chunk by chunk without ever forming it.
+    ``noise`` is redrawn on first read, bit-identical to the noise in X."""
 
     config: DataConfig
-    X: np.ndarray               # (n, T, d) stacked tokens
     y_train: np.ndarray         # (n,) in {+1, -1}
     y_true: np.ndarray          # (n,)
     roles: tuple[Role, ...]
-    noise_rng: np.random.Generator | None = field(repr=False, default=None)
+    signals: SignalBasis = field(repr=False)
+    noise_rng: np.random.Generator = field(repr=False)
     clean_idx: np.ndarray = field(repr=False, default=None)
     noisy_idx: np.ndarray = field(repr=False, default=None)
     clean_pos: np.ndarray = field(repr=False, default=None)
@@ -192,68 +196,111 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return len(self.y_true)
 
     @property
     def T(self) -> int:
-        return self.X.shape[1]
+        return self.config.T
 
     @property
     def d(self) -> int:
-        return self.X.shape[2]
+        return self.config.d
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """(n, T, d) stacked tokens."""
+        return _draw_tokens(copy.deepcopy(self.noise_rng), self.config,
+                            self.signals, self.y_true)
 
     @cached_property
     def noise(self) -> np.ndarray:
         """(n, T, d) the epsilon drawn for each token."""
-        return _draw_noise(copy.deepcopy(self.noise_rng), self.config)
+        return _draw_noise(copy.deepcopy(self.noise_rng), self.config,
+                           self.n)
+
+    def token_chunks(self, size: int):
+        """Yield the tokens of ``size`` consecutive samples at a time (the
+        last chunk may be shorter).  When X is held these are views of it;
+        otherwise each chunk is drawn from the token stream when it is
+        asked for, bit-identical to the same rows of X, and X is never
+        formed."""
+        if "X" in self.__dict__:
+            for lo in range(0, self.n, size):
+                yield self.X[lo:lo + size]
+            return
+        rng = copy.deepcopy(self.noise_rng)
+        for lo in range(0, self.n, size):
+            yield _draw_tokens(rng, self.config, self.signals,
+                               self.y_true[lo:lo + size])
 
 
-def _draw_noise(rng: np.random.Generator, config: DataConfig) -> np.ndarray:
-    """Token noise of a whole dataset, i.i.d. N(0, sigma_eps^2), (n, T, d)."""
-    return rng.normal(0.0, config.sigma_eps, (config.n, config.T, config.d))
+def _draw_noise(rng: np.random.Generator, config: DataConfig,
+                n: int) -> np.ndarray:
+    """Token noise of n samples, i.i.d. N(0, sigma_eps^2), (n, T, d).
+    Consecutive draws from one stream continue each other element by
+    element, so drawing a dataset's noise in sample chunks gives the same
+    bits as one draw."""
+    return rng.normal(0.0, config.sigma_eps, (n, config.T, config.d))
 
 
 def _build_tokens(y_true: np.ndarray, tokens: np.ndarray, signals: SignalBasis,
                   rho: float, n_weak_same: int) -> np.ndarray:
     """Add the role signals in place to ``tokens`` (n, T, d), which holds
-    the noise on entry, one sample at a time (no temporaries); returns it.
-    Reconstruction is bit-exact: adding the role signals to the noise with
-    the same expressions reproduces the stored tokens."""
+    the noise on entry; returns it.  Each (label, role) pair is one masked
+    in-place add over all samples, so there are no temporaries and six
+    numpy calls whatever n is (a thread drawing tokens beside a busy one
+    waits for the interpreter lock once per call).  Reconstruction is
+    bit-exact: adding the role signals to the noise with the same
+    expressions reproduces the stored tokens."""
     plus, minus = signals.mu_plus, signals.mu_minus
-    by_label = {1: (plus, rho * plus, rho * minus),
-                -1: (minus, rho * minus, rho * plus)}
-    for x, y in zip(tokens, y_true):
-        sig, weak_sig, weak_opp = by_label[1 if y > 0 else -1]
-        x[0] += sig
-        x[1] += weak_opp
-        x[2:2 + n_weak_same] += weak_sig
+    pos = (y_true > 0)[:, None, None]
+    for label, (sig, weak_sig, weak_opp) in (
+            (pos, (plus, rho * plus, rho * minus)),
+            (~pos, (minus, rho * minus, rho * plus))):
+        for rows, vec in ((tokens[:, :1], sig), (tokens[:, 1:2], weak_opp),
+                          (tokens[:, 2:2 + n_weak_same], weak_sig)):
+            np.add(rows, vec, out=rows, where=label)
     return tokens
 
 
+def _draw_tokens(rng: np.random.Generator, config: DataConfig,
+                 signals: SignalBasis, y_true: np.ndarray) -> np.ndarray:
+    """The next len(y_true) samples' tokens from the token stream ``rng``:
+    their noise, with the role signals of their true labels added."""
+    return _build_tokens(y_true, _draw_noise(rng, config, len(y_true)),
+                         signals, config.rho, config.n_weak_same)
+
+
 def generate_dataset(config: DataConfig, signals: SignalBasis,
-                     rng: np.random.Generator) -> Dataset:
+                     rng: np.random.Generator, lazy: bool = False) -> Dataset:
     """Draw n samples i.i.d., then flip each training label independently
     with probability eta.  Token draws and label flips use independent
-    child streams, so the same tokens appear for any eta.  The noise is
-    drawn into the token array itself and the signals are added in place."""
+    child streams, so the same tokens appear for any eta.  The tokens are
+    drawn here unless ``lazy``; a lazy dataset has the same labels and,
+    whenever they are read, the same tokens."""
     tok_rng, flip_rng = rng.spawn(2)
     n = config.n
     y_true = np.where(tok_rng.random(n) < 0.5, 1, -1).astype(np.int64)
-    noise_rng = copy.deepcopy(tok_rng)
-    X = _build_tokens(y_true, _draw_noise(tok_rng, config), signals,
-                      config.rho, config.n_weak_same)
     flips = flip_rng.random(n) < config.eta
     y_train = np.where(flips, -y_true, y_true).astype(np.int64)
 
     idx = np.arange(n)
     clean = y_train == y_true
-    return Dataset(
-        config=config, X=X, y_train=y_train, y_true=y_true,
-        roles=roles_for(config.T, config.n_weak_same), noise_rng=noise_rng,
+    ds = Dataset(
+        config=config, y_train=y_train, y_true=y_true,
+        roles=roles_for(config.T, config.n_weak_same), signals=signals,
+        noise_rng=copy.deepcopy(tok_rng),
         clean_idx=idx[clean], noisy_idx=idx[~clean],
         clean_pos=idx[clean & (y_train > 0)], clean_neg=idx[clean & (y_train < 0)],
         noisy_pos=idx[~clean & (y_train > 0)], noisy_neg=idx[~clean & (y_train < 0)],
     )
+    if not lazy:
+        # stored where the cached X lives: drawing it through the property
+        # would hold cached_property's lock, which Python before 3.12
+        # shares across instances, so concurrent sweep cells would draw
+        # their tokens one after another
+        ds.__dict__["X"] = _draw_tokens(tok_rng, config, signals, y_true)
+    return ds
 
 
 def snr(config: DataConfig) -> float:

@@ -30,7 +30,8 @@ from .theory import (UPDATE_IDENTITY_TOL, CheckResult, TheoryReport,
                      measure_grokking, pre_saturation_window, rel_err,
                      softmax_bound_scan, verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainTrace,
-                    finite_diff_grad, grad_p, grad_w, train)
+                    finite_diff_grad, grad_p, grad_w, projects_test_set,
+                    train)
 
 __all__ = [
     "ModelParams",
@@ -183,7 +184,9 @@ def build_inputs(config: ExperimentConfig):
     The d x d draw of W(0) runs on a second thread while the signals and
     datasets are drawn on this one: numpy releases the GIL while it fills
     arrays, and each stream has its own generator, so every array is the
-    same bit for bit as in a serial draw."""
+    same bit for bit as in a serial draw.  A test set that ``train`` will
+    score through its projection (:func:`projects_test_set`) is left
+    undrawn: ``train`` draws it chunk by chunk beside its loop."""
     s = config.seed
     sw, sp = config.resolved_sigmas()
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -195,7 +198,9 @@ def build_inputs(config: ExperimentConfig):
         test_set = None
         if config.train.test_size > 0:
             test_cfg = replace(config.data, n=config.train.test_size, eta=0.0)
-            test_set = generate_dataset(test_cfg, signals, stream(s, "test"))
+            test_set = generate_dataset(
+                test_cfg, signals, stream(s, "test"),
+                lazy=projects_test_set(config.data, config.train))
         W, p = init.result()
     nu = make_head(signals, config.model.head_scale)
     state0 = ModelState(W=W, p=p, nu=nu)

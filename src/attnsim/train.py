@@ -19,12 +19,13 @@ oracle the engine is tested against.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError, Dataset, SignalBasis, _check_type
+from .data import ConfigError, DataConfig, Dataset, SignalBasis, _check_type
 from .model import (ModelState, _attend, _fits, _logistic_loss, _token_scores,
                     evaluate, forward, loss_derivative)
 
@@ -40,6 +41,7 @@ __all__ = [
     "output_grads",
     "gd_step",
     "train",
+    "projects_test_set",
     "finite_diff_grad",
     "central_difference",
     "attention_gaps",
@@ -329,11 +331,16 @@ class _Recorder:
 # Logged states scored together on the test set: bounds the (block, m*T)
 # score temporaries.
 _TEST_BLOCK = 32
+# Test samples read, and on the projection branch drawn, at a time.  A
+# multiple of 8, so that every chunk but a short last one has a multiple of
+# 8 token rows; products over such chunks came out bit-equal to one product
+# over all the tokens under OpenBLAS (which does not promise it).
+_TEST_CHUNK = 64
 
 
 class _TestScoring:
     """Test accuracy and mean logistic loss of every logged state, scored
-    on ``pool``'s one worker while the loop runs.
+    on a worker thread while the loop runs.
 
     The worker first forms the test scores gamma and the engine's
     ``test_scorer``, then scores each block of ``_TEST_BLOCK`` rows of
@@ -342,18 +349,19 @@ class _TestScoring:
     block whose setup or earlier block failed is not scored.
     """
 
-    def __init__(self, pool, eng, test_set: Dataset, coefs: np.ndarray):
-        self.pool, self.coefs, self.y = pool, coefs, test_set.y_true
+    def __init__(self, eng, test_set: Dataset, coefs: np.ndarray,
+                 projected: bool):
+        self.pool = ThreadPoolExecutor(max_workers=1)
+        self.stopped = threading.Event()
+        self.coefs, self.y = coefs, test_set.y_true
         self.acc, self.loss = np.empty(len(coefs)), np.empty(len(coefs))
         self.submitted = 0
-        self.jobs = [pool.submit(self._setup, eng, test_set)]
+        self.jobs = [self.pool.submit(self._setup, eng, test_set, projected)]
 
-    def _setup(self, eng, test_set):
-        m, T, d = test_set.X.shape
-        L = len(self.coefs)
-        self.gamma = np.tile((test_set.X.reshape(m * T, d) @ eng._nu)
-                             .reshape(m, T), (min(_TEST_BLOCK, L), 1))
-        self.to_scores = eng.test_scorer(test_set, L)
+    def _setup(self, eng, test_set, projected):
+        gamma, self.to_scores = eng.test_scorer(test_set, projected,
+                                                self.stopped)
+        self.gamma = np.tile(gamma, (min(_TEST_BLOCK, len(self.coefs)), 1))
 
     def _block_after(self, prev, lo, hi):
         prev.result()
@@ -386,9 +394,30 @@ class _TestScoring:
             job.result()
         return self.acc[:logged], self.loss[:logged]
 
+    def close(self):
+        """End the worker: a test draw still running stops at its next
+        chunk, blocks not yet started are cancelled, and the thread is
+        joined."""
+        self.stopped.set()
+        self.pool.shutdown(cancel_futures=True)
+
 
 def _log_points(steps: int, log_every: int):
     return set(range(0, steps + 1, log_every)) | {steps}
+
+
+def projects_test_set(data: DataConfig, config: TrainConfig) -> bool:
+    """Whether :func:`train` scores the held-out set through its projection
+    onto the basis ``[W0^T P | B^T]``, reading the test tokens chunk by
+    chunk on its scoring thread, rather than through each logged state's
+    ``W^T p`` against test tokens held whole.  With N = nT + 2 basis rows
+    and L logged states, the projection's one (N + 1) d^2 product
+    ``P^T W0`` costs less than forming L states' ``W^T p`` at d^2 each
+    once L > N + 1.  (Against the m T test tokens the projection costs
+    (2N + 1) d m T and the direct branch L d m T; only the projection
+    never holds the tokens.)"""
+    logged = len(_log_points(config.steps, config.log_every))
+    return logged > data.n * data.T + 3
 
 
 # Number of steps whose rank-one terms wait beside L and Z before one GEMM
@@ -504,27 +533,51 @@ class _SubspaceEngine:
         row[:N + 1] = self.x
         np.multiply(c, -self.alpha, out=row[N + 1:])
 
-    def test_scorer(self, test_set, L):
-        """A map from a block of coefficient rows to the flat test scores
-        (block, m*T) of those states, for L logged states.
+    def test_scorer(self, test_set, projected, stopped):
+        """The test tokens' head scores gamma (m, T), and a map from a block
+        of coefficient rows to the flat test scores (block, m*T) of those
+        states.
 
-        With more states than basis columns 2N + 1, the test tokens are
-        projected onto the basis here, once, and each block is one GEMM.
-        Otherwise each state's W^T p is formed in d dimensions and the
-        tokens are multiplied by it, which never forms W0^T V.
+        ``projected``: the tokens are projected onto the basis once, by
+        :meth:`test_projection`, and each block is one GEMM.  Otherwise the
+        tokens are held, and each state's W^T p is formed in d dimensions
+        and the tokens are multiplied by it, which never forms W0^T V.
         """
+        if projected:
+            gamma, proj = self.test_projection(test_set, stopped)
+            return gamma, lambda rows: rows @ proj
         N, W0, P, B = self.N, self._W0, self._P, self._B
         flat_test = test_set.X.reshape(test_set.n * self.T, -1)
-        if L > 2 * N + 1:
-            proj = np.empty((2 * N + 1, flat_test.shape[0]))
-            np.matmul(P.T @ W0, flat_test.T, out=proj[:N + 1])
-            np.matmul(B, flat_test.T, out=proj[N + 1:])
-            return lambda rows: rows @ proj
+        gamma = (flat_test @ self._nu).reshape(test_set.n, self.T)
 
         def scores(rows):
             return ((rows[:, :N + 1] @ P.T) @ W0
                     + rows[:, N + 1:] @ B) @ flat_test.T
-        return scores
+        return gamma, scores
+
+    def test_projection(self, test_set, stopped):
+        """The test tokens' head scores gamma (m, T) and their projection
+        (2N + 1, m*T) onto ``[P^T W0; B]``, the rows that map a coefficient
+        row to W^T p.  The tokens are read ``_TEST_CHUNK`` samples at a
+        time, drawn chunk by chunk when the test set does not hold them,
+        and each chunk is dropped once reduced.  Once ``stopped`` is set,
+        the draw ends at the next chunk with :class:`CancelledError`."""
+        N, T = self.N, self.T
+        PtW0 = self._P.T @ self._W0
+        gamma = np.empty(test_set.n * T)
+        proj = np.empty((2 * N + 1, test_set.n * T))
+        lo = 0
+        for chunk in test_set.token_chunks(_TEST_CHUNK):
+            flat = chunk.reshape(len(chunk) * T, -1)
+            hi = lo + len(flat)
+            np.matmul(flat, self._nu, out=gamma[lo:hi])
+            np.matmul(PtW0, flat.T, out=proj[:N + 1, lo:hi])
+            np.matmul(self._B, flat.T, out=proj[N + 1:, lo:hi])
+            lo = hi
+            del chunk, flat     # before the next chunk is drawn
+            if stopped.is_set():
+                raise CancelledError("test draw stopped")
+        return gamma.reshape(test_set.n, T), proj
 
     def materialize(self):
         self._fold()
@@ -550,7 +603,10 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     while the loop runs, each block of logged states once the loop has
     logged it, so hooks see test metrics only in the finished trace; an
     error raised there stops the loop at the next block and is raised
-    here.  When an update or the scores it leads to go non-finite,
+    here.  When :func:`projects_test_set` holds, that thread reads the
+    test tokens chunk by chunk, drawing them if ``test_set`` was generated
+    lazy, and an error raised in the loop stops that draw at its next
+    chunk.  When an update or the scores it leads to go non-finite,
     training stops; the partial trace is preserved and a
     :class:`DivergenceError` carrying it is raised unless
     ``raise_on_divergence`` is False.
@@ -566,10 +622,10 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
 
     # a scoring error stops the loop at the next block boundary; the
     # blocks still queued are then cancelled, not scored
-    pool = ThreadPoolExecutor(max_workers=1)
+    scoring = (_TestScoring(eng, test_set, coefs,
+                            projects_test_set(dataset.config, config))
+               if test_set is not None else None)
     try:
-        scoring = (_TestScoring(pool, eng, test_set, coefs)
-                   if test_set is not None else None)
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(config.steps + 1):
                 if step:
@@ -588,7 +644,8 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                         scoring.submit(logged)
         test = scoring.result(logged) if scoring is not None else None
     finally:
-        pool.shutdown(cancel_futures=True)
+        if scoring is not None:
+            scoring.close()
     full_meta = {"alpha": config.alpha, "steps": config.steps,
                  "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
                  "d": dataset.d, "rho": dataset.config.rho,

@@ -167,6 +167,26 @@ class TestGenerateDataset:
                             cfg.n_weak_same)
         assert np.array_equal(ds.X, ref)
 
+    @pytest.mark.parametrize("T", [6, 8])
+    def test_token_chunks_equal_eager_draw(self, T):
+        # 21 samples in chunks of 8: two whole chunks and a partial one
+        cfg = small_config(n=21, T=T, d=40)
+        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
+                           stream(8, "s"))
+        eager = generate_dataset(cfg, sig, stream(8, "d"))
+        lazy = generate_dataset(cfg, sig, stream(8, "d"), lazy=True)
+        assert np.array_equal(lazy.y_true, eager.y_true)
+        assert np.array_equal(lazy.y_train, eager.y_train)
+        assert np.array_equal(lazy.noisy_idx, eager.noisy_idx)
+        chunks = list(lazy.token_chunks(8))
+        assert [len(c) for c in chunks] == [8, 8, 5]
+        assert "X" not in lazy.__dict__
+        assert np.concatenate(chunks).tobytes() == eager.X.tobytes()
+        # a held X is read through views, and a lazy X drawn whole on read
+        assert all(np.shares_memory(c, eager.X)
+                   for c in eager.token_chunks(8))
+        assert lazy.X.tobytes() == eager.X.tobytes()
+
     def test_one_token_array_in_memory(self):
         cfg = DataConfig(n=300, T=8, d=1500, mu_norm=20.0, sigma_eps=1.0,
                          eta=0.2, rho=0.1)

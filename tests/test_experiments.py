@@ -168,6 +168,28 @@ class TestBuildInputs:
         train(state0, dataset, signals, cfg.train, test_set=test_set)
         assert "noise" not in test_set.__dict__
 
+    @pytest.mark.parametrize("log_every, projected", [(20, False),
+                                                      (1, True)])
+    def test_token_draws_per_branch(self, monkeypatch, log_every, projected):
+        # the direct branch draws each dataset's tokens once, beside W(0);
+        # the projection branch leaves the 150 test samples to train, which
+        # draws them in chunks and never holds them whole
+        data_mod = importlib.import_module("attnsim.data")
+        exact, drawn = data_mod._draw_tokens, []
+
+        def counting(rng, config, signals, y_true):
+            drawn.append(len(y_true))
+            return exact(rng, config, signals, y_true)
+
+        monkeypatch.setattr(data_mod, "_draw_tokens", counting)
+        cfg = tiny_config(seed=4, log_every=log_every, test_size=150)
+        assert experiments.projects_test_set(cfg.data, cfg.train) == projected
+        signals, dataset, test_set, state0 = build_inputs(cfg)
+        assert drawn == ([8] if projected else [8, 150])
+        train(state0, dataset, signals, cfg.train, test_set=test_set)
+        assert drawn == ([8, 64, 64, 22] if projected else [8, 150])
+        assert ("X" in test_set.__dict__) != projected
+
     def test_init_error_propagates_and_thread_ends(self, monkeypatch):
         def failing_init(*args, **kwargs):
             raise RuntimeError("init draw failed")

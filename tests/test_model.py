@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,9 +207,9 @@ class TestEvaluate:
 
     def test_empty_rejected(self):
         ds, sig = self.make_dataset()
-        empty = type(ds)(config=ds.config, X=np.zeros((0, 5, 24)),
-                         y_train=np.zeros(0, dtype=int),
-                         y_true=np.zeros(0, dtype=int), roles=ds.roles)
+        empty = replace(ds, y_train=np.zeros(0, dtype=int),
+                        y_true=np.zeros(0, dtype=int))
+        assert empty.X.shape == (0, 5, 24)
         state = ModelState(W=np.zeros((24, 24)), p=np.zeros(24), nu=np.zeros(24))
         with pytest.raises(ValueError):
             evaluate(empty, state)

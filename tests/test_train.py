@@ -1,6 +1,7 @@
 import importlib
 import math
 import threading
+import tracemalloc
 from concurrent import futures
 from dataclasses import replace
 
@@ -15,11 +16,12 @@ from attnsim.model import (ModelState, _attend, _fits, _logistic_loss,
                            evaluate, init_params, make_head, softmax)
 from attnsim.rng import stream
 from attnsim.theory import compute_diagnostics, rel_err
-from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError, TrainConfig,
-                           _log_points, _SubspaceEngine, _TestScoring,
-                           central_difference, empirical_loss,
+from attnsim.train import (_FOLD, _TEST_BLOCK, _TEST_CHUNK, DivergenceError,
+                           TrainConfig, _log_points, _SubspaceEngine,
+                           _TestScoring, central_difference, empirical_loss,
                            finite_diff_grad, gd_step, grad_p, grad_w,
-                           loss_derivative, output_grads, train)
+                           loss_derivative, output_grads, projects_test_set,
+                           train)
 
 
 def make_instance(seed=0, n=4, T=3, d=8, sigma=0.5):
@@ -159,6 +161,67 @@ class TestFiniteDiff:
             errs.append(float(np.max(np.abs(fd_w - gw))))
         ratio = errs[0] / errs[1]
         assert 2.5 <= ratio <= 6.0  # ~4 expected
+
+
+class TestDirectionalGradientOracle:
+    """The closed-form gradient at paper scale (d=2000, n=20, T=8), where
+    ``finite_diff_grad``'s d^2 + d loss evaluations are out of reach:
+    <grad_w, D> + <grad_p, e> against the central difference of
+    ``empirical_loss`` along random directions (D, e).
+
+    Each direction has the norms of (W, p) and the step t is measured in
+    score units: h moves no training score by more than 1e-3 to first
+    order.  Richardson's combination of the differences at h and h/2 has
+    truncation error O(h^4), about 1e-12 of the derivative in those units.
+    Rounding in the loss (|loss| <= 1, float64) adds about 3 eps / h.  So a
+    right gradient meets |fd - an| <= 1e-6 |an| + 1e-12 / h with a wide
+    margin, while a wrong term moves it by the order of |an|, which must
+    itself lie well above the rounding floor."""
+
+    @staticmethod
+    def assert_directional_derivatives(ds, state, rng, directions=3):
+        d = state.d
+        flat = ds.X.reshape(ds.n * ds.T, d)
+        gw, gp = grad_w(ds, state), grad_p(ds, state)
+        for _ in range(directions):
+            D = rng.normal(size=(d, d))
+            D *= np.linalg.norm(state.W) / np.linalg.norm(D)
+            e = rng.normal(size=d)
+            e *= np.linalg.norm(state.p) / np.linalg.norm(e)
+            h = 1e-3 / np.abs(flat @ (D.T @ state.p + state.W.T @ e)).max()
+
+            def loss_at(t):
+                return empirical_loss(ds, ModelState(
+                    W=state.W + t * D, p=state.p + t * e, nu=state.nu))
+
+            fd = (4 * central_difference(loss_at, 0.0, h / 2)
+                  - central_difference(loss_at, 0.0, h)) / 3
+            an = float(np.sum(gw * D) + gp @ e)
+            assert abs(an) > 1e-9 / h
+            assert abs(fd - an) <= 1e-6 * abs(an) + 1e-12 / h
+
+    def paper_scale(self):
+        d = 2000
+        cfg = DataConfig(n=20, T=8, d=d, mu_norm=20.0, sigma_eps=1.0,
+                         eta=0.2, rho=0.1)
+        sig = make_signals(d, 20.0, "random_orthogonal", stream(0, "s"))
+        ds = generate_dataset(cfg, sig, stream(0, "d"))
+        s = 3 * a8_sigma(cfg)
+        W, p = init_params(d, s, s, stream(0, "i"))
+        return ds, sig, ModelState(W=W, p=p, nu=make_head(sig))
+
+    @pytest.mark.slow
+    def test_at_init(self):
+        ds, _, state = self.paper_scale()
+        self.assert_directional_derivatives(ds, state, stream(0, "dir"))
+
+    @pytest.mark.slow
+    def test_after_5000_steps(self):
+        ds, sig, state = self.paper_scale()
+        res = train(state, ds, sig, run_config(alpha=5e-3, steps=5000,
+                                               log_every=5000, test_size=0))
+        self.assert_directional_derivatives(ds, res.final_state(),
+                                            stream(1, "dir"))
 
 
 class TestGdStep:
@@ -405,9 +468,9 @@ class TestSubspaceAgainstGdStep:
         W, p = init_params(d, 0.05, 0.05, stream(seed, "i"))
         return ModelState(W=W, p=p, nu=make_head(sig)), ds, sig, test
 
-    # log_every=1 logs more states than the 2N + 1 = 53 basis columns, so
-    # the test set is scored through its projection onto the basis; the
-    # sparser cadences score it through each state's W^T p
+    # with N = nT + 2 = 26, cadences 1 and 10 log more than N + 1 states,
+    # so the test set is scored through its projection onto the basis;
+    # cadence 17 logs 10 states and scores it through each state's W^T p
     @pytest.mark.parametrize("steps, log_every", [
         pytest.param(4 * _FOLD + _FOLD // 2 + 3, 1, id="1"),
         pytest.param(4 * _FOLD + _FOLD // 2 + 3, _FOLD // 2 + 1,
@@ -582,7 +645,7 @@ class TestConcurrentTestScoring:
     logged states."""
 
     def setup_run(self, seed=11, d=64):
-        cfg = DataConfig(n=6, T=4, d=d, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
+        cfg = DataConfig(n=11, T=4, d=d, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
                          rho=0.2)
         sig = make_signals(d, 4.0, "random_orthogonal", stream(seed, "s"))
         ds = generate_dataset(cfg, sig, stream(seed, "d"))
@@ -591,7 +654,7 @@ class TestConcurrentTestScoring:
         W, p = init_params(d, 0.05, 0.05, stream(seed, "i"))
         return ModelState(W=W, p=p, nu=make_head(sig)), ds, sig, test
 
-    # N = nT + 2 = 26, so more than 2N + 1 = 53 logged states are scored
+    # N = nT + 2 = 46, so more than N + 1 = 47 logged states are scored
     # through the test set's projection onto the basis, fewer through each
     # state's W^T p; the fault diverges the run mid-block, after 40 rows
     @pytest.mark.parametrize("steps, log_every, fault_at, projected", [
@@ -632,9 +695,11 @@ class TestConcurrentTestScoring:
             assert len(rows) % _TEST_BLOCK != 0
         eng = engines[0]
         L = len(_log_points(steps, log_every))
-        assert (L > 2 * eng.N + 1) == projected
+        assert (L > eng.N + 1) == projected
+        assert projects_test_set(ds.config, tcfg) == projected
+        _, to_scores = eng.test_scorer(test, projected, threading.Event())
         acc, loss = serial_test_metrics(test, state.nu, np.array(rows),
-                                        eng.test_scorer(test, L))
+                                        to_scores)
         assert res.trace.test_acc.tobytes() == acc.tobytes()
         assert res.trace.test_loss.tobytes() == loss.tobytes()
 
@@ -681,3 +746,135 @@ class TestConcurrentTestScoring:
             train(state, ds, sig, run_config(steps=100, log_every=1),
                   test_set=test, hooks=(lambda step, _: seen.append(step),))
         assert seen[-1] == 2 * _TEST_BLOCK - 1
+
+
+class TestStreamedTestSet:
+    """On the projection branch the scoring thread reads the test tokens
+    in chunks, drawing them when the test set was generated lazy; the
+    metrics must equal those of the same run given the tokens whole."""
+
+    def setup_run(self, seed=11, n=6, T=4, d=64, m=150):
+        cfg = DataConfig(n=n, T=T, d=d, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
+                         rho=0.2)
+        sig = make_signals(d, 4.0, "random_orthogonal", stream(seed, "s"))
+        ds = generate_dataset(cfg, sig, stream(seed, "d"))
+        test_cfg = replace(cfg, n=m, eta=0.0)
+        lazy = generate_dataset(test_cfg, sig, stream(seed, "t"), lazy=True)
+        W, p = init_params(d, 0.05, 0.05, stream(seed, "i"))
+        return ModelState(W=W, p=p, nu=make_head(sig)), ds, sig, lazy
+
+    @staticmethod
+    def whole(test_set, seed=11):
+        """The same test set, drawn whole."""
+        return generate_dataset(test_set.config, test_set.signals,
+                                stream(seed, "t"))
+
+    # (T, m): 200 samples are three chunks of 64 and one of 8, all with a
+    # multiple of 8 token rows; at T=6, 203 samples end in a chunk of 66
+    # rows, whose products need not carry the one-shot bits (under
+    # OpenBLAS both gamma and the projection differ there in the last bits)
+    @pytest.mark.parametrize("T, m, bitwise", [(6, 200, True),
+                                               (8, 200, True),
+                                               (6, 203, False)])
+    def test_projection_equals_one_shot(self, T, m, bitwise):
+        state, ds, sig, lazy = self.setup_run(n=16, T=T, d=800, m=m)
+        eng = _SubspaceEngine(state, ds, sig, 0.05)
+        gamma, proj = eng.test_projection(lazy, threading.Event())
+        assert "X" not in lazy.__dict__
+        N, X = eng.N, self.whole(lazy).X.reshape(m * T, 800)
+        PtW0 = eng._P.T @ eng._W0
+        ref = np.empty((2 * N + 1, m * T))
+        np.matmul(PtW0, X.T, out=ref[:N + 1])
+        np.matmul(eng._B, X.T, out=ref[N + 1:])
+        ref_gamma = (X @ state.nu).reshape(m, T)
+        if bitwise:
+            assert gamma.tobytes() == ref_gamma.tobytes()
+            assert proj.tobytes() == ref.tobytes()
+        else:
+            # float64 rounding of d-term dot products
+            tol = 2 * 800 * np.finfo(float).eps
+            mag = np.abs(X) @ np.abs(state.nu)
+            assert np.all(np.abs(gamma - ref_gamma) <= tol * mag.reshape(m, T))
+            mag = np.abs(np.vstack([PtW0, eng._B])) @ np.abs(X).T
+            assert np.all(np.abs(proj - ref) <= tol * mag)
+
+    def test_streamed_run_equals_whole_test_set(self):
+        state, ds, sig, lazy = self.setup_run()
+        tcfg = run_config(alpha=0.05, steps=100, log_every=1)
+        assert projects_test_set(ds.config, tcfg)
+        streamed = train(state, ds, sig, tcfg, test_set=lazy).trace
+        assert "X" not in lazy.__dict__
+        held = train(state, ds, sig, tcfg, test_set=self.whole(lazy)).trace
+        assert streamed.test_acc.tobytes() == held.test_acc.tobytes()
+        assert streamed.test_loss.tobytes() == held.test_loss.tobytes()
+
+    def test_test_tokens_never_held(self):
+        # 400 test samples at T=8, d=1500 are 38.4 MB of tokens; a
+        # projection-branch run draws and scores them holding one chunk of
+        # 64 samples (16%) and the projection ((2N + 1)/d = 7%) at a time
+        state, ds, sig, _ = self.setup_run(n=6, T=8, d=1500)
+        tcfg = run_config(alpha=0.05, steps=60, log_every=1)
+        assert projects_test_set(ds.config, tcfg)
+        test_cfg = replace(ds.config, n=400, eta=0.0)
+        tracemalloc.start()
+        try:
+            lazy = generate_dataset(test_cfg, sig, stream(11, "t"), lazy=True)
+            train(state, ds, sig, tcfg, test_set=lazy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "X" not in lazy.__dict__
+        assert peak < 400 * 8 * 1500 * 8 / 3
+
+    def test_loop_error_stops_test_draw(self, monkeypatch):
+        # a hook that raises at step 0 ends the run while the worker draws
+        # the first of three test chunks; it must draw no further chunk
+        data_mod = importlib.import_module("attnsim.data")
+        exact_draw, exact_close = data_mod._draw_tokens, _TestScoring.close
+        drawn, closing, closed = [], [], threading.Event()
+
+        def counting_draw(rng, config, signals, y_true):
+            drawn.append(len(y_true))
+            if len(drawn) == 1:
+                assert closed.wait(timeout=30)
+                assert closing[0].stopped.wait(timeout=30)
+            return exact_draw(rng, config, signals, y_true)
+
+        def recording_close(self):
+            closing.append(self)
+            closed.set()
+            exact_close(self)
+
+        def failing_hook(step, _info):
+            raise RuntimeError("hook failed")
+
+        state, ds, sig, lazy = self.setup_run()
+        monkeypatch.setattr(data_mod, "_draw_tokens", counting_draw)
+        monkeypatch.setattr(_TestScoring, "close", recording_close)
+        with pytest.raises(RuntimeError, match="hook failed"):
+            train(state, ds, sig, run_config(steps=100, log_every=1),
+                  test_set=lazy, hooks=(failing_hook,))
+        assert drawn == [_TEST_CHUNK]
+
+    @pytest.mark.slow
+    def test_harmful_point(self):
+        # the harmful regime point of the acceptance suite over 20000 steps,
+        # 201 logged states and 1000 test samples (N = 162)
+        d = 5000
+        cfg = DataConfig(n=20, T=8, d=d, mu_norm=5.0, sigma_eps=1.0,
+                         eta=0.2, rho=0.1, n_weak_same=1)
+        sig = make_signals(d, 5.0, "random_orthogonal", stream(0, "s"))
+        ds = generate_dataset(cfg, sig, stream(0, "d"))
+        test_cfg = replace(cfg, n=1000, eta=0.0)
+        s = 3 * a8_sigma(cfg)
+        W, p = init_params(d, s, s, stream(0, "i"))
+        state = ModelState(W=W, p=p, nu=make_head(sig))
+        tcfg = run_config(alpha=5e-3, steps=20000, log_every=100)
+        assert projects_test_set(cfg, tcfg)
+        lazy = generate_dataset(test_cfg, sig, stream(0, "t"), lazy=True)
+        streamed = train(state, ds, sig, tcfg, test_set=lazy).trace
+        assert "X" not in lazy.__dict__
+        held = train(state, ds, sig, tcfg, test_set=generate_dataset(
+            test_cfg, sig, stream(0, "t"))).trace
+        assert streamed.test_acc.tobytes() == held.test_acc.tobytes()
+        assert streamed.test_loss.tobytes() == held.test_loss.tobytes()
