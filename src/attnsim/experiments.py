@@ -29,7 +29,7 @@ from .theory import (UPDATE_IDENTITY_TOL, CheckResult, TheoryReport,
                      g_linearity, init_checks, loss_derivative_balance,
                      measure_grokking, pre_saturation_window, rel_err,
                      softmax_bound_scan, verify_update_identity)
-from .train import (DivergenceError, TrainConfig, TrainTrace,
+from .train import (DivergenceError, InitProducts, TrainConfig, TrainTrace,
                     finite_diff_grad, grad_p, grad_w, projects_test_set,
                     train)
 
@@ -178,43 +178,71 @@ def default_config() -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def build_inputs(config: ExperimentConfig):
-    """Deterministically expand a configuration into signals, datasets and
-    the initial model state; each stochastic piece has its own stream.
+    """Deterministically expand a configuration into signals, datasets, the
+    initial model state and its :class:`InitProducts`; each stochastic
+    piece has its own stream.
 
-    The d x d draw of W(0) runs on a second thread while the signals and
-    datasets are drawn on this one: numpy releases the GIL while it fills
-    arrays, and each stream has its own generator, so every array is the
-    same bit for bit as in a serial draw.  A test set that ``train`` will
-    score through its projection (:func:`projects_test_set`) is left
-    undrawn: ``train`` draws it chunk by chunk beside its loop."""
-    s = config.seed
+    A second thread draws W(0) block by block (:func:`init_params`), then
+    p(0), while this one draws the signals, the training set, which gives
+    the engine's basis B, and the test set.  Each thread then forms
+    V = W(0) B^T one drawn row block at a time: this one as soon as its
+    draws are done, the draw thread once W(0) and p(0) are, each taking
+    the next block not yet taken.  numpy releases the GIL while it fills
+    arrays and multiplies, so the draws and blocks overlap on two cores.
+    The bits cannot depend on the schedule: each stream has its own
+    generator, and each block of V is formed by the same product whichever
+    thread takes it, over the blocks ``train`` uses for a held W(0).  A
+    test set that ``train`` will score through its projection
+    (:func:`projects_test_set`) is left undrawn: ``train`` draws it chunk
+    by chunk beside its loop."""
+    s, d = config.seed, config.data.d
     sw, sp = config.resolved_sigmas()
+    products = InitProducts(d)
+
+    def draw_init():
+        try:
+            W, p = init_params(d, sw, sp, stream(s, "init"),
+                               on_rows=products.rows_drawn)
+        except BaseException:
+            products.stop()
+            raise
+        products.form()
+        return W, p
+
     with ThreadPoolExecutor(max_workers=1) as pool:
-        init = pool.submit(init_params, config.data.d, sw, sp,
-                           stream(s, "init"))
-        signals = make_signals(config.data.d, config.data.mu_norm,
-                               config.model.signal_mode, stream(s, "signals"))
-        dataset = generate_dataset(config.data, signals, stream(s, "data"))
-        test_set = None
-        if config.train.test_size > 0:
-            test_cfg = replace(config.data, n=config.train.test_size, eta=0.0)
-            test_set = generate_dataset(
-                test_cfg, signals, stream(s, "test"),
-                lazy=projects_test_set(config.data, config.train))
+        init = pool.submit(draw_init)
+        try:
+            signals = make_signals(d, config.data.mu_norm,
+                                   config.model.signal_mode,
+                                   stream(s, "signals"))
+            dataset = generate_dataset(config.data, signals, stream(s, "data"))
+            products.set_basis(dataset, signals)
+            test_set = None
+            if config.train.test_size > 0:
+                test_cfg = replace(config.data, n=config.train.test_size,
+                                   eta=0.0)
+                test_set = generate_dataset(
+                    test_cfg, signals, stream(s, "test"),
+                    lazy=projects_test_set(config.data, config.train))
+            products.form()
+        except BaseException:
+            products.stop()
+            raise
         W, p = init.result()
     nu = make_head(signals, config.model.head_scale)
     state0 = ModelState(W=W, p=p, nu=nu)
-    return signals, dataset, test_set, state0
+    return signals, dataset, test_set, state0, products
 
 
 def execute(config: ExperimentConfig,
             raise_on_divergence: bool = True):
     """Run one configured training; returns (trace, final_state_fn)."""
-    signals, dataset, test_set, state0 = build_inputs(config)
+    signals, dataset, test_set, state0, products = build_inputs(config)
     sw, sp = config.resolved_sigmas()
     result = train(state0, dataset, signals, config.train, test_set=test_set,
                    meta={"seed": config.seed, "sigma_w": sw, "sigma_p": sp},
-                   raise_on_divergence=raise_on_divergence)
+                   raise_on_divergence=raise_on_divergence,
+                   products=products)
     return result
 
 
@@ -533,7 +561,7 @@ def _build_train_inputs(config: ExperimentConfig):
 def _suite_goodrun(config: ExperimentConfig) -> TheoryReport:
     # concentration events only: the class-count brackets are n ~ 10^3
     # statements and stay report-level at typical run sizes
-    signals, dataset, _, state0 = _build_train_inputs(config)
+    signals, dataset, _, state0, _ = _build_train_inputs(config)
     sw, sp = config.resolved_sigmas()
     return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp,
                           groups=("noise_norms", "noise_inner", "init_norms",
@@ -541,7 +569,7 @@ def _suite_goodrun(config: ExperimentConfig) -> TheoryReport:
 
 
 def _suite_init(config: ExperimentConfig) -> TheoryReport:
-    signals, dataset, _, state0 = _build_train_inputs(config)
+    signals, dataset, _, state0, _ = _build_train_inputs(config)
     return init_checks(state0, dataset, signals, config.train.alpha)
 
 

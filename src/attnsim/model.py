@@ -55,12 +55,38 @@ class ModelState:
         return self.p.shape[0]
 
 
+# Rows of W(0) drawn at a time.
+INIT_ROWS = 256
+
+
+def row_blocks(d: int) -> list[tuple[int, int]]:
+    """The row ranges [lo, hi) in which :func:`init_params` draws W(0)."""
+    return [(lo, min(lo + INIT_ROWS, d)) for lo in range(0, d, INIT_ROWS)]
+
+
 def init_params(d: int, sigma_w: float, sigma_p: float,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian initialization: W_ij ~ N(0, sigma_w^2), p_i ~ N(0, sigma_p^2)."""
+                rng: np.random.Generator,
+                on_rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian initialization: W_ij ~ N(0, sigma_w^2), p_i ~ N(0, sigma_p^2).
+
+    W is drawn row block by row block (:func:`row_blocks`), then p; the
+    stream continues element by element across blocks, so W has the bits
+    of one (d, d) draw.  ``on_rows(W, lo, hi)`` is called once each block's
+    rows are in W.  With sigma_w = 0, W is zero and p is the stream's first
+    draw."""
     if sigma_w < 0 or sigma_p < 0:
         raise ValueError("initialization scales must be >= 0")
-    W = rng.normal(0.0, sigma_w, size=(d, d)) if sigma_w > 0 else np.zeros((d, d))
+    W = np.empty((d, d)) if sigma_w > 0 else np.zeros((d, d))
+    for lo, hi in row_blocks(d):
+        if sigma_w > 0:
+            rows = W[lo:hi]
+            # rng.normal(0.0, sigma_w) computes 0 + sigma_w z; drawn in
+            # place, without a temporary
+            rng.standard_normal(out=rows)
+            np.multiply(rows, sigma_w, out=rows)
+            np.add(rows, 0.0, out=rows)
+        if on_rows is not None:
+            on_rows(W, lo, hi)
     p = rng.normal(0.0, sigma_p, size=d) if sigma_p > 0 else np.zeros(d)
     return W, p
 

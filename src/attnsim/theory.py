@@ -4,11 +4,11 @@ Everything here is a pure function of model snapshots, datasets, traces or
 configurations: attention gaps and their g-transformed linear growth,
 one-step update identities for signal/noise attention, softmax
 concentration brackets, high-probability ("good run") events at finite
-scale, the scaling assumptions A1-A8, initialization uniformity, regime
-classification from the signal-to-noise ratio, grokking times, and the ETF
-geometry of the head gradient at zero initialization.  Every check returns
-:class:`CheckResult` rows in a :class:`TheoryReport`, with measured values
-and margins; pass flags use explicit caller tolerances.
+scale, initialization uniformity, regime classification from the
+signal-to-noise ratio, grokking times, and the ETF geometry of the head
+gradient at zero initialization.  Every check returns :class:`CheckResult`
+rows in a :class:`TheoryReport`, with measured values and margins; pass
+flags use explicit caller tolerances.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "softmax_bound_check",
     "softmax_bound_scan",
     "good_run_check",
-    "check_assumptions",
     "GLinearityResult",
     "g_linearity",
     "pre_saturation_window",
@@ -521,55 +520,6 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
                             ("count_noisy_neg", len(dataset.noisy_neg))):
             event(name, float(count), lo=eta * n / 4, hi=3 * eta * n / 4)
 
-    return report
-
-
-# --------------------------------------------------------------------------
-# Scaling assumptions
-# --------------------------------------------------------------------------
-
-def check_assumptions(config: DataConfig, sigma_w: float, sigma_p: float,
-                      alpha: float, C: float = 1.0, delta: float = 0.01,
-                      a8_slack: float = 10.0) -> TheoryReport:
-    """Evaluate the eight scaling conditions A1-A8 relating d, ||mu||, n,
-    rho, alpha, eta, T and the initialization variances.
-
-    Each row carries the value and its margin (distance to the nearest
-    bound; positive means slack) in ``measured`` and the bounds in
-    ``threshold``.  The universal constant C is a caller choice (default
-    1); per-inequality margins matter more than the aggregate verdict at
-    desk scale.  A8 is a two-sided band around the target variance with
-    slack ``a8_slack``.
-    """
-    if C <= 0 or delta <= 0 or a8_slack < 1:
-        raise ValueError("C, delta must be positive and a8_slack >= 1")
-    n, T, d = config.n, config.T, config.d
-    mu, sig, eta, rho = config.mu_norm, config.sigma_eps, config.eta, config.rho
-    log_term = math.log(T * n / delta)
-    sig_hat = max(sig, 1.0 / sig) if sig > 0 else math.inf
-    a8_target = 1.0 / (max(mu * math.sqrt(d), sig * d) * log_term ** 2)
-    report = TheoryReport()
-
-    def condition(name, value, lo=None, hi=None, note=""):
-        margin = min(math.inf if lo is None else value - lo,
-                     math.inf if hi is None else hi - value)
-        report.checks.append(_bounds_check(
-            name, value, lo, hi, {"value": value, "margin": margin}, note))
-
-    condition("A1_dimension", d,
-              lo=C * sig_hat * n * mu ** (4 / 3) * log_term ** 3)
-    condition("A2_signal_norm", mu, lo=C * sig * d ** (3 / 8) * log_term)
-    condition("A3_weak_scale", rho, lo=C * sig * log_term / mu, hi=1.0 / C)
-    condition("A4_step_size", alpha,
-              hi=1.0 / (C * max(mu * math.sqrt(d), sig * d)))
-    condition("A5_sample_count", n, lo=C * math.log(d / delta))
-    condition("A6_noise_rate", eta, hi=1.0 / C)
-    condition("A7_token_count", T,
-              note="constant-order by construction; no numeric bound")
-    condition("A8_init_variance_w", sigma_w ** 2,
-              lo=a8_target / a8_slack, hi=a8_target * a8_slack)
-    condition("A8_init_variance_p", sigma_p ** 2,
-              lo=a8_target / a8_slack, hi=a8_target * a8_slack)
     return report
 
 

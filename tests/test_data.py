@@ -6,9 +6,8 @@ import pytest
 from scipy import stats
 
 from attnsim.data import (ConfigError, DataConfig, Role, _build_tokens,
-                          a8_sigma, generate_dataset, make_signals, snr)
+                          generate_dataset, make_signals, snr)
 from attnsim.rng import stream
-from attnsim.theory import check_assumptions
 
 
 def small_config(**kw):
@@ -258,41 +257,3 @@ class TestSnr:
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
             snr(small_config(sigma_eps=0.0))
-
-
-class TestAssumptions:
-    def fig3b(self):
-        return DataConfig(n=20, T=8, d=2000, mu_norm=20.0, sigma_eps=1.0,
-                          eta=0.2, rho=0.1)
-
-    def test_report_lists_margins(self):
-        cfg = self.fig3b()
-        s = a8_sigma(cfg)
-        rep = check_assumptions(cfg, sigma_w=s, sigma_p=s, alpha=5e-3, C=1.0)
-        assert len(rep.checks) == 9
-        for c in rep.checks:
-            assert math.isfinite(c.measured["value"])
-            assert set(c.threshold) == {"lo", "hi"}
-        # the a8-derived sigmas sit exactly at the A8 target
-        assert rep["A8_init_variance_w"].passed
-        assert rep["A8_init_variance_p"].passed
-
-    def test_large_d_direction(self):
-        lo = check_assumptions(self.fig3b(), 0.01, 0.01, 1e-4)
-        big = DataConfig(n=20, T=8, d=10 ** 9, mu_norm=20.0, sigma_eps=1.0,
-                         eta=0.2, rho=0.1)
-        hi = check_assumptions(big, 0.01, 0.01, 1e-4)
-        assert hi["A1_dimension"].passed
-        assert not hi["A2_signal_norm"].passed
-        assert (hi["A1_dimension"].measured["margin"]
-                > lo["A1_dimension"].measured["margin"])
-
-    def test_rho_band(self):
-        cfg = self.fig3b()
-        rep = check_assumptions(cfg, 0.01, 0.01, 1e-4, C=1.0)
-        # rho = 0.1 < sigma*log(Tn/delta)/mu ~ 0.48 at C=1
-        assert not rep["A3_weak_scale"].passed
-        wide = DataConfig(n=20, T=8, d=2000, mu_norm=2000.0, sigma_eps=1.0,
-                          eta=0.2, rho=0.1)
-        rep = check_assumptions(wide, 0.01, 0.01, 1e-4)
-        assert rep["A3_weak_scale"].passed

@@ -5,23 +5,24 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import attnsim
-from attnsim import experiments
+from attnsim import experiments, model
 from attnsim.cli import EXIT_NUMERICAL, EXIT_USAGE
 from attnsim.cli import main as cli_main
 from attnsim.data import (ConfigError, DataConfig, generate_dataset,
                           make_signals)
 from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  build_inputs, default_config, run,
-                                 run_check_suites, sweep)
-from attnsim.model import init_params
+                                 run_check_suites, sweep, trace_table)
+from attnsim.model import ModelState, init_params, make_head
 from attnsim.rng import stream
-from attnsim.train import TrainConfig, train
+from attnsim.train import InitProducts, TrainConfig, _SubspaceEngine, train
 
 
 def tiny_config(seed=0, **train_kw):
@@ -123,14 +124,22 @@ class TestRun:
 
 
 class TestBuildInputs:
-    """W(0) is drawn on a second thread while the data are drawn; every
-    array must still equal a serial draw from the same named stream."""
+    """W(0) is drawn on a second thread while the data are drawn, and
+    V = W(0) B^T is formed a row block at a time by both threads; every
+    array, the engine's products and the trace must still equal a serial
+    draw from the same named stream followed by training on the held
+    W(0)."""
 
-    @pytest.mark.parametrize("d", [8, 1000])
-    def test_bit_equal_to_serial_draws(self, d):
+    @pytest.mark.parametrize("d, sigma_w, sigma_p", [
+        (8, None, None), (1000, None, None), (768, None, None),
+        (600, 0.0, None), (600, None, 0.0)],
+        ids=["8", "1000", "768", "600-sigma_w0", "600-sigma_p0"])
+    def test_bit_equal_to_serial_draws(self, d, sigma_w, sigma_p):
+        # 1000 and 600 end in a ragged row block, 768 in a whole one
         cfg = tiny_config(seed=5)
-        cfg = replace(cfg, data=replace(cfg.data, d=d))
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        cfg = replace(cfg, data=replace(cfg.data, d=d),
+                      model=ModelParams(sigma_w=sigma_w, sigma_p=sigma_p))
+        signals, dataset, test_set, state0, products = build_inputs(cfg)
 
         ref_signals = make_signals(d, cfg.data.mu_norm, cfg.model.signal_mode,
                                    stream(5, "signals"))
@@ -148,6 +157,40 @@ class TestBuildInputs:
             assert np.array_equal(got.y_true, ref.y_true)
         assert np.array_equal(state0.W, ref_W)
         assert np.array_equal(state0.p, ref_p)
+        if sigma_w == 0.0:
+            assert not ref_W.any()
+            assert np.array_equal(ref_p, stream(5, "init").normal(
+                0.0, cfg.resolved_sigmas()[1], size=d))
+        if sigma_p == 0.0:
+            assert not ref_p.any()
+
+        ref_state = ModelState(W=ref_W, p=ref_p,
+                               nu=make_head(ref_signals,
+                                            cfg.model.head_scale))
+        alpha = cfg.train.alpha
+        eng = _SubspaceEngine(state0, dataset, signals, alpha, products)
+        ref_eng = _SubspaceEngine(ref_state, ref_data, ref_signals, alpha)
+        N = eng.N
+        assert eng._P.tobytes() == ref_eng._P.tobytes()      # [p0 | V]
+        assert eng._B.tobytes() == ref_eng._B.tobytes()
+        assert (eng._KP[:N + 1].tobytes()                     # K = P^T P
+                == ref_eng._KP[:N + 1].tobytes())
+
+        got = train(state0, dataset, signals, cfg.train, test_set=test_set,
+                    products=products).trace
+        ref = train(ref_state, ref_data, ref_signals, cfg.train,
+                    test_set=ref_test).trace
+        assert trace_table(got, [0, 1]) == trace_table(ref, [0, 1])
+        for name in ("test_loss", "scores", "outputs"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(ref, name).tobytes())
+
+    def test_products_of_another_state_rejected(self):
+        cfg = tiny_config(seed=5)
+        signals, dataset, _, state0, products = build_inputs(cfg)
+        other = ModelState(W=state0.W.copy(), p=state0.p, nu=state0.nu)
+        with pytest.raises(ValueError, match="another W"):
+            train(other, dataset, signals, cfg.train, products=products)
 
     def test_without_test_set_other_arrays_unchanged(self):
         cfg = tiny_config(seed=2)
@@ -164,7 +207,7 @@ class TestBuildInputs:
         # the test set is scored through X alone, so its noise is never
         # regenerated
         cfg = tiny_config(seed=1)
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        signals, dataset, test_set, state0, _ = build_inputs(cfg)
         train(state0, dataset, signals, cfg.train, test_set=test_set)
         assert "noise" not in test_set.__dict__
 
@@ -184,7 +227,7 @@ class TestBuildInputs:
         monkeypatch.setattr(data_mod, "_draw_tokens", counting)
         cfg = tiny_config(seed=4, log_every=log_every, test_size=150)
         assert experiments.projects_test_set(cfg.data, cfg.train) == projected
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        signals, dataset, test_set, state0, _ = build_inputs(cfg)
         assert drawn == ([8] if projected else [8, 150])
         train(state0, dataset, signals, cfg.train, test_set=test_set)
         assert drawn == ([8, 64, 64, 22] if projected else [8, 150])
@@ -199,6 +242,92 @@ class TestBuildInputs:
         with pytest.raises(RuntimeError, match="init draw failed"):
             build_inputs(tiny_config())
         assert set(threading.enumerate()) <= before
+
+    def test_init_error_after_first_block_releases_waiting_thread(
+            self, monkeypatch):
+        # the calling thread forms the first block, then waits for rows
+        # that never come: the failed draw must wake it, and build_inputs
+        # must raise the draw's error instead of hanging
+        first_formed = threading.Event()
+        exact_multiply = InitProducts._multiply
+
+        def multiply(self, lo, hi):
+            exact_multiply(self, lo, hi)
+            first_formed.set()
+
+        def failing_init(d, sigma_w, sigma_p, rng, on_rows):
+            def first_block_then_fail(W, lo, hi):
+                on_rows(W, lo, hi)
+                assert first_formed.wait(timeout=30)
+                raise RuntimeError("init draw failed")
+            return init_params(d, sigma_w, sigma_p, rng,
+                               on_rows=first_block_then_fail)
+
+        monkeypatch.setattr(InitProducts, "_multiply", multiply)
+        monkeypatch.setattr(experiments, "init_params", failing_init)
+        cfg = tiny_config()
+        cfg = replace(cfg, data=replace(cfg.data, d=1000))
+        errors = []
+
+        def call():
+            try:
+                build_inputs(cfg)
+            except RuntimeError as err:
+                errors.append(err)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(errors) == 1 and "init draw failed" in str(errors[0])
+
+    def test_every_block_formed_once_under_fast_switching(self, monkeypatch):
+        # two-row blocks and a 1 us switch interval, for about a second:
+        # build_inputs's two threads, and four threads taking the blocks of
+        # one draw, form each block exactly once, and V equals the serial
+        # routine's
+        monkeypatch.setattr(model, "INIT_ROWS", 2)
+        formed = []
+        exact_multiply = InitProducts._multiply
+
+        def multiply(self, lo, hi):
+            formed.append((lo, hi))
+            exact_multiply(self, lo, hi)
+
+        monkeypatch.setattr(InitProducts, "_multiply", multiply)
+        d = 301
+        cfg = tiny_config()
+        cfg = replace(cfg, data=replace(cfg.data, d=d))
+        interval = sys.getswitchinterval()
+        start, builds = time.monotonic(), 0
+        sys.setswitchinterval(1e-6)
+        try:
+            while builds < 3 or time.monotonic() - start < 1.0:
+                formed.clear()
+                signals, dataset, _, state0, products = build_inputs(
+                    replace(cfg, seed=builds))
+                assert sorted(formed) == model.row_blocks(d)
+                serial = InitProducts.of(state0.W, dataset, signals)
+
+                formed.clear()
+                shared = InitProducts(d)
+                takers = [threading.Thread(target=shared.form)
+                          for _ in range(4)]
+                for taker in takers:
+                    taker.start()
+                shared.set_basis(dataset, signals)
+                init_params(d, *cfg.resolved_sigmas(),
+                            stream(builds, "init"), on_rows=shared.rows_drawn)
+                for taker in takers:
+                    taker.join(timeout=30)
+                assert not any(taker.is_alive() for taker in takers)
+                assert sorted(formed) == model.row_blocks(d)
+                for got in (products, shared):
+                    assert got.P[:, 1:].tobytes() == serial.P[:, 1:].tobytes()
+                builds += 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 30
 
 
 class TestSweep:
