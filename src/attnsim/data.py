@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -37,12 +38,15 @@ class ConfigError(ValueError):
 
 def _check_type(name: str, value, kind: type) -> None:
     """Raise ConfigError naming ``name`` unless ``value`` is an integer
-    (``kind`` int; numpy integers included) or a real number (``kind``
-    float).  bool is neither."""
+    (``kind`` int; numpy integers included) or a finite real number
+    (``kind`` float; JSON's NaN and Infinity are not).  bool is neither."""
     abc, what = ((numbers.Integral, "an integer") if kind is int
                  else (numbers.Real, "a real number"))
     if isinstance(value, bool) or not isinstance(value, abc):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    # NaN compares false, and an integer beyond any float fails too
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 class Role(str, Enum):

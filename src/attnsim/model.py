@@ -74,7 +74,7 @@ def init_params(d: int, sigma_w: float, sigma_p: float,
     of one (d, d) draw.  ``on_rows(W, lo, hi)`` is called once each block's
     rows are in W.  With sigma_w = 0, W is zero and p is the stream's first
     draw."""
-    if sigma_w < 0 or sigma_p < 0:
+    if not (sigma_w >= 0 and sigma_p >= 0):     # NaN fails too
         raise ValueError("initialization scales must be >= 0")
     W = np.empty((d, d)) if sigma_w > 0 else np.zeros((d, d))
     for lo, hi in row_blocks(d):

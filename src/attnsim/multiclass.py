@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfigError
+from .data import ConfigError, _check_type
 from .model import softmax
 
 __all__ = [
@@ -40,6 +40,8 @@ class MulticlassConfig:
     n_weak: int = 2
 
     def __post_init__(self):
+        for name in ("mu_norm", "sigma_eps", "eta", "rho"):
+            _check_type(name, getattr(self, name), float)
         if self.K < 2:
             raise ConfigError("K must be >= 2")
         if self.n < 1 or self.T < 1 or self.d < 1:
@@ -101,21 +103,42 @@ def make_class_signals(d: int, K: int, mu_norm: float,
     raise ValueError(f"unknown signal mode {mode!r}")
 
 
-def generate_multiclass_dataset(config: MulticlassConfig, mus: np.ndarray,
-                                rng: np.random.Generator) -> MulticlassDataset:
-    n, T, d, K = config.n, config.T, config.d, config.K
+def _draw_labels(n: int, config: MulticlassConfig,
+                 rng: np.random.Generator):
+    """Spawn a batch's token and flip streams and draw its n labels.
+    Returns the token stream, positioned at the noise, with y_true, the
+    weak classes and y_train."""
+    K = config.K
     tok_rng, flip_rng = rng.spawn(2)
     y_true = tok_rng.integers(K, size=n)
     weak = tok_rng.integers(K, size=(n, config.n_weak))
-    X = tok_rng.normal(0.0, config.sigma_eps, size=(n, T, d))
-    X[:, 0, :] += mus[y_true]
-    for j in range(config.n_weak):
-        X[:, 1 + j, :] += config.rho * mus[weak[:, j]]
     flips = flip_rng.random(n) < config.eta
     offset = flip_rng.integers(1, K, size=n)
     y_train = np.where(flips, (y_true + offset) % K, y_true)
+    return tok_rng, y_true, weak, y_train
+
+
+def _draw_tokens(config: MulticlassConfig, mus: np.ndarray,
+                 tok_rng: np.random.Generator, y_true: np.ndarray,
+                 weak: np.ndarray) -> np.ndarray:
+    """Tokens (len(y_true), T, d) of the token stream's next samples: noise,
+    then the true-class signal added to token 1 and each weak token's
+    rho-scaled class signal.  Drawing a batch in consecutive slices gives
+    the bits of one draw."""
+    X = tok_rng.normal(0.0, config.sigma_eps,
+                       size=(len(y_true), config.T, config.d))
+    X[:, 0, :] += mus[y_true]
+    for j in range(config.n_weak):
+        X[:, 1 + j, :] += config.rho * mus[weak[:, j]]
+    return X
+
+
+def generate_multiclass_dataset(config: MulticlassConfig, mus: np.ndarray,
+                                rng: np.random.Generator) -> MulticlassDataset:
+    tok_rng, y_true, weak, y_train = _draw_labels(config.n, config, rng)
+    X = _draw_tokens(config, mus, tok_rng, y_true, weak)
     return MulticlassDataset(X=X, y_train=y_train, y_true=y_true,
-                             weak_classes=weak, K=K)
+                             weak_classes=weak, K=config.K)
 
 
 def _forward_multiclass(dataset: MulticlassDataset, state: MulticlassState):
@@ -160,8 +183,13 @@ def grad_wv(dataset: MulticlassDataset, state: MulticlassState) -> np.ndarray:
     return pooled.T @ coeff / n
 
 
-# Monte Carlo draws generated together by head_gradient_estimate.
+# Monte Carlo samples of one head_gradient_estimate batch.  Each batch
+# spawns its own token and flip streams, so the batch size and the spawn
+# order fix the sample: changing either changes the estimate, and neither
+# can be tuned.
 _ESTIMATE_BATCH = 4096
+# Samples whose tokens are held at once; any size gives the same bits.
+_ESTIMATE_CHUNK = 256
 
 
 def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
@@ -173,21 +201,34 @@ def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
     At zero weights the attention is uniform and all class logits vanish,
     so each draw contributes (indicator(y = k) - 1/K) times its token mean;
     in expectation the class-k column is proportional to mu_k - mean(mu).
+
+    Each batch's tokens are drawn and reduced to their token means
+    _ESTIMATE_CHUNK samples at a time, with the bits of :func:`grad_wv`
+    at the all-zero state over whole dataset batches.
     """
+    if np.shape(mus) != (config.K, config.d):
+        raise ValueError(f"mus must have shape (K, d) = "
+                         f"{(config.K, config.d)}, got {np.shape(mus)}")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    d, K = config.d, config.K
-    state = MulticlassState(W=np.zeros((d, d)), p=np.zeros(d),
-                            W_V=np.zeros((d, K)))
+    d, K, T = config.d, config.K, config.T
     total = np.zeros((d, K))
     remaining = mc_samples
     while remaining > 0:
         m = min(_ESTIMATE_BATCH, remaining)
-        ds = generate_multiclass_dataset(
-            MulticlassConfig(n=m, T=config.T, d=d, K=K, mu_norm=config.mu_norm,
-                             sigma_eps=config.sigma_eps, eta=config.eta,
-                             rho=config.rho, n_weak=config.n_weak),
-            mus, rng)
-        total += -grad_wv(ds, state) * m
+        tok_rng, y_true, weak, y_train = _draw_labels(m, config, rng)
+        pooled = np.empty((m, d))
+        for lo in range(0, m, _ESTIMATE_CHUNK):
+            hi = min(lo + _ESTIMATE_CHUNK, m)
+            # uniform attention: softmax of the zero scores is exactly 1/T
+            s = np.full((hi - lo, T), 1.0 / T)
+            pooled[lo:hi] = np.einsum(
+                "it,itd->id", s,
+                _draw_tokens(config, mus, tok_rng, y_true[lo:hi], weak[lo:hi]))
+        # grad_wv at zero logits, where q = softmax(0) is exactly 1/K; its
+        # mean is taken and scaled back by m, as the held path does
+        coeff = np.full((m, K), 1.0 / K)
+        coeff[np.arange(m), y_train] -= 1.0
+        total += -(pooled.T @ coeff / m) * m
         remaining -= m
     return total / mc_samples

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -523,6 +524,8 @@ class TestCli:
         ("train", "steps", "10"),
         ("train", "alpha", "x"),
         ("model", "sigma_w", "0.1"),
+        # JSON's NaN: sigma_w > 0 is false for it, so W(0) would be zero
+        ("model", "sigma_w", math.nan),
     ])
     def test_config_fault_rejected_at_load(self, tmp_path, capsys, section,
                                            key, value):
@@ -538,15 +541,32 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()   # nothing ran
 
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="int-beyond-float")])
+    @pytest.mark.parametrize("section, key", [
+        ("data", "mu_norm"), ("data", "sigma_eps"), ("data", "eta"),
+        ("data", "rho"), ("train", "alpha"), ("train", "fit_threshold"),
+        ("train", "gen_threshold"), ("model", "sigma_w"),
+        ("model", "sigma_p"), ("model", "head_scale"),
+        ("model", "assumption_delta"),
+    ])
+    def test_non_finite_real_rejected_at_load(self, section, key, value):
+        obj = tiny_config().to_json()
+        obj[section][key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            ExperimentConfig.from_json(obj)
+
     @pytest.mark.parametrize("key, value, match", [
         ("d_values", [48, 1], "d must be"),
         ("d_values", 5, "d_values"),
         ("d_values", [48.5], "d_values"),
         ("mu_values", ["4"], "mu_values"),
+        ("mu_values", [4.0, math.inf], "mu_values must be finite"),
         ("seeds", [0.5], "seeds"),
         ("seeds", [0, -1], "seeds"),
     ], ids=["d-below-two", "d-not-list", "d-float", "mu-string",
-            "seed-float", "seed-negative"])
+            "mu-infinite", "seed-float", "seed-negative"])
     def test_sweep_cell_fault_rejected_at_load(self, tmp_path, capsys, key,
                                                value, match):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),

@@ -29,6 +29,12 @@ class TestInitParams:
         b = init_params(32, 0.5, 0.2, stream(3, "i"))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("sigma_w, sigma_p", [
+        (-0.1, 0.1), (0.1, -0.1), (math.nan, 0.1), (0.1, math.nan)])
+    def test_negative_or_nan_scale_rejected(self, sigma_w, sigma_p):
+        with pytest.raises(ValueError, match="scales"):
+            init_params(8, sigma_w, sigma_p, stream(0, "i"))
+
 
 class TestMakeHead:
     def test_axis_aligned_closed_form(self):

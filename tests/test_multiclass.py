@@ -1,16 +1,20 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from attnsim.data import DataConfig, generate_dataset, make_signals
+from attnsim import multiclass
+from attnsim.data import (ConfigError, DataConfig, generate_dataset,
+                          make_signals)
 from attnsim.model import make_head
 from attnsim.multiclass import (MulticlassConfig, MulticlassDataset,
                                 MulticlassState, generate_multiclass_dataset,
                                 grad_wv, head_gradient_estimate,
                                 make_class_signals, multiclass_loss_and_grads)
 from attnsim.rng import stream
-from attnsim.theory import rel_err
+from attnsim.theory import etf_gradient_check, rel_err
 from attnsim.train import empirical_loss
 
 
@@ -43,6 +47,14 @@ class TestClassSignals:
     def test_needs_room(self):
         with pytest.raises(ValueError):
             make_class_signals(2, 3, 1.0, "axis_aligned")
+
+
+class TestMulticlassConfig:
+    @pytest.mark.parametrize("key", ["mu_norm", "sigma_eps", "eta", "rho"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_real_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            kcfg(**{key: value})
 
 
 class TestKDataset:
@@ -178,3 +190,59 @@ class TestHeadGradientGeometry:
         coeff[np.arange(ds.n), ds.y_train] -= 1.0
         expected = token_means.T @ coeff / ds.n
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+def held_batch_estimate(cfg, mus, mc_samples, rng):
+    """Reference for head_gradient_estimate: each batch drawn whole and run
+    through grad_wv at the all-zero state."""
+    zero = MulticlassState(W=np.zeros((cfg.d, cfg.d)), p=np.zeros(cfg.d),
+                           W_V=np.zeros((cfg.d, cfg.K)))
+    total = np.zeros((cfg.d, cfg.K))
+    remaining = mc_samples
+    while remaining > 0:
+        m = min(multiclass._ESTIMATE_BATCH, remaining)
+        ds = generate_multiclass_dataset(replace(cfg, n=m), mus, rng)
+        total += -grad_wv(ds, zero) * m
+        remaining -= m
+    return total / mc_samples
+
+
+class TestStreamedHeadGradient:
+    @pytest.mark.parametrize("chunk, mc_samples, kw", [
+        (512, 4096 + 700, {}),                          # ragged batch and chunk
+        (300, 2 * 4096, {}),                            # ragged last chunk
+        (512, 1500, dict(n_weak=0, K=2)),
+        (512, 1500, dict(sigma_eps=0.0, eta=0.0)),
+        (1, 37, dict(T=3, n_weak=1)),
+    ], ids=["ragged-batch", "ragged-chunk", "no-weak", "noise-free",
+            "one-sample-chunks"])
+    def test_equals_held_batch_path_bytes(self, monkeypatch, chunk,
+                                          mc_samples, kw):
+        monkeypatch.setattr(multiclass, "_ESTIMATE_CHUNK", chunk)
+        cfg = kcfg(**{"n": 1, "T": 5, "d": 16, **kw})
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(11, "k"))
+        got = head_gradient_estimate(cfg, mus, mc_samples, stream(11, "mc"))
+        want = held_batch_estimate(cfg, mus, mc_samples, stream(11, "mc"))
+        assert got.tobytes() == want.tobytes()
+
+    def test_never_holds_a_batch(self):
+        cfg = kcfg(n=1, T=6, d=256, K=3)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(12, "k"))
+        batch_bytes = multiclass._ESTIMATE_BATCH * cfg.T * cfg.d * 8
+        tracemalloc.start()
+        try:
+            head_gradient_estimate(cfg, mus, multiclass._ESTIMATE_BATCH,
+                                   stream(12, "mc"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch_bytes / 3
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_signal_shape_checked(self, rows):
+        cfg = kcfg(d=32, K=3)
+        mus = make_class_signals(cfg.d, rows, cfg.mu_norm, "axis_aligned")
+        with pytest.raises(ValueError, match="shape"):
+            head_gradient_estimate(cfg, mus, 1000, stream(13, "mc"))
+        with pytest.raises(ValueError, match="shape"):
+            etf_gradient_check(cfg, mus, 1000, stream(13, "mc"))
