@@ -8,8 +8,7 @@ finite-scale good-run events, grokking, and SNR-based overfitting regimes.
 """
 from .data import (ConfigError, DataConfig, Dataset, Role, SignalBasis,
                    a8_sigma, generate_dataset, make_signals, snr)
-from .model import (EvalResult, ForwardResult, ModelState, evaluate, forward,
-                    init_params, make_head, predict, softmax)
+from .model import ModelState, batch_outputs, init_params, make_head, softmax
 from .multiclass import (MulticlassConfig, MulticlassDataset, MulticlassState,
                          generate_multiclass_dataset, grad_wv,
                          head_gradient_estimate, make_class_signals,

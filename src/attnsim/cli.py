@@ -20,9 +20,9 @@ import sys
 from dataclasses import replace
 
 from .data import ConfigError
-from .experiments import (ExperimentConfig, SweepSpec, classify,
-                          default_config, run, run_check_suites, sweep,
-                          CHECK_SUITES)
+from .experiments import (ExperimentConfig, SweepSpec, default_config, run,
+                          run_check_suites, sweep, CHECK_SUITES)
+from .theory import classify_regime
 from .train import DivergenceError
 
 EXIT_OK = 0
@@ -121,7 +121,10 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "classify":
             config = ExperimentConfig.from_json(_load_json(args.config))
-            print(classify(config))
+            if config.data.sigma_eps == 0:
+                raise ConfigError("classify needs sigma_eps > 0: the SNR is "
+                                  "undefined for noiseless data")
+            print(classify_regime(config.data))
             return EXIT_OK
         parser.error(f"unknown command {args.command}")
     except ConfigError as exc:

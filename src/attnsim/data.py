@@ -317,7 +317,10 @@ def snr(config: DataConfig) -> float:
 def a8_sigma(config: DataConfig, delta: float = 0.01, scale: float = 1.0) -> float:
     """Initialization std making the initial attention near-uniform:
     sigma^2 = scale / (max{||mu|| sqrt(d), sigma_eps d} * log^2(Tn/delta)).
+    ``delta`` is a failure probability, in (0, 1).
     """
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_term = math.log(config.T * config.n / delta)
     denom = max(config.mu_norm * math.sqrt(config.d),
                 config.sigma_eps * config.d) * log_term ** 2

@@ -42,7 +42,6 @@ __all__ = [
     "run",
     "sweep",
     "run_check_suites",
-    "classify",
     "CHECK_SUITES",
     "TRACE_COLUMNS",
 ]
@@ -74,8 +73,10 @@ class ModelParams:
         else:
             _check_type("head_scale", self.head_scale, float)
         _check_type("assumption_delta", self.assumption_delta, float)
-        if self.assumption_delta <= 0:
-            raise ConfigError("assumption_delta must be positive")
+        if not 0 < self.assumption_delta < 1:
+            raise ConfigError("assumption_delta is a failure probability and "
+                              "must lie in (0, 1), got "
+                              f"{self.assumption_delta}")
         for name in ("sigma_w", "sigma_p"):
             v = getattr(self, name)
             if v is not None:
@@ -297,15 +298,13 @@ def _write_trace(path, trace: TrainTrace, tracked: list[int], fmt: str):
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
-    elif fmt == "json":
+    else:
         def clean(v):
             return None if isinstance(v, float) and math.isnan(v) else v
         payload = [{k: clean(v) for k, v in zip(header, row)} for row in rows]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    else:
-        raise ConfigError(f"unknown trace format {fmt!r}")
 
 
 @dataclass(frozen=True)
@@ -353,6 +352,8 @@ def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
     """Execute one run and write ``trace.csv`` (or .json) plus
     ``summary.json`` into ``out_dir``.  On divergence the partial trace and
     summary are still written before the error propagates."""
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown trace format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, f"trace.{fmt}")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -636,7 +637,3 @@ def run_check_suites(config: ExperimentConfig, suites) -> TheoryReport:
     for name in names:
         report.extend(CHECK_SUITES[name](config))
     return report
-
-
-def classify(config: ExperimentConfig) -> str:
-    return classify_regime(config.data)

@@ -7,23 +7,18 @@ are trainable; nu is fixed at construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, SignalBasis
+from .data import SignalBasis
 
 __all__ = [
     "ModelState",
-    "ForwardResult",
-    "EvalResult",
     "init_params",
     "make_head",
     "softmax",
-    "forward",
-    "predict",
-    "evaluate",
+    "batch_outputs",
 ]
 
 
@@ -152,7 +147,7 @@ def loss_derivative(z):
 
 def _fits(out: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Strict-sign match of outputs with labels: a zero output is a misfit
-    against either label, the tie rule of :func:`predict`."""
+    against either label, so ties never inflate accuracy."""
     return (out != 0) & (np.sign(out) == y)
 
 
@@ -185,64 +180,8 @@ def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None,
     return probs, out, (lprime * y / len(y))[:, None] * omega
 
 
-@dataclass(frozen=True)
-class ForwardResult:
-    attn_scores: np.ndarray   # (T,)  X W^T p
-    probs: np.ndarray         # (T,)  softmax(attn_scores)
-    token_scores: np.ndarray  # (T,)  gamma_t = nu^T x_t
-    output: float             # <probs, token_scores>
-
-
-def forward(X: np.ndarray, state: ModelState) -> ForwardResult:
-    if X.ndim != 2 or X.shape[1] != state.d:
-        raise ValueError(f"token matrix shape {X.shape} incompatible with d={state.d}")
-    attn = X @ (state.W.T @ state.p)
-    probs = softmax(attn)
-    gamma = X @ state.nu
-    return ForwardResult(attn_scores=attn, probs=probs, token_scores=gamma,
-                         output=float(probs @ gamma))
-
-
-def predict(output: float) -> int:
-    """Sign of the output; an exact zero maps to -1 (and is scored as an
-    error against any label, so ties never inflate accuracy)."""
-    if not math.isfinite(output):
-        raise ValueError("non-finite model output")
-    return 1 if output > 0 else -1
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    acc_train: float          # 0-1 accuracy against training labels
-    acc_true: float           # against true labels
-    loss: float               # mean logistic loss against training labels
-    outputs: np.ndarray       # (n,) raw f(X)
-    fit_train: np.ndarray     # (n,) bool, strict-sign match with y_train
-    fit_true: np.ndarray      # (n,) bool
-
-
 def batch_outputs(X: np.ndarray, state: ModelState) -> np.ndarray:
-    """Model outputs for stacked sequences X (n, T, d)."""
+    """Model outputs f(X_i) = nu^T X_i^T softmax(X_i W^T p) for stacked
+    sequences X (n, T, d): the one dense forward pass."""
     return _attend(*_token_scores(X, state.W.T @ state.p, state.nu))[1]
 
-
-def evaluate(dataset: Dataset, state: ModelState) -> EvalResult:
-    """Accuracies and mean logistic loss over a dataset.
-
-    A zero output counts as an error for both label conventions, matching
-    the tie rule in :func:`predict`.
-    """
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate an empty dataset")
-    out = batch_outputs(dataset.X, state)
-    fit_train = _fits(out, dataset.y_train)
-    fit_true = _fits(out, dataset.y_true)
-    loss = float(np.mean(_logistic_loss(out, dataset.y_train)))
-    return EvalResult(
-        acc_train=float(fit_train.mean()),
-        acc_true=float(fit_true.mean()),
-        loss=loss,
-        outputs=out,
-        fit_train=fit_train,
-        fit_true=fit_true,
-    )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import ConfigError, DataConfig, Dataset, SignalBasis, _check_type
 from .model import (ModelState, _attend, _fits, _logistic_loss, _token_scores,
-                    evaluate, forward, loss_derivative, row_blocks)
+                    batch_outputs, loss_derivative, row_blocks)
 
 __all__ = [
     "TrainConfig",
@@ -109,7 +109,8 @@ class DivergenceError(RuntimeError):
 
 def empirical_loss(dataset: Dataset, state: ModelState) -> float:
     """(1/n) sum_i log(1 + exp(-y_i f(X_i))), evaluated log1p-stably."""
-    return evaluate(dataset, state).loss
+    return float(np.mean(_logistic_loss(batch_outputs(dataset.X, state),
+                                        dataset.y_train)))
 
 
 def _gbar(dataset: Dataset, state: ModelState) -> np.ndarray:
@@ -137,8 +138,9 @@ def output_grads(X: np.ndarray, state: ModelState):
     Both scale exactly linearly in the head: replacing nu by c*nu multiplies
     them by c (the softmax does not depend on nu).
     """
-    fw = forward(X, state)
-    c = (fw.probs * (fw.token_scores - fw.output)) @ X
+    u, gamma = _token_scores(X[None], state.W.T @ state.p, state.nu)
+    probs, out, _ = _attend(u, gamma)
+    c = (probs * (gamma - out[:, None]))[0] @ X
     return np.outer(state.p, c), state.W @ c
 
 

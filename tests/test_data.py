@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from attnsim.data import (ConfigError, DataConfig, Role, _build_tokens,
-                          generate_dataset, make_signals, snr)
+                          a8_sigma, generate_dataset, make_signals, snr)
 from attnsim.rng import stream
 
 
@@ -48,6 +48,10 @@ class TestConfigValidation:
     def test_rejects_bad_rho(self):
         with pytest.raises(ConfigError):
             small_config(rho=1.0)
+
+    def test_rejects_empty_dataset(self):
+        with pytest.raises(ConfigError, match="n and T"):
+            small_config(n=0)
 
     def test_rejects_too_few_tokens(self):
         with pytest.raises(ConfigError):
@@ -257,3 +261,8 @@ class TestSnr:
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
             snr(small_config(sigma_eps=0.0))
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 16 * 6, 5000.0, math.nan])
+    def test_a8_sigma_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            a8_sigma(small_config(), delta)

@@ -114,6 +114,16 @@ class TestRun:
         assert rows[0]["step"] == 0
         assert rows[-1]["step"] == 60
 
+    def test_unknown_format_rejected_before_training(self, tmp_path,
+                                                     monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("execute called")
+
+        monkeypatch.setattr(experiments, "execute", no_training)
+        with pytest.raises(ConfigError, match="xml"):
+            run(tiny_config(), tmp_path / "out", fmt="xml")
+        assert not (tmp_path / "out").exists()
+
     def test_tracked_samples_config(self, tmp_path):
         cfg = tiny_config()
         cfg = ExperimentConfig(data=cfg.data, train=cfg.train, model=cfg.model,
@@ -466,6 +476,17 @@ class TestCli:
             assert code == 0
             assert capsys.readouterr().out.strip() == expected
 
+    def test_classify_noiseless_config_error(self, tmp_path, capsys):
+        # the SNR needs noise: a noiseless config is a config fault
+        base = tiny_config()
+        cfg = replace(base, data=replace(base.data, sigma_eps=0.0))
+        code = cli_main(["classify", "--config",
+                         self.write_config(tmp_path, cfg)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "sigma_eps" in captured.err
+
     def test_check_empty_suite_usage_error(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),
                          "--suite", ""]) == 2
@@ -526,6 +547,10 @@ class TestCli:
         ("model", "sigma_w", "0.1"),
         # JSON's NaN: sigma_w > 0 is false for it, so W(0) would be zero
         ("model", "sigma_w", math.nan),
+        # a failure probability: at n*T a8_sigma divides by zero, above it
+        # the log goes negative
+        ("model", "assumption_delta", 1.0),
+        ("model", "assumption_delta", 32.0),
     ])
     def test_config_fault_rejected_at_load(self, tmp_path, capsys, section,
                                            key, value):

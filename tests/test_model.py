@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
-from attnsim.model import (ModelState, evaluate, forward, init_params,
-                           make_head, predict, softmax)
+from attnsim.model import (ModelState, _attend, _fits, batch_outputs,
+                           init_params, make_head, softmax)
 from attnsim.rng import stream
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
@@ -126,96 +125,70 @@ class TestModelState:
                    nu=np.array([big, -big, 0.0]))
 
 
+def make_dataset(seed=0, n=12):
+    cfg = DataConfig(n=n, T=5, d=24, mu_norm=6.0, sigma_eps=0.5, eta=0.25,
+                     rho=0.2)
+    sig = make_signals(24, 6.0, "random_orthogonal", stream(seed, "s"))
+    return generate_dataset(cfg, sig, stream(seed, "d")), sig
+
+
 class TestForward:
+    """``batch_outputs``, the one dense forward, with ``_attend``'s softmax
+    and ``_fits``'s strict-sign rule."""
+
     def test_zero_w_uniform(self):
-        d, T = 6, 4
+        n, T, d = 3, 4, 6
         state = tiny_state(d)
         state.W = np.zeros((d, d))
-        X = stream(1, "x").normal(size=(T, d))
-        res = forward(X, state)
-        np.testing.assert_allclose(res.probs, np.full(T, 0.25), atol=1e-12)
-        assert res.output == pytest.approx(res.token_scores.mean(), rel=1e-12)
+        X = stream(1, "x").normal(size=(n, T, d))
+        probs, _, _ = _attend(X @ (state.W.T @ state.p), X @ state.nu)
+        np.testing.assert_allclose(probs, np.full((n, T), 0.25), atol=1e-12)
+        np.testing.assert_allclose(batch_outputs(X, state),
+                                   (X @ state.nu).mean(axis=1), rtol=1e-12)
 
     def test_zero_head(self):
-        state = tiny_state()
-        state.nu = np.zeros(6)
-        X = stream(2, "x").normal(size=(3, 6))
-        assert forward(X, state).output == 0.0
+        ds, _ = make_dataset()
+        state = tiny_state(d=24)
+        state.nu = np.zeros(24)
+        out = batch_outputs(ds.X, state)
+        assert not out.any()
+        assert not _fits(out, ds.y_train).any()
+        assert not _fits(out, ds.y_true).any()
 
     def test_affine_combination(self):
-        # T=2, token scores (1, -1), attention logits (log 3, 0) -> 0.5
-        d = 2
+        # token scores (1, -1), attention logits (log 3, 0) -> 3/4 - 1/4
         state = ModelState(W=np.eye(2), p=np.array([math.log(3.0), 0.0]),
-                           nu=np.array([1.0, 0.0]))
-        X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        # attn = X W^T p = (log3, -log3)... construct directly instead
-        res = forward(X, state)
-        assert res.output == pytest.approx(res.probs @ res.token_scores, rel=1e-12)
-        assert res.probs.sum() == pytest.approx(1.0, abs=1e-12)
+                           nu=np.array([0.0, 1.0]))
+        X = np.array([[[1.0, 1.0], [0.0, -1.0]]])
+        assert batch_outputs(X, state)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_output_decomposition_invariant(self):
+        # f = <s, gamma> with s from the checked public softmax
         state = tiny_state(seed=5)
-        X = stream(6, "x").normal(size=(5, 6))
-        res = forward(X, state)
-        assert res.output == pytest.approx(float(res.probs @ res.token_scores),
-                                           abs=1e-12)
+        X = stream(6, "x").normal(size=(4, 5, 6))
+        s = softmax(X @ (state.W.T @ state.p), axis=-1)
+        np.testing.assert_allclose(batch_outputs(X, state),
+                                   np.sum(s * (X @ state.nu), axis=1),
+                                   rtol=1e-12)
 
     def test_pure_function(self):
         state = tiny_state(seed=7)
-        X = stream(8, "x").normal(size=(4, 6))
-        a, b = forward(X, state), forward(X, state)
-        assert a.output == b.output
-        assert np.array_equal(a.probs, b.probs)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            forward(np.zeros((3, 5)), tiny_state(d=6))
-
-
-class TestPredict:
-    def test_signs(self):
-        assert predict(0.5) == 1
-        assert predict(-1e-300) == -1
+        X = stream(8, "x").normal(size=(3, 4, 6))
+        assert (batch_outputs(X, state).tobytes()
+                == batch_outputs(X, state).tobytes())
 
     def test_tie_rule(self):
-        assert predict(0.0) == -1
-
-    @given(st.floats(min_value=1e-300, max_value=1e300))
-    @settings(max_examples=50, deadline=None)
-    def test_antisymmetry(self, x):
-        assert predict(-x) == -predict(x)
-
-
-class TestEvaluate:
-    def make_dataset(self, seed=0, n=12):
-        cfg = DataConfig(n=n, T=5, d=24, mu_norm=6.0, sigma_eps=0.5, eta=0.25,
-                         rho=0.2)
-        sig = make_signals(24, 6.0, "random_orthogonal", stream(seed, "s"))
-        return generate_dataset(cfg, sig, stream(seed, "d")), sig
-
-    def test_zero_head_zero_accuracy(self):
-        ds, sig = self.make_dataset()
-        state = ModelState(W=np.zeros((24, 24)), p=np.zeros(24),
-                           nu=np.zeros(24))
-        res = evaluate(ds, state)
-        assert res.acc_train == 0.0 and res.acc_true == 0.0
-        assert res.loss == pytest.approx(math.log(2.0), rel=1e-12)
+        # a zero output misfits either label, so ties never count as fits
+        out = np.array([0.5, -1e-300, 0.0, 0.0])
+        np.testing.assert_array_equal(_fits(out, np.array([1, -1, 1, -1])),
+                                      [True, True, False, False])
 
     def test_perfect_separation(self):
         # uniform attention with the aligned head classifies clean data
-        ds, sig = self.make_dataset(seed=3)
+        ds, sig = make_dataset(seed=3)
         state = ModelState(W=np.zeros((24, 24)), p=np.zeros(24),
                            nu=make_head(sig))
-        res = evaluate(ds, state)
-        assert res.acc_true == 1.0
-        assert res.acc_train == pytest.approx(len(ds.clean_idx) / ds.n)
-        np.testing.assert_array_equal(res.fit_true, np.ones(ds.n, dtype=bool))
-
-    def test_empty_rejected(self):
-        ds, sig = self.make_dataset()
-        empty = replace(ds, y_train=np.zeros(0, dtype=int),
-                        y_true=np.zeros(0, dtype=int))
-        assert empty.X.shape == (0, 5, 24)
-        state = ModelState(W=np.zeros((24, 24)), p=np.zeros(24), nu=np.zeros(24))
-        with pytest.raises(ValueError):
-            evaluate(empty, state)
+        out = batch_outputs(ds.X, state)
+        assert _fits(out, ds.y_true).all()
+        assert _fits(out[ds.clean_idx], ds.y_train[ds.clean_idx]).all()
+        assert not _fits(out[ds.noisy_idx], ds.y_train[ds.noisy_idx]).any()

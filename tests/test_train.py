@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
                           make_signals)
 from attnsim.model import (ModelState, _attend, _fits, _logistic_loss,
-                           evaluate, init_params, make_head, softmax)
+                           batch_outputs, init_params, make_head, softmax)
 from attnsim.rng import stream
 from attnsim.theory import compute_diagnostics, rel_err
 from attnsim.train import (_FOLD, _TEST_BLOCK, _TEST_CHUNK, DivergenceError,
@@ -144,6 +144,33 @@ class TestGradients:
         gw3, gp3 = output_grads(ds.X[0], scaled)
         np.testing.assert_allclose(gw3, 3.0 * gw1, rtol=1e-13)
         np.testing.assert_allclose(gp3, 3.0 * gp1, rtol=1e-13)
+
+    def test_output_grad_finite_difference_oracle(self):
+        # central differences of the dense forward in every W and p
+        # coordinate; floor and bound as in the loss-gradient oracle
+        worst_w = worst_p = 0.0
+        for seed in range(5):
+            ds, _, state = make_instance(seed=seed)
+            X, d = ds.X[:1], state.d
+            theta = np.concatenate([state.W.ravel(), state.p])
+
+            def output_at(i, value):
+                probe = theta.copy()
+                probe[i] = value
+                return batch_outputs(X, ModelState(
+                    W=probe[:d * d].reshape(d, d), p=probe[d * d:],
+                    nu=state.nu))[0]
+
+            fd = np.array([
+                central_difference(lambda v: output_at(i, v), theta[i], 1e-5)
+                for i in range(len(theta))])
+            gw, gp = output_grads(X[0], state)
+            worst_w = max(worst_w, float(np.max(rel_err(
+                gw, fd[:d * d].reshape(d, d), floor=3e-5))))
+            worst_p = max(worst_p, float(np.max(rel_err(
+                gp, fd[d * d:], floor=3e-5))))
+        assert worst_w <= 1e-6
+        assert worst_p <= 1e-6
 
 
 class TestFiniteDiff:
@@ -435,9 +462,10 @@ def assert_trace_matches(trace, logged, ds, sig, test):
         assert np.max(np.abs(trace.Lambda[k] - diag.Lambda)) < 1e-8
         assert np.max(np.abs(trace.Gamma[k] - diag.Gamma)) < 1e-8
         if test is not None:
-            ev = evaluate(test, state)
-            assert trace.test_acc[k] == ev.acc_true
-            assert rel_err(trace.test_loss[k], ev.loss) < 1e-9
+            out = batch_outputs(test.X, state)
+            assert trace.test_acc[k] == float(_fits(out, test.y_true).mean())
+            assert rel_err(trace.test_loss[k], float(np.mean(
+                _logistic_loss(out, test.y_train)))) < 1e-9
 
 
 def assert_matches_gd_oracle(state, ds, sig, test, tcfg):
