@@ -9,6 +9,7 @@ from attnsim.data import DataConfig, generate_dataset, make_signals
 from attnsim.model import (ModelState, _attend, _fits, batch_outputs,
                            init_params, make_head, softmax)
 from attnsim.rng import stream
+from attnsim.train import empirical_loss
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -147,13 +148,10 @@ class TestForward:
                                    (X @ state.nu).mean(axis=1), rtol=1e-12)
 
     def test_zero_head(self):
-        ds, _ = make_dataset()
-        state = tiny_state(d=24)
-        state.nu = np.zeros(24)
-        out = batch_outputs(ds.X, state)
-        assert not out.any()
-        assert not _fits(out, ds.y_train).any()
-        assert not _fits(out, ds.y_true).any()
+        state = tiny_state()
+        state.nu = np.zeros(6)
+        X = stream(2, "x").normal(size=(2, 3, 6))
+        assert not batch_outputs(X, state).any()
 
     def test_affine_combination(self):
         # token scores (1, -1), attention logits (log 3, 0) -> 3/4 - 1/4
@@ -177,12 +175,6 @@ class TestForward:
         assert (batch_outputs(X, state).tobytes()
                 == batch_outputs(X, state).tobytes())
 
-    def test_tie_rule(self):
-        # a zero output misfits either label, so ties never count as fits
-        out = np.array([0.5, -1e-300, 0.0, 0.0])
-        np.testing.assert_array_equal(_fits(out, np.array([1, -1, 1, -1])),
-                                      [True, True, False, False])
-
     def test_perfect_separation(self):
         # uniform attention with the aligned head classifies clean data
         ds, sig = make_dataset(seed=3)
@@ -192,3 +184,31 @@ class TestForward:
         assert _fits(out, ds.y_true).all()
         assert _fits(out[ds.clean_idx], ds.y_train[ds.clean_idx]).all()
         assert not _fits(out[ds.noisy_idx], ds.y_train[ds.noisy_idx]).any()
+
+
+class TestPredict:
+    """The sign rule that turns an output into a label: ``_fits``."""
+
+    def test_signs(self):
+        out = np.array([0.5, -1e-300])
+        np.testing.assert_array_equal(_fits(out, np.array([1, -1])),
+                                      [True, True])
+        np.testing.assert_array_equal(_fits(out, np.array([-1, 1])),
+                                      [False, False])
+
+    def test_tie_rule(self):
+        # a zero output misfits either label, so ties never count as fits
+        out = np.zeros(2)
+        assert not _fits(out, np.array([1, -1])).any()
+
+
+class TestEvaluate:
+    def test_zero_head_zero_accuracy(self):
+        ds, _ = make_dataset()
+        state = ModelState(W=np.zeros((24, 24)), p=np.zeros(24),
+                           nu=np.zeros(24))
+        out = batch_outputs(ds.X, state)
+        assert not _fits(out, ds.y_train).any()
+        assert not _fits(out, ds.y_true).any()
+        assert empirical_loss(ds, state) == pytest.approx(math.log(2.0),
+                                                          rel=1e-12)
