@@ -543,7 +543,10 @@ def _suite_identities(config: ExperimentConfig) -> TheoryReport:
 
 
 def _short_run(config: ExperimentConfig, cap: int):
-    short = replace(config, train=replace(config.train,
+    """The trace of a run capped at ``cap`` steps, trained without the
+    held-out set: no suite that calls this reads the test metrics, and
+    the stream independence leaves every other array's bits unchanged."""
+    short = replace(config, train=replace(config.train, test_size=0,
                                           steps=min(config.train.steps, cap)))
     return execute(short).trace
 
@@ -633,6 +636,9 @@ def run_check_suites(config: ExperimentConfig, suites) -> TheoryReport:
     if unknown:
         raise ConfigError(
             f"unknown suites {unknown}; available: {sorted(CHECK_SUITES)}")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"suites named more than once: {repeated}")
     report = TheoryReport(config_hash=config.config_hash(), seed=config.seed)
     for name in names:
         report.extend(CHECK_SUITES[name](config))

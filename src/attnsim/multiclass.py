@@ -8,6 +8,8 @@ uniform over the other K-1 classes.  Classes are 0-based integers.
 """
 from __future__ import annotations
 
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +122,19 @@ def _draw_labels(n: int, config: MulticlassConfig,
 
 def _draw_tokens(config: MulticlassConfig, mus: np.ndarray,
                  tok_rng: np.random.Generator, y_true: np.ndarray,
-                 weak: np.ndarray) -> np.ndarray:
+                 weak: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Tokens (len(y_true), T, d) of the token stream's next samples: noise,
     then the true-class signal added to token 1 and each weak token's
     rho-scaled class signal.  Drawing a batch in consecutive slices gives
-    the bits of one draw."""
-    X = tok_rng.normal(0.0, config.sigma_eps,
-                       size=(len(y_true), config.T, config.d))
+    the bits of one draw.  With ``out``, the tokens are written into its
+    leading len(y_true) samples and that view is returned."""
+    X = (np.empty((len(y_true), config.T, config.d)) if out is None
+         else out[:len(y_true)])
+    # tok_rng.normal(0.0, sigma_eps) computes 0 + sigma_eps z; drawn in
+    # place, without a temporary
+    tok_rng.standard_normal(out=X)
+    np.multiply(X, config.sigma_eps, out=X)
+    np.add(X, 0.0, out=X)
     X[:, 0, :] += mus[y_true]
     for j in range(config.n_weak):
         X[:, 1 + j, :] += config.rho * mus[weak[:, j]]
@@ -189,7 +197,19 @@ def grad_wv(dataset: MulticlassDataset, state: MulticlassState) -> np.ndarray:
 # can be tuned.
 _ESTIMATE_BATCH = 4096
 # Samples whose tokens are held at once; any size gives the same bits.
-_ESTIMATE_CHUNK = 256
+_ESTIMATE_CHUNK = 64
+# Batches drawn at once, each on its own thread into its own buffers.
+_ESTIMATE_THREADS = 2
+
+
+def _check_mc_samples(mc_samples, least: int):
+    """Raise ValueError unless ``mc_samples`` is an integer (a Python or
+    numpy integer, not a bool) of at least ``least``."""
+    if (isinstance(mc_samples, (bool, np.bool_))
+            or not isinstance(mc_samples, (int, np.integer))
+            or mc_samples < least):
+        raise ValueError(f"mc_samples must be an integer >= {least}, "
+                         f"got {mc_samples!r}")
 
 
 def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
@@ -202,33 +222,55 @@ def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
     so each draw contributes (indicator(y = k) - 1/K) times its token mean;
     in expectation the class-k column is proportional to mu_k - mean(mu).
 
-    Each batch's tokens are drawn and reduced to their token means
-    _ESTIMATE_CHUNK samples at a time, with the bits of :func:`grad_wv`
-    at the all-zero state over whole dataset batches.
+    Every batch's streams are spawned and its labels drawn first, on this
+    thread and in batch order.  The batches' tokens are then drawn
+    ``_ESTIMATE_THREADS`` batches at a time, each batch on a pool thread
+    into one free set of buffers: a (batch, d) array of token means and a
+    (_ESTIMATE_CHUNK, T, d) token chunk.  numpy releases the GIL while it
+    fills arrays, so the draws overlap on two cores.  The batch terms are
+    added in batch order, with the bits of :func:`grad_wv` at the all-zero
+    state over whole dataset batches.
     """
     if np.shape(mus) != (config.K, config.d):
         raise ValueError(f"mus must have shape (K, d) = "
                          f"{(config.K, config.d)}, got {np.shape(mus)}")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
+    _check_mc_samples(mc_samples, 1)
     d, K, T = config.d, config.K, config.T
+    batches = [_draw_labels(min(_ESTIMATE_BATCH, mc_samples - lo), config, rng)
+               for lo in range(0, mc_samples, _ESTIMATE_BATCH)]
+    first = min(_ESTIMATE_BATCH, mc_samples)
+    free = queue.SimpleQueue()
+    threads = min(_ESTIMATE_THREADS, len(batches))
+    for _ in range(threads):
+        free.put((np.empty((first, d)),
+                  np.empty((min(_ESTIMATE_CHUNK, first), T, d))))
+
+    def batch_term(tok_rng, y_true, weak, y_train):
+        pooled, chunk = free.get()
+        try:
+            m, step = len(y_true), len(chunk)
+            for lo in range(0, m, step):
+                hi = min(lo + step, m)
+                # uniform attention: softmax of the zero scores is exactly 1/T
+                s = np.full((hi - lo, T), 1.0 / T)
+                pooled[lo:hi] = np.einsum(
+                    "it,itd->id", s,
+                    _draw_tokens(config, mus, tok_rng, y_true[lo:hi],
+                                 weak[lo:hi], out=chunk))
+            # grad_wv at zero logits, where q = softmax(0) is exactly 1/K;
+            # its mean is taken and scaled back by m, as the held path does
+            coeff = np.full((m, K), 1.0 / K)
+            coeff[np.arange(m), y_train] -= 1.0
+            return -(pooled[:m].T @ coeff / m) * m
+        finally:
+            free.put((pooled, chunk))
+
     total = np.zeros((d, K))
-    remaining = mc_samples
-    while remaining > 0:
-        m = min(_ESTIMATE_BATCH, remaining)
-        tok_rng, y_true, weak, y_train = _draw_labels(m, config, rng)
-        pooled = np.empty((m, d))
-        for lo in range(0, m, _ESTIMATE_CHUNK):
-            hi = min(lo + _ESTIMATE_CHUNK, m)
-            # uniform attention: softmax of the zero scores is exactly 1/T
-            s = np.full((hi - lo, T), 1.0 / T)
-            pooled[lo:hi] = np.einsum(
-                "it,itd->id", s,
-                _draw_tokens(config, mus, tok_rng, y_true[lo:hi], weak[lo:hi]))
-        # grad_wv at zero logits, where q = softmax(0) is exactly 1/K; its
-        # mean is taken and scaled back by m, as the held path does
-        coeff = np.full((m, K), 1.0 / K)
-        coeff[np.arange(m), y_train] -= 1.0
-        total += -(pooled.T @ coeff / m) * m
-        remaining -= m
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        terms = [pool.submit(batch_term, *batch) for batch in batches]
+        for term in terms:
+            total += term.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return total / mc_samples

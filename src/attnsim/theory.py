@@ -20,7 +20,8 @@ import numpy as np
 from .data import DataConfig, Dataset, SignalBasis, snr as data_snr
 from .model import (ModelState, _attend, _token_scores, loss_derivative,
                     softmax)
-from .multiclass import MulticlassConfig, head_gradient_estimate
+from .multiclass import (MulticlassConfig, _check_mc_samples,
+                         head_gradient_estimate)
 from .train import TrainTrace, attention_gaps, gd_step, grad_p, grad_w
 
 __all__ = [
@@ -711,8 +712,7 @@ def etf_gradient_check(config: MulticlassConfig, mus: np.ndarray,
     zero initialization and the centered class signal mu_k - mean(mu), one
     entry per class.  Label noise rescales but does not rotate the target.
     """
-    if mc_samples < 1000:
-        raise ValueError("need at least 1000 Monte Carlo samples")
+    _check_mc_samples(mc_samples, 1000)
     est = head_gradient_estimate(config, mus, mc_samples, rng)   # (d, K)
     target = mus - mus.mean(axis=0, keepdims=True)               # (K, d)
     cos = np.empty(config.K)

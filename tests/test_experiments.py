@@ -407,6 +407,40 @@ class TestCheckSuites:
         with pytest.raises(ConfigError, match="unknown suites"):
             run_check_suites(default_config(), ["nonsense"])
 
+    def test_repeated_suite_rejected_before_any_runs(self, monkeypatch):
+        def ran(config):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setitem(experiments.CHECK_SUITES, "gradients", ran)
+        with pytest.raises(ConfigError, match="identities"):
+            run_check_suites(default_config(),
+                             ["gradients", "identities", "identities"])
+
+    @pytest.mark.parametrize("suite", ["softmax", "glinearity"])
+    def test_short_run_suites_ignore_the_test_set(self, monkeypatch, suite):
+        config = default_config()
+        assert config.train.test_size == 400
+        short_run = experiments._short_run
+        traces = []
+
+        def recorded(cfg, cap):
+            traces.append(short_run(cfg, cap))
+            return traces[-1]
+
+        monkeypatch.setattr(experiments, "_short_run", recorded)
+        without = run_check_suites(config, [suite]).to_json()
+        assert np.isnan(traces[-1].test_acc).all()
+
+        def with_test_set(cfg, cap):
+            # the capped run as it was, scoring the config's held-out set
+            trace = experiments.execute(replace(cfg, train=replace(
+                cfg.train, steps=min(cfg.train.steps, cap)))).trace
+            assert not np.isnan(trace.test_acc).any()
+            return trace
+
+        monkeypatch.setattr(experiments, "_short_run", with_test_set)
+        assert run_check_suites(config, [suite]).to_json() == without
+
     def test_gradient_suite_passes(self):
         rep = run_check_suites(default_config(), ["gradients"])
         assert rep.passed_all
@@ -490,6 +524,14 @@ class TestCli:
     def test_check_empty_suite_usage_error(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),
                          "--suite", ""]) == 2
+
+    def test_check_repeated_suite_usage_error(self, capsys):
+        assert cli_main(["check", "--suite",
+                         "identities,identities"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert "identities" in captured.err
 
     def test_check_gradients_pass(self, tmp_path, capsys):
         assert cli_main(["check", "--suite", "gradients"]) == 0

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -68,6 +71,20 @@ class TestKDataset:
         assert 0.1 < flips.mean() < 0.3
         # flipped labels always land on a different class
         assert np.all(ds.y_train[flips] != ds.y_true[flips])
+
+    def test_tokens_have_the_bits_of_a_normal_draw(self):
+        # the in-place fill computes 0 + sigma_eps z, as normal(0, sigma_eps)
+        cfg = kcfg(n=50, sigma_eps=0.7)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(0, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, stream(0, "kd"))
+        tok_rng, _ = stream(0, "kd").spawn(2)
+        y_true = tok_rng.integers(cfg.K, size=cfg.n)
+        weak = tok_rng.integers(cfg.K, size=(cfg.n, cfg.n_weak))
+        want = tok_rng.normal(0.0, cfg.sigma_eps, size=(cfg.n, cfg.T, cfg.d))
+        want[:, 0, :] += mus[y_true]
+        for j in range(cfg.n_weak):
+            want[:, 1 + j, :] += cfg.rho * mus[weak[:, j]]
+        assert ds.X.tobytes() == want.tobytes()
 
 
 class TestMulticlassLoss:
@@ -214,8 +231,12 @@ class TestStreamedHeadGradient:
         (512, 1500, dict(n_weak=0, K=2)),
         (512, 1500, dict(sigma_eps=0.0, eta=0.0)),
         (1, 37, dict(T=3, n_weak=1)),
+        (64, 3 * 4096, {}),                             # three whole batches
+        (64, 3 * 4096 + 1, {}),                         # one-sample batch
+        (100, 4 * 4096 - 1, {}),                        # ragged last batch
     ], ids=["ragged-batch", "ragged-chunk", "no-weak", "noise-free",
-            "one-sample-chunks"])
+            "one-sample-chunks", "three-batches", "one-sample-batch",
+            "ragged-fourth-batch"])
     def test_equals_held_batch_path_bytes(self, monkeypatch, chunk,
                                           mc_samples, kw):
         monkeypatch.setattr(multiclass, "_ESTIMATE_CHUNK", chunk)
@@ -224,6 +245,56 @@ class TestStreamedHeadGradient:
         got = head_gradient_estimate(cfg, mus, mc_samples, stream(11, "mc"))
         want = held_batch_estimate(cfg, mus, mc_samples, stream(11, "mc"))
         assert got.tobytes() == want.tobytes()
+
+    def test_bits_hold_under_thread_contention(self, monkeypatch):
+        # more threads than cores, switching often: a buffer set written by
+        # two batches at once would change the bits
+        monkeypatch.setattr(multiclass, "_ESTIMATE_THREADS", 4)
+        monkeypatch.setattr(multiclass, "_ESTIMATE_CHUNK", 7)
+        cfg = kcfg(n=1, T=5, d=16)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(16, "k"))
+        mc_samples = 6 * multiclass._ESTIMATE_BATCH + 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = head_gradient_estimate(cfg, mus, mc_samples, stream(16, "mc"))
+        finally:
+            sys.setswitchinterval(interval)
+        want = held_batch_estimate(cfg, mus, mc_samples, stream(16, "mc"))
+        assert got.tobytes() == want.tobytes()
+
+    def test_multi_batch_holds_two_buffer_sets(self):
+        cfg = kcfg(n=1, T=6, d=256, K=3)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(12, "k"))
+        batch_bytes = multiclass._ESTIMATE_BATCH * cfg.T * cfg.d * 8
+        buffer_set = (multiclass._ESTIMATE_BATCH * cfg.d
+                      + multiclass._ESTIMATE_CHUNK * cfg.T * cfg.d) * 8
+        tracemalloc.start()
+        try:
+            head_gradient_estimate(cfg, mus, 3 * multiclass._ESTIMATE_BATCH
+                                   + 100, stream(12, "mc"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * buffer_set <= peak < batch_bytes / 2
+
+    def test_failing_batch_raises_and_joins(self, monkeypatch):
+        calls = itertools.count()
+        draw = multiclass._draw_tokens
+
+        def failing(*args, **kw):
+            if next(calls) == 100:          # partway through the draws
+                raise RuntimeError("batch draw failed")
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(multiclass, "_draw_tokens", failing)
+        cfg = kcfg(n=1, T=4, d=16)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(15, "k"))
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="batch draw failed"):
+            head_gradient_estimate(cfg, mus, 5 * multiclass._ESTIMATE_BATCH,
+                                   stream(15, "mc"))
+        assert set(threading.enumerate()) <= before
 
     def test_never_holds_a_batch(self):
         cfg = kcfg(n=1, T=6, d=256, K=3)
@@ -246,3 +317,20 @@ class TestStreamedHeadGradient:
             head_gradient_estimate(cfg, mus, 1000, stream(13, "mc"))
         with pytest.raises(ValueError, match="shape"):
             etf_gradient_check(cfg, mus, 1000, stream(13, "mc"))
+
+    @pytest.mark.parametrize("mc_samples", [2000.0, True, np.bool_(True), 0,
+                                            -3, "2000"])
+    def test_mc_samples_checked(self, mc_samples):
+        cfg = kcfg(d=32, K=3)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, "axis_aligned")
+        with pytest.raises(ValueError, match="mc_samples"):
+            head_gradient_estimate(cfg, mus, mc_samples, stream(13, "mc"))
+        with pytest.raises(ValueError, match="mc_samples"):
+            etf_gradient_check(cfg, mus, mc_samples, stream(13, "mc"))
+
+    def test_numpy_integer_mc_samples_accepted(self):
+        cfg = kcfg(d=32, K=3)
+        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, "axis_aligned")
+        got = head_gradient_estimate(cfg, mus, np.int64(300), stream(13, "mc"))
+        want = head_gradient_estimate(cfg, mus, 300, stream(13, "mc"))
+        assert got.tobytes() == want.tobytes()
