@@ -10,6 +10,7 @@ before writing.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .data import (ConfigError, DataConfig, _check_type, a8_sigma,
                    generate_dataset, make_signals, snr)
-from .model import ModelState, init_params, make_head
+from .model import InitDraw, ModelState, init_params, make_head
 from .multiclass import MulticlassConfig, make_class_signals
 from .rng import cell_seed, stream
 from .theory import (UPDATE_IDENTITY_TOL, CheckResult, TheoryReport,
@@ -100,6 +101,13 @@ class ModelParams:
 _TOP_FIELDS = ("seed", "data", "model", "train", "tracked_samples")
 
 
+def _reject_repeats(name: str, values: tuple):
+    """A repeated value would label two rows or columns alike."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{name} repeats {repeated}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     data: DataConfig
@@ -124,6 +132,7 @@ class ExperimentConfig:
                    if not 0 <= i < self.data.n]
             if bad:
                 raise ConfigError(f"tracked_samples out of range: {bad}")
+            _reject_repeats("tracked_samples", self.tracked_samples)
 
     def to_json(self) -> dict:
         return {
@@ -195,23 +204,29 @@ def build_inputs(config: ExperimentConfig):
     thread takes it, over the blocks ``train`` uses for a held W(0).  A
     test set that ``train`` will score through its projection
     (:func:`projects_test_set`) is left undrawn: ``train`` draws it chunk
-    by chunk beside its loop."""
+    by chunk beside its loop.
+
+    The drawn W(0) is held by the :class:`InitDraw` of ``state0``, which
+    ``train`` releases at W(0)'s last read; a read after that redraws it
+    from the draw's stream."""
     s, d = config.seed, config.data.d
     sw, sp = config.resolved_sigmas()
-    products = InitProducts(d)
+    rng = stream(s, "init")
+    init = InitDraw(d, sw, rng)
+    products = InitProducts(d, init)
 
     def draw_init():
         try:
-            W, p = init_params(d, sw, sp, stream(s, "init"),
-                               on_rows=products.rows_drawn)
+            init.W, p = init_params(d, sw, sp, rng,
+                                    on_rows=products.rows_drawn)
         except BaseException:
             products.stop()
             raise
         products.form()
-        return W, p
+        return p
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        init = pool.submit(draw_init)
+        drawn = pool.submit(draw_init)
         try:
             signals = make_signals(d, config.data.mu_norm,
                                    config.model.signal_mode,
@@ -229,9 +244,9 @@ def build_inputs(config: ExperimentConfig):
         except BaseException:
             products.stop()
             raise
-        W, p = init.result()
+        p = drawn.result()
     nu = make_head(signals, config.model.head_scale)
-    state0 = ModelState(W=W, p=p, nu=nu)
+    state0 = ModelState(W=init, p=p, nu=nu)
     return signals, dataset, test_set, state0, products
 
 
@@ -403,6 +418,7 @@ class SweepSpec:
             for v in values:
                 _check_type(name, v, kind)
             object.__setattr__(self, name, tuple(kind(v) for v in values))
+            _reject_repeats(name, getattr(self, name))
         if not self.d_values or not self.mu_values or not self.seeds:
             raise ConfigError("sweep grids must be nonempty")
         if min(self.seeds) < 0:
@@ -476,8 +492,8 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
 
     metrics = ("train_loss", "test_loss", "train_acc", "test_acc")
     mean_rows = []
-    for d in sorted(set(spec.d_values)):
-        for mu in sorted(set(spec.mu_values)):
+    for d in sorted(spec.d_values):
+        for mu in sorted(spec.mu_values):
             group = [r for r in rows if r["d"] == d and r["mu_norm"] == mu]
             mean_rows.append({"d": d, "mu_norm": mu, "seed": "mean",
                               **{m: float(np.mean([r[m] for r in group]))
@@ -562,18 +578,18 @@ def _build_train_inputs(config: ExperimentConfig):
                                                       test_size=0)))
 
 
-def _suite_goodrun(config: ExperimentConfig) -> TheoryReport:
+def _suite_goodrun(config: ExperimentConfig, train_inputs) -> TheoryReport:
     # concentration events only: the class-count brackets are n ~ 10^3
     # statements and stay report-level at typical run sizes
-    signals, dataset, _, state0, _ = _build_train_inputs(config)
+    signals, dataset, _, state0, _ = train_inputs()
     sw, sp = config.resolved_sigmas()
     return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp,
                           groups=("noise_norms", "noise_inner", "init_norms",
                                   "init_inner", "signal_noise_inner"))
 
 
-def _suite_init(config: ExperimentConfig) -> TheoryReport:
-    signals, dataset, _, state0, _ = _build_train_inputs(config)
+def _suite_init(config: ExperimentConfig, train_inputs) -> TheoryReport:
+    signals, dataset, _, state0, _ = train_inputs()
     return init_checks(state0, dataset, signals, config.train.alpha)
 
 
@@ -616,6 +632,11 @@ def _suite_glinearity(config: ExperimentConfig) -> TheoryReport:
     return report
 
 
+# Suites that check the config's drawn training inputs; they are called
+# with a function returning ``_build_train_inputs(config)``, built once per
+# ``run_check_suites`` call.
+_INPUT_SUITES = ("goodrun", "init")
+
 CHECK_SUITES = {
     "gradients": _suite_gradients,
     "identities": _suite_identities,
@@ -640,6 +661,12 @@ def run_check_suites(config: ExperimentConfig, suites) -> TheoryReport:
     if repeated:
         raise ConfigError(f"suites named more than once: {repeated}")
     report = TheoryReport(config_hash=config.config_hash(), seed=config.seed)
-    for name in names:
-        report.extend(CHECK_SUITES[name](config))
+    train_inputs = functools.cache(lambda: _build_train_inputs(config))
+    last_reader = max((i for i, s in enumerate(names) if s in _INPUT_SUITES),
+                      default=None)
+    for i, name in enumerate(names):
+        args = (train_inputs,) if name in _INPUT_SUITES else ()
+        report.extend(CHECK_SUITES[name](config, *args))
+        if i == last_reader:
+            train_inputs.cache_clear()
     return report

@@ -7,7 +7,7 @@ are trainable; nu is fixed at construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .data import SignalBasis
 
 __all__ = [
     "ModelState",
+    "InitDraw",
     "init_params",
     "make_head",
     "softmax",
@@ -22,28 +23,51 @@ __all__ = [
 ]
 
 
-@dataclass
+def _check_finite(name: str, arr: np.ndarray):
+    # min/max propagate NaN and expose +-inf without a temporary
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError(f"{name} contains non-finite entries")
+
+
 class ModelState:
     """Trainable key-query matrix W (d x d), tunable token p (d,), and the
-    fixed head nu (d,).  The trainer replaces W and p; nu is frozen."""
+    fixed head nu (d,).  The trainer replaces W and p; nu is frozen.
 
-    W: np.ndarray
-    p: np.ndarray
-    nu: np.ndarray
+    Given an :class:`InitDraw` for W, the state keeps it as ``init`` and
+    reads W through it: the drawn W(0) until :meth:`release`, and after
+    that W(0) redrawn from the draw's stream on each read."""
 
-    def __post_init__(self):
-        d = self.p.shape[0]
-        if self.W.shape != (d, d) or self.nu.shape != (d,):
+    def __init__(self, W: np.ndarray | InitDraw, p: np.ndarray,
+                 nu: np.ndarray):
+        drawn = isinstance(W, InitDraw)
+        d = p.shape[0]
+        W_shape = (W.d, W.d) if drawn else W.shape
+        if W_shape != (d, d) or nu.shape != (d,):
             raise ValueError(
-                f"inconsistent shapes: W {self.W.shape}, p {self.p.shape}, "
-                f"nu {self.nu.shape}")
-        # min/max propagate NaN and expose +-inf without a d x d temporary
-        for name, arr in (("W", self.W), ("p", self.p), ("nu", self.nu)):
-            if arr.size and not (np.isfinite(arr.min())
-                                 and np.isfinite(arr.max())):
-                raise ValueError(f"{name} contains non-finite entries")
-        self.nu = self.nu.copy()
+                f"inconsistent shapes: W {W_shape}, p {p.shape}, "
+                f"nu {nu.shape}")
+        # a drawn W(0) was checked block by block as it was drawn
+        for name, arr in (("W", None if drawn else W), ("p", p), ("nu", nu)):
+            if arr is not None:
+                _check_finite(name, arr)
+        self._W, self.init = (None, W) if drawn else (W, None)
+        self.p = p
+        self.nu = nu.copy()
         self.nu.setflags(write=False)
+
+    @property
+    def W(self) -> np.ndarray:
+        return self._W if self.init is None else self.init.array()
+
+    @W.setter
+    def W(self, value: np.ndarray):
+        self._W, self.init = value, None
+
+    def release(self):
+        """Drop a drawn W(0): later reads redraw it.  A no-op for a state
+        given its W."""
+        if self.init is not None:
+            self.init.W = None
 
     @property
     def d(self) -> int:
@@ -66,9 +90,10 @@ def init_params(d: int, sigma_w: float, sigma_p: float,
 
     W is drawn row block by row block (:func:`row_blocks`), then p; the
     stream continues element by element across blocks, so W has the bits
-    of one (d, d) draw.  ``on_rows(W, lo, hi)`` is called once each block's
-    rows are in W.  With sigma_w = 0, W is zero and p is the stream's first
-    draw."""
+    of one (d, d) draw.  Each block is checked finite, and ``on_rows(W, lo,
+    hi)`` is called once its rows are in W; an overflowing sigma_w raises
+    at the first block.  With sigma_w = 0, W is zero and p is the stream's
+    first draw."""
     if not (sigma_w >= 0 and sigma_p >= 0):     # NaN fails too
         raise ValueError("initialization scales must be >= 0")
     W = np.empty((d, d)) if sigma_w > 0 else np.zeros((d, d))
@@ -76,14 +101,34 @@ def init_params(d: int, sigma_w: float, sigma_p: float,
         if sigma_w > 0:
             rows = W[lo:hi]
             # rng.normal(0.0, sigma_w) computes 0 + sigma_w z; drawn in
-            # place, without a temporary
+            # place, without a temporary; an overflow raises below
             rng.standard_normal(out=rows)
-            np.multiply(rows, sigma_w, out=rows)
+            with np.errstate(over="ignore"):
+                np.multiply(rows, sigma_w, out=rows)
             np.add(rows, 0.0, out=rows)
+            _check_finite("W", rows)
         if on_rows is not None:
             on_rows(W, lo, hi)
     p = rng.normal(0.0, sigma_p, size=d) if sigma_p > 0 else np.zeros(d)
     return W, p
+
+
+class InitDraw:
+    """W(0) of one :func:`init_params` draw from ``rng``: ``W`` holds the
+    drawn array until it is released (set to None), and :meth:`array`
+    then redraws it block by block from a snapshot of ``rng`` taken here,
+    before the draw, bit-identical to the drawn one."""
+
+    def __init__(self, d: int, sigma_w: float, rng: np.random.Generator):
+        self.d, self.sigma_w = d, sigma_w
+        self.rng = copy.deepcopy(rng)
+        self.W = None
+
+    def array(self) -> np.ndarray:
+        if self.W is not None:
+            return self.W
+        return init_params(self.d, self.sigma_w, 0.0,
+                           copy.deepcopy(self.rng))[0]
 
 
 def make_head(signals: SignalBasis, scale="inverse_mu") -> np.ndarray:

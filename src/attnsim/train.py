@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ConfigError, DataConfig, Dataset, SignalBasis, _check_type
-from .model import (ModelState, _attend, _fits, _logistic_loss, _token_scores,
-                    batch_outputs, loss_derivative, row_blocks)
+from .model import (InitDraw, ModelState, _attend, _fits, _logistic_loss,
+                    _token_scores, batch_outputs, loss_derivative, row_blocks)
 
 __all__ = [
     "TrainConfig",
@@ -400,9 +400,10 @@ class _TestScoring:
     def close(self):
         """End the worker: a test draw still running stops at its next
         chunk, blocks not yet started are cancelled, and the thread is
-        joined."""
+        joined.  The scorer, which may hold W(0), is dropped."""
         self.stopped.set()
         self.pool.shutdown(cancel_futures=True)
+        self.to_scores = None
 
 
 def _log_points(steps: int, log_every: int):
@@ -435,15 +436,17 @@ class InitProducts:
     is called.  Every block is formed by the same product, and a block's
     product does not depend on the thread that forms it, so P has the same
     bits under any schedule.  Column 0 is left to :func:`train`, which
-    writes p(0) into it.
+    writes p(0) into it.  ``W`` is dropped once every block is formed;
+    ``init`` is the :class:`InitDraw` of the W(0) drawn, if any.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, init: InitDraw | None = None):
         self.W = self.B = self.P = None
+        self.init = init
         self._blocks = len(row_blocks(d))
         self._cond = threading.Condition()
         self._queued = []
-        self._taken = 0
+        self._taken = self._formed = 0
         self._stopped = False
 
     @classmethod
@@ -463,9 +466,13 @@ class InitProducts:
             self._cond.notify_all()
 
     def set_basis(self, dataset: Dataset, signals: SignalBasis):
+        """Stack B; the dataset's tokens become a view of B's token rows,
+        so that one copy of them is held."""
         n, T, d = dataset.X.shape
         B = np.vstack([dataset.X.reshape(n * T, d), signals.mu_plus,
                        signals.mu_minus])
+        # where generate_dataset stores X
+        dataset.__dict__["X"] = B[:n * T].reshape(n, T, d)
         P = np.empty((d, len(B) + 1))
         with self._cond:
             self.B, self.P = B, P
@@ -491,6 +498,10 @@ class InitProducts:
                 lo, hi = self._queued[self._taken]
                 self._taken += 1
             self._multiply(lo, hi)
+            with self._cond:
+                self._formed += 1
+                if self._formed == self._blocks:
+                    self.W = None       # V was its last reader here
 
     def _multiply(self, lo: int, hi: int):
         np.matmul(self.W[lo:hi], self.B.T, out=self.P[lo:hi, 1:])
@@ -526,12 +537,12 @@ class _SubspaceEngine:
         n, T, d = dataset.X.shape
         self.n, self.T, self.nT = n, T, n * T
         self.alpha = alpha
-        tokens = dataset.X.reshape(n * T, d)
         if products is None:
             products = InitProducts.of(state0.W, dataset, signals)
-        elif products.W is not state0.W:
+        elif products.init is None or products.init is not state0.init:
             raise ValueError("products were formed from another W(0)")
         B, P = products.B, products.P
+        tokens = dataset.X.reshape(n * T, d)
         N = self.N = B.shape[0]
         P[:, 0] = state0.p
         # [G | L | pending G bt_j] and [K; pending K x_j]
@@ -541,7 +552,8 @@ class _SubspaceEngine:
         self._KP = np.empty((N + 1 + _FOLD, N + 1))
         np.matmul(P.T, P, out=self._KP[:N + 1])
         self.gamma = (tokens @ state0.nu).reshape(n, T)
-        self._W0, self._B, self._P, self._nu = state0.W, B, P, state0.nu
+        # W(0) is read through state0, which may drop it (and redraw it)
+        self._state0, self._B, self._P, self._nu = state0, B, P, state0.nu
 
         self.x = np.r_[1.0, np.zeros(N)]
         self.Z = np.zeros((N + 1, N))    # probe columns stay zero
@@ -624,7 +636,7 @@ class _SubspaceEngine:
         if projected:
             gamma, proj = self.test_projection(test_set, stopped)
             return gamma, lambda rows: rows @ proj
-        N, W0, P, B = self.N, self._W0, self._P, self._B
+        N, W0, P, B = self.N, self._state0.W, self._P, self._B
         flat_test = test_set.X.reshape(test_set.n * self.T, -1)
         gamma = (flat_test @ self._nu).reshape(test_set.n, self.T)
 
@@ -638,10 +650,13 @@ class _SubspaceEngine:
         (2N + 1, m*T) onto ``[P^T W0; B]``, the rows that map a coefficient
         row to W^T p.  The tokens are read ``_TEST_CHUNK`` samples at a
         time, drawn chunk by chunk when the test set does not hold them,
-        and each chunk is dropped once reduced.  Once ``stopped`` is set,
-        the draw ends at the next chunk with :class:`CancelledError`."""
+        and each chunk is dropped once reduced.  W(0) is released once
+        ``P^T W0`` is formed, its last reader on this branch.  Once
+        ``stopped`` is set, the draw ends at the next chunk with
+        :class:`CancelledError`."""
         N, T = self.N, self.T
-        PtW0 = self._P.T @ self._W0
+        PtW0 = self._P.T @ self._state0.W
+        self._state0.release()
         gamma = np.empty(test_set.n * T)
         proj = np.empty((2 * N + 1, test_set.n * T))
         lo = 0
@@ -661,7 +676,7 @@ class _SubspaceEngine:
         self._fold()
         W = (self._P @ self.Z) @ self._B
         W *= -self.alpha
-        W += self._W0
+        W += self._state0.W
         final = ModelState.__new__(ModelState)
         final.W, final.p, final.nu = W, self._P @ self.x, self._nu
         return final
@@ -689,8 +704,11 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     training stops; the partial trace is preserved and a
     :class:`DivergenceError` carrying it is raised unless
     ``raise_on_divergence`` is False.  ``products`` are the
-    :class:`InitProducts` of ``state0.W`` on ``dataset`` if already
-    formed; without them they are formed here, over the same row blocks.
+    :class:`InitProducts` of ``state0``'s drawn W(0) on ``dataset`` if
+    already formed; without them they are formed here, over the same row
+    blocks.  A drawn W(0) is released at its last read: once V is formed
+    without a test set, once the projection is formed on the projection
+    branch, and after the last scored block on the direct branch.
     """
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha, products)
     n, T, nT = eng.n, eng.T, eng.nT
@@ -706,6 +724,8 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     scoring = (_TestScoring(eng, test_set, coefs,
                             projects_test_set(dataset.config, config))
                if test_set is not None else None)
+    if scoring is None:
+        state0.release()
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(config.steps + 1):
@@ -727,6 +747,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     finally:
         if scoring is not None:
             scoring.close()
+        state0.release()
     full_meta = {"alpha": config.alpha, "steps": config.steps,
                  "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
                  "d": dataset.d, "rho": dataset.config.rho,

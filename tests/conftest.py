@@ -24,11 +24,6 @@ def pytest_addoption(parser):
                      help="also run the paper-scale tests marked slow")
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: paper-scale test, run only with --runslow")
-
-
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--runslow"):
         return

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  run_check_suites, sweep, trace_table)
 from attnsim.model import ModelState, init_params, make_head
 from attnsim.rng import stream
+from attnsim.theory import TheoryReport
 from attnsim.train import InitProducts, TrainConfig, _SubspaceEngine, train
 
 
@@ -341,6 +344,101 @@ class TestBuildInputs:
         assert time.monotonic() - start < 30
 
 
+class TestInitLifetime:
+    """The drawn W(0) is held until its last reader: the projection on the
+    projection branch, V without a test set, the last scored block on the
+    direct branch.  A read after that redraws it, bit-identical."""
+
+    @staticmethod
+    def drawn(cfg):
+        inputs = build_inputs(cfg)
+        return inputs, weakref.ref(inputs[3].init.W)
+
+    def test_projection_branch_drops_it(self):
+        cfg = tiny_config(seed=3, log_every=1)
+        assert experiments.projects_test_set(cfg.data, cfg.train)
+        (signals, dataset, test_set, state0, products), ref = self.drawn(cfg)
+        assert products.W is None       # V is formed
+        result = train(state0, dataset, signals, cfg.train,
+                       test_set=test_set, products=products)
+        assert ref() is None
+        assert result.final_state().W.shape == (64, 64)
+
+    def test_without_test_set_dropped_before_the_loop(self):
+        cfg = tiny_config(seed=3, test_size=0)
+        (signals, dataset, _, state0, products), ref = self.drawn(cfg)
+        held = []
+        train(state0, dataset, signals, cfg.train, products=products,
+              hooks=(lambda step, info: held.append(ref() is not None),))
+        assert held == [False] * 4
+
+    def test_direct_branch_holds_it_to_the_last_block(self, monkeypatch):
+        cfg = tiny_config(seed=3, steps=100, log_every=1)
+        cfg = replace(cfg, data=replace(cfg.data, n=30))   # 123 rows
+        assert not experiments.projects_test_set(cfg.data, cfg.train)
+        (signals, dataset, test_set, state0, products), ref = self.drawn(cfg)
+        scoring_cls = importlib.import_module("attnsim.train")._TestScoring
+        exact_block, held = scoring_cls._block, []
+
+        def block(self, lo, hi):
+            held.append(ref() is not None)
+            exact_block(self, lo, hi)
+
+        monkeypatch.setattr(scoring_cls, "_block", block)
+        train(state0, dataset, signals, cfg.train, test_set=test_set,
+              products=products)
+        assert held == [True] * 4       # 101 logged states, blocks of 32
+        assert ref() is None
+
+    def test_execute_does_not_pin_it(self, monkeypatch):
+        refs = []
+
+        def recording(cfg):
+            inputs = build_inputs(cfg)
+            refs.append(weakref.ref(inputs[3].init.W))
+            return inputs
+
+        monkeypatch.setattr(experiments, "build_inputs", recording)
+        for log_every in (1, 20):       # projection branch, direct branch
+            result = experiments.execute(tiny_config(log_every=log_every))
+            assert refs[-1]() is None
+            assert result.final_state() is not None
+
+    @pytest.mark.parametrize("d", [300, 1000])
+    def test_redrawn_equals_drawn(self, d):
+        # 300 and 1000 end in a ragged row block
+        cfg = tiny_config(seed=7)
+        cfg = replace(cfg, data=replace(cfg.data, d=d))
+        signals, dataset, test_set, state0, products = build_inputs(cfg)
+        ref_W, ref_p = init_params(d, *cfg.resolved_sigmas(),
+                                   stream(7, "init"))
+        assert state0.W is state0.init.W
+        state0.release()
+        assert state0.init.W is None
+        assert state0.W is not state0.W         # redrawn on each read
+        assert state0.W.tobytes() == ref_W.tobytes()
+        # the final state of a released W(0) against that of a held one
+        ref_state = ModelState(W=ref_W, p=ref_p, nu=state0.nu)
+        final = train(state0, dataset, signals, cfg.train,
+                      test_set=test_set, products=products).final_state()
+        ref = train(ref_state, dataset, signals, cfg.train,
+                    test_set=test_set).final_state()
+        assert final.W.tobytes() == ref.W.tobytes()
+        assert final.p.tobytes() == ref.p.tobytes()
+
+    def test_redraw_checks_each_block(self):
+        init = model.InitDraw(300, 1e308, stream(0, "init"))
+        with pytest.raises(ValueError, match="W contains non-finite"):
+            init.array()
+
+    def test_training_tokens_held_once(self):
+        signals, dataset, _, _, products = build_inputs(tiny_config())
+        n, T, d = dataset.X.shape
+        assert dataset.X.base is products.B
+        assert np.array_equal(products.B[:n * T],
+                              dataset.X.reshape(n * T, d))
+
+
 class TestSweep:
     def spec(self, seeds=(0, 1)):
         return SweepSpec(d_values=(48, 64), mu_values=(4.0, 8.0), seeds=seeds,
@@ -440,6 +538,29 @@ class TestCheckSuites:
 
         monkeypatch.setattr(experiments, "_short_run", with_test_set)
         assert run_check_suites(config, [suite]).to_json() == without
+
+    def test_inputs_built_once_and_dropped_after_last_reader(
+            self, monkeypatch):
+        config = default_config()
+        apart = (run_check_suites(config, ["init"]).to_json()
+                 + run_check_suites(config, ["goodrun"]).to_json())
+        build, refs, dropped = experiments._build_train_inputs, [], []
+
+        def recording(cfg):
+            inputs = build(cfg)
+            refs.append(weakref.ref(inputs[3].init.W))
+            return inputs
+
+        def later_suite(cfg):
+            dropped.append(refs[0]() is None)
+            return TheoryReport()
+
+        monkeypatch.setattr(experiments, "_build_train_inputs", recording)
+        monkeypatch.setitem(experiments.CHECK_SUITES, "gradients",
+                            later_suite)
+        shared = run_check_suites(config, ["init", "goodrun", "gradients"])
+        assert len(refs) == 1 and dropped == [True]
+        assert shared.to_json() == apart
 
     def test_gradient_suite_passes(self):
         rep = run_check_suites(default_config(), ["gradients"])
@@ -581,6 +702,7 @@ class TestCli:
         (None, "seed", -1),
         (None, "tracked_samples", 5),
         (None, "tracked_samples", [1.0]),
+        (None, "tracked_samples", [0, 0]),
         ("data", "n", "20"),
         ("data", "d", 800.5),
         ("data", "mu_norm", "6"),
@@ -632,8 +754,12 @@ class TestCli:
         ("mu_values", [4.0, math.inf], "mu_values must be finite"),
         ("seeds", [0.5], "seeds"),
         ("seeds", [0, -1], "seeds"),
+        ("d_values", [48, 48], "d_values repeats"),
+        ("mu_values", [4, 4.0], "mu_values repeats"),
+        ("seeds", [1, 1], "seeds repeats"),
     ], ids=["d-below-two", "d-not-list", "d-float", "mu-string",
-            "mu-infinite", "seed-float", "seed-negative"])
+            "mu-infinite", "seed-float", "seed-negative", "d-repeated",
+            "mu-repeated", "seed-repeated"])
     def test_sweep_cell_fault_rejected_at_load(self, tmp_path, capsys, key,
                                                value, match):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),
@@ -660,6 +786,20 @@ class TestCli:
         assert code == EXIT_USAGE
         assert "config error: threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()   # nothing ran
+
+    def test_overflowing_init_scale_exit_four(self, tmp_path, capsys):
+        # sigma_w = 1e308 overflows W(0) in its first row block: the draw
+        # raises there, before V is formed from it, and nothing warns
+        cfg = replace(tiny_config(), model=ModelParams(sigma_w=1e308))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config",
+                             self.write_config(tmp_path, cfg),
+                             "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_NUMERICAL
+        assert not caught
+        assert (capsys.readouterr().err
+                == "numerical error: W contains non-finite entries\n")
 
     def test_numerical_error_exit_four(self, tmp_path, capsys, monkeypatch):
         # a ValueError raised while computing is not a config error, also

@@ -810,7 +810,7 @@ class TestStreamedTestSet:
         gamma, proj = eng.test_projection(lazy, threading.Event())
         assert "X" not in lazy.__dict__
         N, X = eng.N, self.whole(lazy).X.reshape(m * T, 800)
-        PtW0 = eng._P.T @ eng._W0
+        PtW0 = eng._P.T @ state.W
         ref = np.empty((2 * N + 1, m * T))
         np.matmul(PtW0, X.T, out=ref[:N + 1])
         np.matmul(eng._B, X.T, out=ref[N + 1:])
