@@ -9,10 +9,9 @@ finite-scale good-run events, grokking, and SNR-based overfitting regimes.
 from .data import (ConfigError, DataConfig, Dataset, Role, SignalBasis,
                    a8_sigma, generate_dataset, make_signals, snr)
 from .model import ModelState, batch_outputs, init_params, make_head, softmax
-from .multiclass import (MulticlassConfig, MulticlassDataset, MulticlassState,
-                         generate_multiclass_dataset, grad_wv,
-                         head_gradient_estimate, make_class_signals,
-                         multiclass_loss_and_grads)
+from .multiclass import (MulticlassConfig, MulticlassDataset,
+                         generate_multiclass_dataset, head_gradient_estimate,
+                         make_class_signals)
 from .rng import cell_seed, stream
 from .theory import (AttentionDiagnostics, CheckResult, GLinearityResult,
                      GrokkingTimes, InteractionTerms, Regime, TheoryReport,
@@ -24,6 +23,6 @@ from .theory import (AttentionDiagnostics, CheckResult, GLinearityResult,
                      verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainResult, TrainTrace,
                     empirical_loss, finite_diff_grad, gd_step, grad_p, grad_w,
-                    loss_derivative, output_grads, train)
+                    loss_derivative, train)
 
 __version__ = "0.1.0"

@@ -257,10 +257,11 @@ def _build_tokens(y_true: np.ndarray, tokens: np.ndarray, signals: SignalBasis,
     bit-exact: adding the role signals to the noise with the same
     expressions reproduces the stored tokens."""
     plus, minus = signals.mu_plus, signals.mu_minus
+    weak_plus, weak_minus = rho * plus, rho * minus
     pos = (y_true > 0)[:, None, None]
     for label, (sig, weak_sig, weak_opp) in (
-            (pos, (plus, rho * plus, rho * minus)),
-            (~pos, (minus, rho * minus, rho * plus))):
+            (pos, (plus, weak_plus, weak_minus)),
+            (~pos, (minus, weak_minus, weak_plus))):
         for rows, vec in ((tokens[:, :1], sig), (tokens[:, 1:2], weak_opp),
                           (tokens[:, 2:2 + n_weak_same], weak_sig)):
             np.add(rows, vec, out=rows, where=label)

@@ -173,17 +173,24 @@ def _softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
         # exact either way
         m = (v.swapaxes(axis, 0).copy().max(axis=0, keepdims=True)
              .swapaxes(axis, 0))
-    else:
-        m = v.max(axis=axis, keepdims=True)
+        # exponentiated and normalized in place: the same values without
+        # two more temporaries of the block's size
+        e = v - m
+        np.exp(e, out=e)
+        e /= e.sum(axis=axis, keepdims=True)
+        return e
+    m = v.max(axis=axis, keepdims=True)
     e = np.exp(v - m)
     return e / e.sum(axis=axis, keepdims=True)
 
 
 def loss_derivative(z):
-    """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in (-1, 0).
+    """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in [-1, 0].
 
     Evaluated as -e/(1 + e) for z >= 0 and -1/(1 + e) for z < 0, with
-    e = exp(-|z|), so the exponential never overflows."""
+    e = exp(-|z|), so the exponential never overflows.  The endpoints are
+    reached in float64: the value rounds to -1.0 below about z = -37 and
+    to -0.0 above about z = 745."""
     z = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0, e, 1.0) / (-1.0 - e)
@@ -191,14 +198,28 @@ def loss_derivative(z):
 
 
 def _fits(out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Strict-sign match of outputs with labels: a zero output is a misfit
-    against either label, so ties never inflate accuracy."""
-    return (out != 0) & (np.sign(out) == y)
+    """Strict-sign match of outputs with labels +-1, y f > 0: a zero output
+    is a misfit against either label, so ties never inflate accuracy."""
+    return y * out > 0
 
 
 def _logistic_loss(out: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-output logistic loss log(1 + exp(-y f)), evaluated stably."""
     return np.logaddexp(0.0, -y * out)
+
+
+def _fit_loss_means(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The means over the last axis of :func:`_fits` and
+    :func:`_logistic_loss` of outputs (..., m) against labels y, stacked as
+    (acc, loss): the margins y f are formed once (exactly, as y is +-1)
+    and both metrics are reduced together, with the bits of two separate
+    means."""
+    z = out * y
+    per = np.empty((2,) + z.shape)
+    np.greater(z, 0.0, out=per[0])
+    np.negative(z, out=per[1])
+    np.logaddexp(0.0, per[1], out=per[1])
+    return per.mean(axis=-1)
 
 
 def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):

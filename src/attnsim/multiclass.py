@@ -15,16 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ConfigError, _check_type
-from .model import softmax
 
 __all__ = [
     "MulticlassConfig",
     "MulticlassDataset",
-    "MulticlassState",
     "make_class_signals",
     "generate_multiclass_dataset",
-    "multiclass_loss_and_grads",
-    "grad_wv",
     "head_gradient_estimate",
 ]
 
@@ -69,22 +65,6 @@ class MulticlassDataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-
-@dataclass
-class MulticlassState:
-    W: np.ndarray    # (d, d)
-    p: np.ndarray    # (d,)
-    W_V: np.ndarray  # (d, K) fixed per-class heads
-
-    def __post_init__(self):
-        d = self.p.shape[0]
-        if self.W.shape != (d, d) or self.W_V.shape[0] != d:
-            raise ValueError("inconsistent multiclass state shapes")
-
-    @property
-    def K(self) -> int:
-        return self.W_V.shape[1]
 
 
 def make_class_signals(d: int, K: int, mu_norm: float,
@@ -149,48 +129,6 @@ def generate_multiclass_dataset(config: MulticlassConfig, mus: np.ndarray,
                              weak_classes=weak, K=config.K)
 
 
-def _forward_multiclass(dataset: MulticlassDataset, state: MulticlassState):
-    n, T, d = dataset.X.shape
-    flat = dataset.X.reshape(n * T, d)
-    attn = (flat @ (state.W.T @ state.p)).reshape(n, T)
-    s = softmax(attn, axis=-1)
-    pooled = np.einsum("it,itd->id", s, dataset.X)
-    logits = pooled @ state.W_V          # (n, K)
-    shift = logits - logits.max(axis=1, keepdims=True)
-    logZ = np.log(np.exp(shift).sum(axis=1)) + logits.max(axis=1)
-    q = softmax(logits, axis=-1)
-    losses = logZ - logits[np.arange(n), dataset.y_train]
-    return s, pooled, q, losses
-
-
-def multiclass_loss_and_grads(dataset: MulticlassDataset,
-                              state: MulticlassState):
-    """Mean cross-entropy and its gradients in (W, p).
-
-    With two classes and opposite heads nu_0 = -nu_1 = nu/2 this reproduces
-    the binary logistic path exactly.
-    """
-    if state.K < 2:
-        raise ValueError("multiclass path requires K >= 2")
-    n, T, d = dataset.X.shape
-    s, pooled, q, losses = _forward_multiclass(dataset, state)
-    # h_i = sum_k q_k nu_k - nu_{y_i}: the loss gradient in the pooled token
-    h = q @ state.W_V.T - state.W_V.T[dataset.y_train]      # (n, d)
-    gamma = np.einsum("itd,id->it", dataset.X, h)
-    omega = s * (gamma - np.einsum("it,it->i", s, gamma)[:, None])
-    g = (omega.reshape(n * T) @ dataset.X.reshape(n * T, d)) / n
-    return float(losses.mean()), np.outer(state.p, g), state.W @ g
-
-
-def grad_wv(dataset: MulticlassDataset, state: MulticlassState) -> np.ndarray:
-    """Gradient of the mean cross-entropy in the head matrix (d, K)."""
-    n = dataset.n
-    _, pooled, q, _ = _forward_multiclass(dataset, state)
-    coeff = q.copy()
-    coeff[np.arange(n), dataset.y_train] -= 1.0
-    return pooled.T @ coeff / n
-
-
 # Monte Carlo samples of one head_gradient_estimate batch.  Each batch
 # spawns its own token and flip streams, so the batch size and the spawn
 # order fix the sample: changing either changes the estimate, and neither
@@ -228,8 +166,9 @@ def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
     into one free set of buffers: a (batch, d) array of token means and a
     (_ESTIMATE_CHUNK, T, d) token chunk.  numpy releases the GIL while it
     fills arrays, so the draws overlap on two cores.  The batch terms are
-    added in batch order, with the bits of :func:`grad_wv` at the all-zero
-    state over whole dataset batches.
+    added in batch order, with the bits of the dense cross-entropy head
+    gradient, pooled^T (q - onehot(y)) / n, at the all-zero state over
+    whole dataset batches.
     """
     if np.shape(mus) != (config.K, config.d):
         raise ValueError(f"mus must have shape (K, d) = "
@@ -257,8 +196,9 @@ def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,
                     "it,itd->id", s,
                     _draw_tokens(config, mus, tok_rng, y_true[lo:hi],
                                  weak[lo:hi], out=chunk))
-            # grad_wv at zero logits, where q = softmax(0) is exactly 1/K;
-            # its mean is taken and scaled back by m, as the held path does
+            # the head gradient at zero logits, where q = softmax(0) is
+            # exactly 1/K; its mean is taken and scaled back by m, as the
+            # dense gradient over a held batch does
             coeff = np.full((m, K), 1.0 / K)
             coeff[np.arange(m), y_train] -= 1.0
             return -(pooled[:m].T @ coeff / m) * m

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ConfigError, DataConfig, Dataset, SignalBasis, _check_type
-from .model import (InitDraw, ModelState, _attend, _fits, _logistic_loss,
-                    _token_scores, batch_outputs, loss_derivative, row_blocks)
+from .model import (InitDraw, ModelState, _attend, _fit_loss_means, _fits,
+                    _logistic_loss, _token_scores, batch_outputs,
+                    loss_derivative, row_blocks)
 
 __all__ = [
     "TrainConfig",
@@ -38,7 +39,6 @@ __all__ = [
     "loss_derivative",
     "grad_w",
     "grad_p",
-    "output_grads",
     "gd_step",
     "train",
     "InitProducts",
@@ -130,18 +130,6 @@ def grad_w(dataset: Dataset, state: ModelState) -> np.ndarray:
 
 def grad_p(dataset: Dataset, state: ModelState) -> np.ndarray:
     return state.W @ _gbar(dataset, state)
-
-
-def output_grads(X: np.ndarray, state: ModelState):
-    """Gradients of the raw output f(X) for one sequence: (df/dW, df/dp).
-
-    Both scale exactly linearly in the head: replacing nu by c*nu multiplies
-    them by c (the softmax does not depend on nu).
-    """
-    u, gamma = _token_scores(X[None], state.W.T @ state.p, state.nu)
-    probs, out, _ = _attend(u, gamma)
-    c = (probs * (gamma - out[:, None]))[0] @ X
-    return np.outer(state.p, c), state.W @ c
 
 
 def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:
@@ -310,10 +298,11 @@ class _Recorder:
         probs = self.probs[:logged]
         if test is None:
             test = (np.full(logged, math.nan),) * 2
+        train_acc, train_loss = _fit_loss_means(out, ds.y_train)
         return TrainTrace(
             steps=self.steps[:logged],
-            train_loss=_logistic_loss(out, ds.y_train).mean(axis=1),
-            train_acc=_fits(out, ds.y_train).mean(axis=1),
+            train_loss=train_loss,
+            train_acc=train_acc,
             train_acc_true=_fits(out, ds.y_true).mean(axis=1),
             test_acc=test[0],
             test_loss=test[1],
@@ -331,14 +320,29 @@ class _Recorder:
         )
 
 
-# Logged states scored together on the test set: bounds the (block, m*T)
-# score temporaries.
-_TEST_BLOCK = 32
-# Test samples read, and on the projection branch drawn, at a time.  A
-# multiple of 8, so that every chunk but a short last one has a multiple of
-# 8 token rows; products over such chunks came out bit-equal to one product
-# over all the tokens under OpenBLAS (which does not promise it).
-_TEST_CHUNK = 64
+# The scoring thread waits for the interpreter lock after each numpy call
+# that released it, up to one switch interval (5 ms) while the loop thread
+# holds it, so it scores and draws in few, large calls.
+#
+# Logged states scored together on the test set; bounds the (block, m*T)
+# score temporaries.  A state's metrics can depend on the block size in
+# their last bits, since OpenBLAS may round a row of a product differently
+# for another row count: it did for single rows and for small direct-branch
+# products.  Blocks of 32 and 128 gave the same bits at the acceptance
+# points.
+_TEST_BLOCK = 128
+# The test set is read in this many chunks: see _test_chunk.
+_TEST_CHUNKS = 6
+
+
+def _test_chunk(m: int) -> int:
+    """Test samples read, and on the projection branch drawn, at a time:
+    m / ``_TEST_CHUNKS`` rounded up to a multiple of 8, so that about that
+    share of the tokens is held at once and every chunk but a short last
+    one has a multiple of 8 token rows.  Products over such chunks came out
+    bit-equal to one product over all the tokens under OpenBLAS (which
+    does not promise it)."""
+    return 8 * -(-m // (8 * _TEST_CHUNKS))
 
 
 class _TestScoring:
@@ -347,9 +351,10 @@ class _TestScoring:
 
     The worker first forms the test scores gamma and the engine's
     ``test_scorer``, then scores each block of ``_TEST_BLOCK`` rows of
-    ``coefs`` handed to :meth:`submit` once the loop has written them.
-    Blocks are scored in order, with the expressions of a serial pass; a
-    block whose setup or earlier block failed is not scored.
+    ``coefs`` handed to :meth:`submit` once the loop has written them, in
+    one product and a dozen passes over the block's scores.  Blocks are
+    scored in order, with the expressions of a serial pass; a block whose
+    setup or earlier block failed is not scored.
     """
 
     def __init__(self, eng, test_set: Dataset, coefs: np.ndarray,
@@ -374,9 +379,8 @@ class _TestScoring:
         m, b = len(self.y), hi - lo
         scores = self.to_scores(self.coefs[lo:hi])
         _, out, _ = _attend(scores.reshape(b * m, -1), self.gamma[:b * m])
-        out = out.reshape(b, m)
-        self.acc[lo:hi] = _fits(out, self.y).mean(axis=1)
-        self.loss[lo:hi] = _logistic_loss(out, self.y).mean(axis=1)
+        self.acc[lo:hi], self.loss[lo:hi] = _fit_loss_means(
+            out.reshape(b, m), self.y)
 
     def submit(self, logged: int):
         """Queue rows up to ``logged`` for scoring; the error of a block
@@ -648,24 +652,25 @@ class _SubspaceEngine:
     def test_projection(self, test_set, stopped):
         """The test tokens' head scores gamma (m, T) and their projection
         (2N + 1, m*T) onto ``[P^T W0; B]``, the rows that map a coefficient
-        row to W^T p.  The tokens are read ``_TEST_CHUNK`` samples at a
-        time, drawn chunk by chunk when the test set does not hold them,
-        and each chunk is dropped once reduced.  W(0) is released once
-        ``P^T W0`` is formed, its last reader on this branch.  Once
-        ``stopped`` is set, the draw ends at the next chunk with
-        :class:`CancelledError`."""
-        N, T = self.N, self.T
-        PtW0 = self._P.T @ self._state0.W
+        row to W^T p, formed by one product per chunk of
+        :func:`_test_chunk` samples.  The chunks are drawn one by one when
+        the test set does not hold them, and each is dropped once reduced.
+        W(0) is released once ``P^T W0`` is formed, its last reader on this
+        branch.  Once ``stopped`` is set, the draw ends at the next chunk
+        with :class:`CancelledError`."""
+        N, T, B = self.N, self.T, self._B
+        basis = np.empty((2 * N + 1, B.shape[1]))
+        np.matmul(self._P.T, self._state0.W, out=basis[:N + 1])
         self._state0.release()
+        basis[N + 1:] = B     # after the release: W(0)'s peak stays
         gamma = np.empty(test_set.n * T)
         proj = np.empty((2 * N + 1, test_set.n * T))
         lo = 0
-        for chunk in test_set.token_chunks(_TEST_CHUNK):
+        for chunk in test_set.token_chunks(_test_chunk(test_set.n)):
             flat = chunk.reshape(len(chunk) * T, -1)
             hi = lo + len(flat)
             np.matmul(flat, self._nu, out=gamma[lo:hi])
-            np.matmul(PtW0, flat.T, out=proj[:N + 1, lo:hi])
-            np.matmul(self._B, flat.T, out=proj[N + 1:, lo:hi])
+            np.matmul(basis, flat.T, out=proj[:, lo:hi])
             lo = hi
             del chunk, flat     # before the next chunk is drawn
             if stopped.is_set():

@@ -1,0 +1,80 @@
+"""Reference paths that only the tests read: the dense multiclass forward
+with its cross-entropy gradients, and the gradients of one binary output.
+The library's own paths are checked against them."""
+from dataclasses import dataclass
+
+import numpy as np
+
+from attnsim.model import ModelState, _attend, _token_scores, softmax
+from attnsim.multiclass import MulticlassDataset
+
+
+@dataclass
+class MulticlassState:
+    W: np.ndarray    # (d, d)
+    p: np.ndarray    # (d,)
+    W_V: np.ndarray  # (d, K) fixed per-class heads
+
+    def __post_init__(self):
+        d = self.p.shape[0]
+        if self.W.shape != (d, d) or self.W_V.shape[0] != d:
+            raise ValueError("inconsistent multiclass state shapes")
+
+    @property
+    def K(self) -> int:
+        return self.W_V.shape[1]
+
+
+def forward_multiclass(dataset: MulticlassDataset, state: MulticlassState):
+    """Softmax, pooled tokens, class probabilities and per-sample losses."""
+    n, T, d = dataset.X.shape
+    flat = dataset.X.reshape(n * T, d)
+    attn = (flat @ (state.W.T @ state.p)).reshape(n, T)
+    s = softmax(attn, axis=-1)
+    pooled = np.einsum("it,itd->id", s, dataset.X)
+    logits = pooled @ state.W_V          # (n, K)
+    shift = logits - logits.max(axis=1, keepdims=True)
+    logZ = np.log(np.exp(shift).sum(axis=1)) + logits.max(axis=1)
+    q = softmax(logits, axis=-1)
+    losses = logZ - logits[np.arange(n), dataset.y_train]
+    return s, pooled, q, losses
+
+
+def multiclass_loss_and_grads(dataset: MulticlassDataset,
+                              state: MulticlassState):
+    """Mean cross-entropy and its gradients in (W, p).
+
+    With two classes and opposite heads nu_0 = -nu_1 = nu/2 this reproduces
+    the binary logistic path exactly.
+    """
+    if state.K < 2:
+        raise ValueError("multiclass path requires K >= 2")
+    n, T, d = dataset.X.shape
+    s, pooled, q, losses = forward_multiclass(dataset, state)
+    # h_i = sum_k q_k nu_k - nu_{y_i}: the loss gradient in the pooled token
+    h = q @ state.W_V.T - state.W_V.T[dataset.y_train]      # (n, d)
+    gamma = np.einsum("itd,id->it", dataset.X, h)
+    omega = s * (gamma - np.einsum("it,it->i", s, gamma)[:, None])
+    g = (omega.reshape(n * T) @ dataset.X.reshape(n * T, d)) / n
+    return float(losses.mean()), np.outer(state.p, g), state.W @ g
+
+
+def grad_wv(dataset: MulticlassDataset, state: MulticlassState) -> np.ndarray:
+    """Gradient of the mean cross-entropy in the head matrix (d, K)."""
+    n = dataset.n
+    _, pooled, q, _ = forward_multiclass(dataset, state)
+    coeff = q.copy()
+    coeff[np.arange(n), dataset.y_train] -= 1.0
+    return pooled.T @ coeff / n
+
+
+def output_grads(X: np.ndarray, state: ModelState):
+    """Gradients of the raw output f(X) for one sequence: (df/dW, df/dp).
+
+    Both scale exactly linearly in the head: replacing nu by c*nu multiplies
+    them by c (the softmax does not depend on nu).
+    """
+    u, gamma = _token_scores(X[None], state.W.T @ state.p, state.nu)
+    probs, out, _ = _attend(u, gamma)
+    c = (probs * (gamma - out[:, None]))[0] @ X
+    return np.outer(state.p, c), state.W @ c

@@ -26,9 +26,8 @@ from attnsim.data import DataConfig, a8_sigma, generate_dataset, make_signals
 from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  execute, run, sweep)
 from attnsim.model import ModelState, init_params, softmax
-from attnsim.multiclass import (MulticlassConfig, MulticlassState,
-                                generate_multiclass_dataset, make_class_signals,
-                                multiclass_loss_and_grads)
+from attnsim.multiclass import (MulticlassConfig,
+                                generate_multiclass_dataset, make_class_signals)
 from attnsim.rng import stream
 from attnsim.theory import (etf_gradient_check, g_linearity,
                             good_run_check, measure_grokking,
@@ -37,6 +36,7 @@ from attnsim.theory import (etf_gradient_check, g_linearity,
 from attnsim.train import TrainConfig, finite_diff_grad, grad_p, grad_w
 
 from conftest import record_criterion
+from oracles import MulticlassState, multiclass_loss_and_grads
 
 SEEDS = (0, 2, 4)
 

@@ -244,7 +244,8 @@ class TestBuildInputs:
         signals, dataset, test_set, state0, _ = build_inputs(cfg)
         assert drawn == ([8] if projected else [8, 150])
         train(state0, dataset, signals, cfg.train, test_set=test_set)
-        assert drawn == ([8, 64, 64, 22] if projected else [8, 150])
+        # chunks of a sixth of 150 samples, rounded up to 32
+        assert drawn == ([8, 32, 32, 32, 32, 22] if projected else [8, 150])
         assert ("X" in test_set.__dict__) != projected
 
     def test_init_error_propagates_and_thread_ends(self, monkeypatch):
@@ -377,7 +378,9 @@ class TestInitLifetime:
         cfg = replace(cfg, data=replace(cfg.data, n=30))   # 123 rows
         assert not experiments.projects_test_set(cfg.data, cfg.train)
         (signals, dataset, test_set, state0, products), ref = self.drawn(cfg)
-        scoring_cls = importlib.import_module("attnsim.train")._TestScoring
+        train_mod = importlib.import_module("attnsim.train")
+        monkeypatch.setattr(train_mod, "_TEST_BLOCK", 32)
+        scoring_cls = train_mod._TestScoring
         exact_block, held = scoring_cls._block, []
 
         def block(self, lo, hi):

@@ -13,12 +13,13 @@ from attnsim.data import (ConfigError, DataConfig, generate_dataset,
                           make_signals)
 from attnsim.model import make_head
 from attnsim.multiclass import (MulticlassConfig, MulticlassDataset,
-                                MulticlassState, generate_multiclass_dataset,
-                                grad_wv, head_gradient_estimate,
-                                make_class_signals, multiclass_loss_and_grads)
+                                generate_multiclass_dataset,
+                                head_gradient_estimate, make_class_signals)
 from attnsim.rng import stream
 from attnsim.theory import etf_gradient_check, rel_err
 from attnsim.train import empirical_loss
+
+from oracles import MulticlassState, grad_wv, multiclass_loss_and_grads
 
 
 def kcfg(**kw):

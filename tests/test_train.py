@@ -16,12 +16,15 @@ from attnsim.model import (ModelState, _attend, _fits, _logistic_loss,
                            batch_outputs, init_params, make_head, softmax)
 from attnsim.rng import stream
 from attnsim.theory import compute_diagnostics, rel_err
-from attnsim.train import (_FOLD, _TEST_BLOCK, _TEST_CHUNK, DivergenceError,
+from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError,
                            TrainConfig, _log_points, _SubspaceEngine,
-                           _TestScoring, central_difference, empirical_loss,
-                           finite_diff_grad, gd_step, grad_p, grad_w,
-                           loss_derivative, output_grads, projects_test_set,
-                           train)
+                           _test_chunk, _TestScoring, central_difference,
+                           empirical_loss, finite_diff_grad, gd_step, grad_p,
+                           grad_w, loss_derivative, projects_test_set, train)
+
+from oracles import output_grads
+
+train_mod = importlib.import_module("attnsim.train")
 
 
 def make_instance(seed=0, n=4, T=3, d=8, sigma=0.5):
@@ -65,9 +68,11 @@ class TestLossDerivative:
 
     def test_limit(self):
         # z -> +inf approaches zero from below; past float range only the
-        # sign of the zero survives
+        # sign of the zero survives.  z -> -inf reaches the other endpoint,
+        # -1.0, exactly
         assert loss_derivative(700.0) < 0.0
         assert math.copysign(1.0, loss_derivative(800.0)) == -1.0
+        assert loss_derivative(-40.0) == -1.0
         assert loss_derivative(-800.0) == pytest.approx(-1.0, rel=1e-12)
 
     @given(st.floats(min_value=-36.0, max_value=700.0, allow_nan=False))
@@ -649,16 +654,17 @@ class TestSubspaceAgainstGdStep:
             run_config(alpha=5e-3, steps=5000, log_every=500))
 
 
-def serial_test_metrics(test_set, nu, rows, to_scores):
-    """The scoring of logged states as one serial pass after the loop: the
-    reference the scoring beside the loop must match bit for bit."""
+def serial_test_metrics(test_set, nu, rows, to_scores, block=_TEST_BLOCK):
+    """The scoring of logged states as one serial pass after the loop, in
+    blocks of ``block`` states: the reference the scoring beside the loop
+    must match bit for bit."""
     m, T, d = test_set.X.shape
     y = test_set.y_true
     gamma = np.tile((test_set.X.reshape(m * T, d) @ nu).reshape(m, T),
-                    (min(_TEST_BLOCK, len(rows)), 1))
+                    (min(block, len(rows)), 1))
     acc, loss = np.empty(len(rows)), np.empty(len(rows))
-    for lo in range(0, len(rows), _TEST_BLOCK):
-        scores = to_scores(rows[lo:lo + _TEST_BLOCK])
+    for lo in range(0, len(rows), block):
+        scores = to_scores(rows[lo:lo + block])
         b = scores.shape[0]
         _, out, _ = _attend(scores.reshape(b * m, T), gamma[:b * m])
         out = out.reshape(b, m)
@@ -684,15 +690,17 @@ class TestConcurrentTestScoring:
 
     # N = nT + 2 = 46, so more than N + 1 = 47 logged states are scored
     # through the test set's projection onto the basis, fewer through each
-    # state's W^T p; the fault diverges the run mid-block, after 40 rows
-    @pytest.mark.parametrize("steps, log_every, fault_at, projected", [
-        pytest.param(100, 1, None, True, id="101-rows-projected"),
-        pytest.param(63, 1, None, True, id="64-rows-whole-blocks"),
-        pytest.param(90, 2, None, False, id="46-rows-per-state"),
-        pytest.param(3 * _TEST_BLOCK, 1, 40, True, id="diverges-mid-block"),
+    # state's W^T p; the fault diverges the run mid-block, after 40 rows.
+    # Blocks of 32 make the loop hand over whole blocks.
+    @pytest.mark.parametrize("steps, log_every, fault_at, projected, block", [
+        pytest.param(100, 1, None, True, _TEST_BLOCK, id="101-rows-projected"),
+        pytest.param(63, 1, None, True, 32, id="64-rows-whole-blocks"),
+        pytest.param(90, 2, None, False, _TEST_BLOCK, id="46-rows-per-state"),
+        pytest.param(96, 1, 40, True, 32, id="diverges-mid-block"),
     ])
     def test_equals_serial_scoring(self, monkeypatch, steps, log_every,
-                                   fault_at, projected):
+                                   fault_at, projected, block):
+        monkeypatch.setattr(train_mod, "_TEST_BLOCK", block)
         rows, engines = [], []
         exact_coefficients = _SubspaceEngine.coefficients
 
@@ -720,14 +728,14 @@ class TestConcurrentTestScoring:
         assert res.trace.diverged_at == fault_at
         assert res.trace.n_logged == len(rows)
         if fault_at is not None:
-            assert len(rows) % _TEST_BLOCK != 0
+            assert len(rows) % block != 0
         eng = engines[0]
         L = len(_log_points(steps, log_every))
         assert (L > eng.N + 1) == projected
         assert projects_test_set(ds.config, tcfg) == projected
         _, to_scores = eng.test_scorer(test, projected, threading.Event())
         acc, loss = serial_test_metrics(test, state.nu, np.array(rows),
-                                        to_scores)
+                                        to_scores, block)
         assert res.trace.test_acc.tobytes() == acc.tobytes()
         assert res.trace.test_loss.tobytes() == loss.tobytes()
 
@@ -749,7 +757,8 @@ class TestConcurrentTestScoring:
         state, ds, sig, test = self.setup_run()
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block scoring failed"):
-            train(state, ds, sig, run_config(steps=100, log_every=1),
+            train(state, ds, sig, run_config(steps=3 * _TEST_BLOCK,
+                                             log_every=1),
                   test_set=test, hooks=(hook,))
         assert set(threading.enumerate()) <= before
         assert blocks == [(0, _TEST_BLOCK)]
@@ -771,7 +780,8 @@ class TestConcurrentTestScoring:
         state, ds, sig, test = self.setup_run()
         seen = []
         with pytest.raises(RuntimeError, match="block scoring failed"):
-            train(state, ds, sig, run_config(steps=100, log_every=1),
+            train(state, ds, sig, run_config(steps=3 * _TEST_BLOCK,
+                                             log_every=1),
                   test_set=test, hooks=(lambda step, _: seen.append(step),))
         assert seen[-1] == 2 * _TEST_BLOCK - 1
 
@@ -856,7 +866,7 @@ class TestStreamedTestSet:
 
     def test_loop_error_stops_test_draw(self, monkeypatch):
         # a hook that raises at step 0 ends the run while the worker draws
-        # the first of three test chunks; it must draw no further chunk
+        # the first of five test chunks; it must draw no further chunk
         data_mod = importlib.import_module("attnsim.data")
         exact_draw, exact_close = data_mod._draw_tokens, _TestScoring.close
         drawn, closing, closed = [], [], threading.Event()
@@ -882,7 +892,7 @@ class TestStreamedTestSet:
         with pytest.raises(RuntimeError, match="hook failed"):
             train(state, ds, sig, run_config(steps=100, log_every=1),
                   test_set=lazy, hooks=(failing_hook,))
-        assert drawn == [_TEST_CHUNK]
+        assert drawn == [_test_chunk(150)]
 
     @pytest.mark.slow
     def test_harmful_point(self):
@@ -906,3 +916,101 @@ class TestStreamedTestSet:
             test_cfg, sig, stream(0, "t"))).trace
         assert streamed.test_acc.tobytes() == held.test_acc.tobytes()
         assert streamed.test_loss.tobytes() == held.test_loss.tobytes()
+
+
+class TestScoringSizes:
+    """The block and chunk sizes set how many numpy calls the scoring
+    thread makes.  At any sizes the thread must give the bits of a serial
+    pass in the same blocks.  Across sizes the bits held under OpenBLAS on
+    the projection branch for chunks of a multiple of 8 samples and blocks
+    of two or more states, and at the acceptance points between the
+    default sizes and the earlier ones (blocks of 32, chunks of 64).  They
+    need not hold for a block of one state, which numpy multiplies as a
+    vector, nor for the direct branch's small products, which OpenBLAS
+    rounds differently for different row counts (at d=64 every block size
+    gave other bits)."""
+
+    # 101 logged states (N = 38) over 150 lazy test samples at T=6, and 46
+    # (N = 46) over 40 held ones; 7 divides neither, and 152 samples are
+    # one chunk
+    @staticmethod
+    def setup_run(projected):
+        if projected:
+            state, ds, sig, test = TestStreamedTestSet().setup_run(T=6)
+            tcfg = run_config(alpha=0.05, steps=100, log_every=1)
+        else:
+            state, ds, sig, test = TestConcurrentTestScoring().setup_run()
+            tcfg = run_config(alpha=0.05, steps=90, log_every=2)
+        assert projects_test_set(ds.config, tcfg) == projected
+        return state, ds, sig, tcfg, test
+
+    @staticmethod
+    def run(monkeypatch, state, ds, sig, tcfg, test, block, chunk):
+        """The trace of a run scored in blocks of ``block`` states and
+        chunks of ``chunk`` samples (the defaults for None); the sizes
+        stay set for the rest of the test."""
+        if block is not None:
+            monkeypatch.setattr(train_mod, "_TEST_BLOCK", block)
+        if chunk is not None:
+            monkeypatch.setattr(train_mod, "_test_chunk", lambda m: chunk)
+        return train(state, ds, sig, tcfg, test_set=test).trace
+
+    @pytest.mark.parametrize("block, chunk", [(1, 8), (7, 24), (None, 152)])
+    @pytest.mark.parametrize("projected", [True, False],
+                             ids=["projected", "direct"])
+    def test_equals_serial_scoring_at_any_size(self, monkeypatch, block,
+                                               chunk, projected):
+        rows = []
+        exact_coefficients = _SubspaceEngine.coefficients
+
+        def recording(eng, row):
+            exact_coefficients(eng, row)
+            rows.append(row.copy())
+
+        state, ds, sig, tcfg, test = self.setup_run(projected)
+        whole = (TestStreamedTestSet.whole(test) if projected else test)
+        monkeypatch.setattr(_SubspaceEngine, "coefficients", recording)
+        trace = self.run(monkeypatch, state, ds, sig, tcfg, test, block,
+                         chunk)
+        # the serial pass projects the tokens in the run's chunks
+        eng = _SubspaceEngine(state, ds, sig, tcfg.alpha)
+        _, to_scores = eng.test_scorer(whole, projected, threading.Event())
+        acc, loss = serial_test_metrics(whole, state.nu, np.array(rows),
+                                        to_scores, block or _TEST_BLOCK)
+        assert trace.test_acc.tobytes() == acc.tobytes()
+        assert trace.test_loss.tobytes() == loss.tobytes()
+
+    @pytest.mark.parametrize("block, chunk", [
+        (7, 8), (32, 64), (None, 24), (7, 152)])
+    def test_sizes_keep_the_projected_bits(self, monkeypatch, block, chunk):
+        state, ds, sig, tcfg, test = self.setup_run(True)
+        default = self.run(monkeypatch, state, ds, sig, tcfg, test, None,
+                           None)
+        got = self.run(monkeypatch, state, ds, sig, tcfg, test, block, chunk)
+        assert got.test_acc.tobytes() == default.test_acc.tobytes()
+        assert got.test_loss.tobytes() == default.test_loss.tobytes()
+
+    # the benign point (2001 logged states, projection branch) and the
+    # not-overfitting point (81, direct branch) of the acceptance suite,
+    # scored in blocks of 32 and chunks of 64 samples against the defaults
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d, mu_norm, steps, projected", [
+        (2000, 20.0, 20000, True), (1000, 100.0, 800, False)],
+        ids=["benign", "not-overfitting"])
+    def test_paper_scale(self, monkeypatch, d, mu_norm, steps, projected):
+        cfg = DataConfig(n=20, T=8, d=d, mu_norm=mu_norm, sigma_eps=1.0,
+                         eta=0.2, rho=0.1, n_weak_same=1)
+        sig = make_signals(d, mu_norm, "random_orthogonal", stream(0, "s"))
+        ds = generate_dataset(cfg, sig, stream(0, "d"))
+        tcfg = run_config(alpha=5e-3, steps=steps, log_every=10)
+        assert projects_test_set(cfg, tcfg) == projected
+        test = generate_dataset(replace(cfg, n=1000, eta=0.0), sig,
+                                stream(0, "t"), lazy=projected)
+        s = 3 * a8_sigma(cfg)
+        W, p = init_params(d, s, s, stream(0, "i"))
+        state = ModelState(W=W, p=p, nu=make_head(sig))
+        default = self.run(monkeypatch, state, ds, sig, tcfg, test, None,
+                           None)
+        old = self.run(monkeypatch, state, ds, sig, tcfg, test, 32, 64)
+        assert old.test_acc.tobytes() == default.test_acc.tobytes()
+        assert old.test_loss.tobytes() == default.test_loss.tobytes()
