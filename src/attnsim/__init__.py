@@ -6,8 +6,8 @@ checking the dynamical laws that govern token selection: g-linear growth of
 attention gaps, one-step update identities, softmax concentration brackets,
 finite-scale good-run events, grokking, and SNR-based overfitting regimes.
 """
-from .data import (ConfigError, DataConfig, Dataset, Role, SignalBasis,
-                   a8_sigma, generate_dataset, make_signals, snr)
+from .data import (ConfigError, DataConfig, Dataset, SignalBasis, a8_sigma,
+                   generate_dataset, make_signals, snr)
 from .model import ModelState, batch_outputs, init_params, make_head, softmax
 from .multiclass import (MulticlassConfig, MulticlassDataset,
                          generate_multiclass_dataset, head_gradient_estimate,

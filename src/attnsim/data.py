@@ -14,13 +14,13 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from .rng import normal_fill
+
 __all__ = [
-    "Role",
     "SignalBasis",
     "DataConfig",
     "Dataset",
@@ -49,13 +49,6 @@ def _check_type(name: str, value, kind: type) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-class Role(str, Enum):
-    RELEVANT = "relevant"
-    WEAK_SAME = "weak_same"
-    WEAK_CONFUSING = "weak_confusing"
-    IRRELEVANT = "irrelevant"
-
-
 @dataclass(frozen=True)
 class SignalBasis:
     """Fixed pair of equal-norm, orthogonal class signal vectors."""
@@ -70,9 +63,6 @@ class SignalBasis:
     @property
     def mu_norm(self) -> float:
         return float(np.linalg.norm(self.mu_plus))
-
-    def signal_for(self, label: int) -> np.ndarray:
-        return self.mu_plus if label > 0 else self.mu_minus
 
 
 def make_signals(d: int, mu_norm: float, mode: str = "random_orthogonal",
@@ -166,15 +156,6 @@ class DataConfig:
         return cls(**obj)
 
 
-def roles_for(T: int, n_weak_same: int) -> tuple[Role, ...]:
-    """Fixed per-token role layout: relevant, confusing, weak-same block,
-    then irrelevant tokens."""
-    roles = [Role.RELEVANT, Role.WEAK_CONFUSING]
-    roles += [Role.WEAK_SAME] * n_weak_same
-    roles += [Role.IRRELEVANT] * (T - 2 - n_weak_same)
-    return tuple(roles)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """n token sequences.  The tokens ``X`` are drawn from ``noise_rng``, a
@@ -188,7 +169,6 @@ class Dataset:
     config: DataConfig
     y_train: np.ndarray         # (n,) in {+1, -1}
     y_true: np.ndarray          # (n,)
-    roles: tuple[Role, ...]
     signals: SignalBasis = field(repr=False)
     noise_rng: np.random.Generator = field(repr=False)
     clean_idx: np.ndarray = field(repr=False, default=None)
@@ -244,7 +224,8 @@ def _draw_noise(rng: np.random.Generator, config: DataConfig,
     Consecutive draws from one stream continue each other element by
     element, so drawing a dataset's noise in sample chunks gives the same
     bits as one draw."""
-    return rng.normal(0.0, config.sigma_eps, (n, config.T, config.d))
+    return normal_fill(rng, np.empty((n, config.T, config.d)),
+                       config.sigma_eps)
 
 
 def _build_tokens(y_true: np.ndarray, tokens: np.ndarray, signals: SignalBasis,
@@ -292,8 +273,7 @@ def generate_dataset(config: DataConfig, signals: SignalBasis,
     idx = np.arange(n)
     clean = y_train == y_true
     ds = Dataset(
-        config=config, y_train=y_train, y_true=y_true,
-        roles=roles_for(config.T, config.n_weak_same), signals=signals,
+        config=config, y_train=y_train, y_true=y_true, signals=signals,
         noise_rng=copy.deepcopy(tok_rng),
         clean_idx=idx[clean], noisy_idx=idx[~clean],
         clean_pos=idx[clean & (y_train > 0)], clean_neg=idx[clean & (y_train < 0)],

@@ -30,9 +30,8 @@ from .theory import (UPDATE_IDENTITY_TOL, CheckResult, TheoryReport,
                      g_linearity, init_checks, loss_derivative_balance,
                      measure_grokking, pre_saturation_window, rel_err,
                      softmax_bound_scan, verify_update_identity)
-from .train import (DivergenceError, InitProducts, TrainConfig, TrainTrace,
-                    finite_diff_grad, grad_p, grad_w, projects_test_set,
-                    train)
+from .train import (DivergenceError, TrainConfig, TrainTrace, finite_diff_grad,
+                    grad_p, grad_w, projects_test_set, train)
 
 __all__ = [
     "ModelParams",
@@ -188,9 +187,8 @@ def default_config() -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def build_inputs(config: ExperimentConfig):
-    """Deterministically expand a configuration into signals, datasets, the
-    initial model state and its :class:`InitProducts`; each stochastic
-    piece has its own stream.
+    """Deterministically expand a configuration into signals, datasets and
+    the initial model state; each stochastic piece has its own stream.
 
     A second thread draws W(0) block by block (:func:`init_params`), then
     p(0), while this one draws the signals, the training set, which gives
@@ -206,23 +204,22 @@ def build_inputs(config: ExperimentConfig):
     (:func:`projects_test_set`) is left undrawn: ``train`` draws it chunk
     by chunk beside its loop.
 
-    The drawn W(0) is held by the :class:`InitDraw` of ``state0``, which
-    ``train`` releases at W(0)'s last read; a read after that redraws it
-    from the draw's stream."""
+    The drawn W(0), B and V are held by the :class:`InitDraw` of
+    ``state0``, which ``train`` reads them from and which it releases at
+    W(0)'s last read; a read after that redraws W(0) from the draw's
+    stream."""
     s, d = config.seed, config.data.d
     sw, sp = config.resolved_sigmas()
     rng = stream(s, "init")
     init = InitDraw(d, sw, rng)
-    products = InitProducts(d, init)
 
     def draw_init():
         try:
-            init.W, p = init_params(d, sw, sp, rng,
-                                    on_rows=products.rows_drawn)
+            init.W, p = init_params(d, sw, sp, rng, on_rows=init.rows_drawn)
         except BaseException:
-            products.stop()
+            init.stop()
             raise
-        products.form()
+        init.form()
         return p
 
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -232,7 +229,7 @@ def build_inputs(config: ExperimentConfig):
                                    config.model.signal_mode,
                                    stream(s, "signals"))
             dataset = generate_dataset(config.data, signals, stream(s, "data"))
-            products.set_basis(dataset, signals)
+            init.set_basis(dataset, signals)
             test_set = None
             if config.train.test_size > 0:
                 test_cfg = replace(config.data, n=config.train.test_size,
@@ -240,26 +237,24 @@ def build_inputs(config: ExperimentConfig):
                 test_set = generate_dataset(
                     test_cfg, signals, stream(s, "test"),
                     lazy=projects_test_set(config.data, config.train))
-            products.form()
+            init.form()
         except BaseException:
-            products.stop()
+            init.stop()
             raise
         p = drawn.result()
     nu = make_head(signals, config.model.head_scale)
     state0 = ModelState(W=init, p=p, nu=nu)
-    return signals, dataset, test_set, state0, products
+    return signals, dataset, test_set, state0
 
 
 def execute(config: ExperimentConfig,
             raise_on_divergence: bool = True):
     """Run one configured training; returns (trace, final_state_fn)."""
-    signals, dataset, test_set, state0, products = build_inputs(config)
+    signals, dataset, test_set, state0 = build_inputs(config)
     sw, sp = config.resolved_sigmas()
-    result = train(state0, dataset, signals, config.train, test_set=test_set,
-                   meta={"seed": config.seed, "sigma_w": sw, "sigma_p": sp},
-                   raise_on_divergence=raise_on_divergence,
-                   products=products)
-    return result
+    return train(state0, dataset, signals, config.train, test_set=test_set,
+                 meta={"seed": config.seed, "sigma_w": sw, "sigma_p": sp},
+                 raise_on_divergence=raise_on_divergence)
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +576,7 @@ def _build_train_inputs(config: ExperimentConfig):
 def _suite_goodrun(config: ExperimentConfig, train_inputs) -> TheoryReport:
     # concentration events only: the class-count brackets are n ~ 10^3
     # statements and stay report-level at typical run sizes
-    signals, dataset, _, state0, _ = train_inputs()
+    signals, dataset, _, state0 = train_inputs()
     sw, sp = config.resolved_sigmas()
     return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp,
                           groups=("noise_norms", "noise_inner", "init_norms",
@@ -589,7 +584,7 @@ def _suite_goodrun(config: ExperimentConfig, train_inputs) -> TheoryReport:
 
 
 def _suite_init(config: ExperimentConfig, train_inputs) -> TheoryReport:
-    signals, dataset, _, state0, _ = train_inputs()
+    signals, dataset, _, state0 = train_inputs()
     return init_checks(state0, dataset, signals, config.train.alpha)
 
 

@@ -8,10 +8,12 @@ are trainable; nu is fixed at construction.
 from __future__ import annotations
 
 import copy
+import threading
 
 import numpy as np
 
-from .data import SignalBasis
+from .data import Dataset, SignalBasis
+from .rng import normal_fill
 
 __all__ = [
     "ModelState",
@@ -99,14 +101,7 @@ def init_params(d: int, sigma_w: float, sigma_p: float,
     W = np.empty((d, d)) if sigma_w > 0 else np.zeros((d, d))
     for lo, hi in row_blocks(d):
         if sigma_w > 0:
-            rows = W[lo:hi]
-            # rng.normal(0.0, sigma_w) computes 0 + sigma_w z; drawn in
-            # place, without a temporary; an overflow raises below
-            rng.standard_normal(out=rows)
-            with np.errstate(over="ignore"):
-                np.multiply(rows, sigma_w, out=rows)
-            np.add(rows, 0.0, out=rows)
-            _check_finite("W", rows)
+            _check_finite("W", normal_fill(rng, W[lo:hi], sigma_w))
         if on_rows is not None:
             on_rows(W, lo, hi)
     p = rng.normal(0.0, sigma_p, size=d) if sigma_p > 0 else np.zeros(d)
@@ -114,21 +109,94 @@ def init_params(d: int, sigma_w: float, sigma_p: float,
 
 
 class InitDraw:
-    """W(0) of one :func:`init_params` draw from ``rng``: ``W`` holds the
-    drawn array until it is released (set to None), and :meth:`array`
-    then redraws it block by block from a snapshot of ``rng`` taken here,
-    before the draw, bit-identical to the drawn one."""
+    """W(0) of one :func:`init_params` draw from ``rng``, and the training
+    engine's products of it.
 
-    def __init__(self, d: int, sigma_w: float, rng: np.random.Generator):
-        self.d, self.sigma_w = d, sigma_w
-        self.rng = copy.deepcopy(rng)
-        self.W = None
+    ``W`` holds the drawn array until it is released (set to None), and
+    :meth:`array` then redraws it block by block from a snapshot of
+    ``rng`` taken here, before the draw, bit-identical to the drawn one.
+
+    The products are the basis B, the training tokens then the two class
+    signals ((nT + 2) x d), and P = [p(0) | V] with V = W(0) B^T, formed
+    one row block of W(0) at a time as :func:`init_params` draws them.
+    :meth:`rows_drawn` (the draw's ``on_rows``) queues a drawn block and
+    :meth:`set_basis` supplies B.  Each thread that calls :meth:`form`
+    takes the next queued block once B is set, waiting for the draw when
+    none is queued, and returns when every block is taken or :meth:`stop`
+    is called.  Every block is formed by the same product, and a block's
+    product does not depend on the thread that forms it, so P has the same
+    bits under any schedule.  Column 0 is left to the engine, which writes
+    p(0) into it.
+    """
+
+    def __init__(self, d: int, sigma_w: float | None = None,
+                 rng: np.random.Generator | None = None):
+        self.d, self.sigma_w, self.rng = d, sigma_w, copy.deepcopy(rng)
+        self.W = self.B = self.P = None
+        self._blocks = len(row_blocks(d))
+        self._cond = threading.Condition()
+        self._queued, self._taken, self._stopped = [], 0, False
+
+    @classmethod
+    def of(cls, W0: np.ndarray, dataset: Dataset, signals: SignalBasis):
+        """The products of a held W(0), over the blocks of its draw; W(0)
+        stays with its holder, so the result cannot redraw it."""
+        draw = cls(W0.shape[0])
+        draw.set_basis(dataset, signals)
+        for lo, hi in row_blocks(draw.d):
+            draw.rows_drawn(W0, lo, hi)
+        draw.form()
+        draw.W = None
+        return draw
 
     def array(self) -> np.ndarray:
         if self.W is not None:
             return self.W
         return init_params(self.d, self.sigma_w, 0.0,
                            copy.deepcopy(self.rng))[0]
+
+    def rows_drawn(self, W: np.ndarray, lo: int, hi: int):
+        with self._cond:
+            self.W = W
+            self._queued.append((lo, hi))
+            self._cond.notify_all()
+
+    def set_basis(self, dataset: Dataset, signals: SignalBasis):
+        """Stack B; the dataset's tokens become a view of B's token rows,
+        so that one copy of them is held."""
+        n, T, d = dataset.X.shape
+        B = np.vstack([dataset.X.reshape(n * T, d), signals.mu_plus,
+                       signals.mu_minus])
+        # where generate_dataset stores X
+        dataset.__dict__["X"] = B[:n * T].reshape(n, T, d)
+        P = np.empty((d, len(B) + 1))
+        with self._cond:
+            self.B, self.P = B, P
+            self._cond.notify_all()
+
+    def stop(self):
+        """Release every thread waiting in :meth:`form`, which then returns
+        with blocks left; called when the draw or the caller fails."""
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+    def _ready(self) -> bool:
+        return (self._stopped or self._taken == self._blocks
+                or (self.B is not None and self._taken < len(self._queued)))
+
+    def form(self):
+        while True:
+            with self._cond:
+                self._cond.wait_for(self._ready)
+                if self._stopped or self._taken == self._blocks:
+                    return
+                lo, hi = self._queued[self._taken]
+                self._taken += 1
+            self._multiply(lo, hi)
+
+    def _multiply(self, lo: int, hi: int):
+        np.matmul(self.W[lo:hi], self.B.T, out=self.P[lo:hi, 1:])
 
 
 def make_head(signals: SignalBasis, scale="inverse_mu") -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ConfigError, _check_type
+from .rng import normal_fill
 
 __all__ = [
     "MulticlassConfig",
@@ -110,11 +111,7 @@ def _draw_tokens(config: MulticlassConfig, mus: np.ndarray,
     leading len(y_true) samples and that view is returned."""
     X = (np.empty((len(y_true), config.T, config.d)) if out is None
          else out[:len(y_true)])
-    # tok_rng.normal(0.0, sigma_eps) computes 0 + sigma_eps z; drawn in
-    # place, without a temporary
-    tok_rng.standard_normal(out=X)
-    np.multiply(X, config.sigma_eps, out=X)
-    np.add(X, 0.0, out=X)
+    normal_fill(tok_rng, X, config.sigma_eps)
     X[:, 0, :] += mus[y_true]
     for j in range(config.n_weak):
         X[:, 1 + j, :] += config.rho * mus[weak[:, j]]

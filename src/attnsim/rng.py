@@ -25,6 +25,21 @@ def stream(base_seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def normal_fill(rng: np.random.Generator, out: np.ndarray,
+                sigma: float) -> np.ndarray:
+    """Fill ``out`` with N(0, sigma^2) draws in place and return it.
+
+    ``rng.normal(0.0, sigma, out.shape)`` computes 0 + sigma z from one
+    standard normal z per element; the same three operations here give
+    its bits and leave ``rng`` at the same point, without a temporary.
+    An overflow to inf is not reported, as it is not by ``rng.normal``."""
+    rng.standard_normal(out=out)
+    with np.errstate(over="ignore"):
+        np.multiply(out, sigma, out=out)
+    np.add(out, 0.0, out=out)
+    return out
+
+
 def cell_seed(base_seed: int, *indices: int) -> int:
     """Deterministic per-cell seed for grid sweeps.
 

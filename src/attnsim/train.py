@@ -28,7 +28,7 @@ import numpy as np
 from .data import ConfigError, DataConfig, Dataset, SignalBasis, _check_type
 from .model import (InitDraw, ModelState, _attend, _fit_loss_means, _fits,
                     _logistic_loss, _token_scores, batch_outputs,
-                    loss_derivative, row_blocks)
+                    loss_derivative)
 
 __all__ = [
     "TrainConfig",
@@ -41,7 +41,6 @@ __all__ = [
     "grad_p",
     "gd_step",
     "train",
-    "InitProducts",
     "projects_test_set",
     "finite_diff_grad",
     "central_difference",
@@ -428,89 +427,6 @@ def projects_test_set(data: DataConfig, config: TrainConfig) -> bool:
     return logged > data.n * data.T + 3
 
 
-class InitProducts:
-    """The engine's basis B, the training tokens then the two class signals
-    ((nT + 2) x d), and P = [p(0) | V] with V = W(0) B^T, formed one row
-    block of W(0) at a time as :func:`init_params` draws them.
-
-    :meth:`rows_drawn` (the draw's ``on_rows``) queues a drawn block and
-    :meth:`set_basis` supplies B.  Each thread that calls :meth:`form`
-    takes the next queued block once B is set, waiting for the draw when
-    none is queued, and returns when every block is taken or :meth:`stop`
-    is called.  Every block is formed by the same product, and a block's
-    product does not depend on the thread that forms it, so P has the same
-    bits under any schedule.  Column 0 is left to :func:`train`, which
-    writes p(0) into it.  ``W`` is dropped once every block is formed;
-    ``init`` is the :class:`InitDraw` of the W(0) drawn, if any.
-    """
-
-    def __init__(self, d: int, init: InitDraw | None = None):
-        self.W = self.B = self.P = None
-        self.init = init
-        self._blocks = len(row_blocks(d))
-        self._cond = threading.Condition()
-        self._queued = []
-        self._taken = self._formed = 0
-        self._stopped = False
-
-    @classmethod
-    def of(cls, W0: np.ndarray, dataset: Dataset, signals: SignalBasis):
-        """The products of a held W(0), over the blocks of its draw."""
-        products = cls(W0.shape[0])
-        products.set_basis(dataset, signals)
-        for lo, hi in row_blocks(W0.shape[0]):
-            products.rows_drawn(W0, lo, hi)
-        products.form()
-        return products
-
-    def rows_drawn(self, W: np.ndarray, lo: int, hi: int):
-        with self._cond:
-            self.W = W
-            self._queued.append((lo, hi))
-            self._cond.notify_all()
-
-    def set_basis(self, dataset: Dataset, signals: SignalBasis):
-        """Stack B; the dataset's tokens become a view of B's token rows,
-        so that one copy of them is held."""
-        n, T, d = dataset.X.shape
-        B = np.vstack([dataset.X.reshape(n * T, d), signals.mu_plus,
-                       signals.mu_minus])
-        # where generate_dataset stores X
-        dataset.__dict__["X"] = B[:n * T].reshape(n, T, d)
-        P = np.empty((d, len(B) + 1))
-        with self._cond:
-            self.B, self.P = B, P
-            self._cond.notify_all()
-
-    def stop(self):
-        """Release every thread waiting in :meth:`form`, which then returns
-        with blocks left; called when the draw or the caller fails."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-
-    def _ready(self) -> bool:
-        return (self._stopped or self._taken == self._blocks
-                or (self.B is not None and self._taken < len(self._queued)))
-
-    def form(self):
-        while True:
-            with self._cond:
-                self._cond.wait_for(self._ready)
-                if self._stopped or self._taken == self._blocks:
-                    return
-                lo, hi = self._queued[self._taken]
-                self._taken += 1
-            self._multiply(lo, hi)
-            with self._cond:
-                self._formed += 1
-                if self._formed == self._blocks:
-                    self.W = None       # V was its last reader here
-
-    def _multiply(self, lo: int, hi: int):
-        np.matmul(self.W[lo:hi], self.B.T, out=self.P[lo:hi, 1:])
-
-
 # Number of steps whose rank-one terms wait beside L and Z before one GEMM
 # folds them in.
 _FOLD = 32
@@ -537,15 +453,17 @@ class _SubspaceEngine:
     steps folds them into L (and their x_j beta_j^T into Z).
     """
 
-    def __init__(self, state0, dataset, signals, alpha, products=None):
+    def __init__(self, state0, dataset, signals, alpha):
         n, T, d = dataset.X.shape
         self.n, self.T, self.nT = n, T, n * T
         self.alpha = alpha
-        if products is None:
-            products = InitProducts.of(state0.W, dataset, signals)
-        elif products.init is None or products.init is not state0.init:
-            raise ValueError("products were formed from another W(0)")
-        B, P = products.B, products.P
+        # the products formed beside the draw of W(0), if they are of its
+        # basis on this dataset; an unset B must not match tokens that own
+        # their memory
+        init = state0.init
+        if init is None or init.B is None or dataset.X.base is not init.B:
+            init = InitDraw.of(state0.W, dataset, signals)
+        B, P = init.B, init.P
         tokens = dataset.X.reshape(n * T, d)
         N = self.N = B.shape[0]
         P[:, 0] = state0.p
@@ -690,8 +608,7 @@ class _SubspaceEngine:
 def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
           config: TrainConfig, test_set: Dataset | None = None,
           hooks=(), meta: dict | None = None,
-          raise_on_divergence: bool = True,
-          products: InitProducts | None = None) -> TrainResult:
+          raise_on_divergence: bool = True) -> TrainResult:
     """Run ``config.steps`` full-batch GD iterations with instrumentation.
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
@@ -708,14 +625,15 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     chunk.  When an update or the scores it leads to go non-finite,
     training stops; the partial trace is preserved and a
     :class:`DivergenceError` carrying it is raised unless
-    ``raise_on_divergence`` is False.  ``products`` are the
-    :class:`InitProducts` of ``state0``'s drawn W(0) on ``dataset`` if
-    already formed; without them they are formed here, over the same row
-    blocks.  A drawn W(0) is released at its last read: once V is formed
-    without a test set, once the projection is formed on the projection
-    branch, and after the last scored block on the direct branch.
+    ``raise_on_divergence`` is False.  The engine's basis B and
+    V = W(0) B^T are those ``state0``'s :class:`InitDraw` formed beside
+    the draw when ``dataset``'s tokens are a view of its B; otherwise they
+    are formed here, over the same row blocks.  A drawn W(0) is released
+    at its last read: once V is formed without a test set, once the
+    projection is formed on the projection branch, and after the last
+    scored block on the direct branch.
     """
-    eng = _SubspaceEngine(state0, dataset, signals, config.alpha, products)
+    eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
     n, T, nT = eng.n, eng.T, eng.nT
     log_at = _log_points(config.steps, config.log_every)
     recorder = _Recorder(dataset, len(log_at), eng.N, hooks=hooks)

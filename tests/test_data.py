@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from attnsim.data import (ConfigError, DataConfig, Role, _build_tokens,
-                          a8_sigma, generate_dataset, make_signals, snr)
-from attnsim.rng import stream
+from attnsim.data import (ConfigError, DataConfig, _build_tokens, a8_sigma,
+                          generate_dataset, make_signals, snr)
+from attnsim.rng import normal_fill, stream
+
+
+def signal_for(signals, label):
+    """The class signal of ``label``."""
+    return signals.mu_plus if label > 0 else signals.mu_minus
 
 
 def small_config(**kw):
@@ -38,6 +43,21 @@ class TestSignals:
     def test_dimension_error(self):
         with pytest.raises(ValueError):
             make_signals(1, 1.0, "axis_aligned")
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 1.7, 3e-3])
+def test_normal_fill_has_the_bits_of_a_normal_draw(sigma):
+    # filled in chunks of 32, 32 and 22 samples, the draw has the bytes of
+    # one rng.normal(0, sigma) call (+0.0, not -0.0, at sigma 0) and leaves
+    # the stream where that call does
+    ref_rng, rng = stream(9, "fill"), stream(9, "fill")
+    want = ref_rng.normal(0.0, sigma, (86, 5, 7))
+    got = np.empty_like(want)
+    for lo, hi in ((0, 32), (32, 64), (64, 86)):
+        rows = got[lo:hi]
+        assert normal_fill(rng, rows, sigma) is rows
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 class TestConfigValidation:
@@ -77,8 +97,8 @@ class TestSampleFromPStar:
         sig = make_signals(8, 4.0, "axis_aligned")
         ds = generate_dataset(cfg, sig, stream(0, "x"))
         for tokens, y in zip(ds.X, ds.y_true):
-            own = sig.signal_for(y)
-            opp = sig.signal_for(-y)
+            own = signal_for(sig, y)
+            opp = signal_for(sig, -y)
             assert np.array_equal(tokens[0], own)
             assert np.array_equal(tokens[1], 0.2 * opp)
             assert np.array_equal(tokens[2], 0.2 * own)
@@ -111,21 +131,14 @@ class TestGenerateDataset:
         assert ds.X.shape == (20, 8, 2000)
         assert ds.noise.shape == (20, 8, 2000)
 
-    def test_roles_layout(self):
-        cfg = small_config(n_weak_same=2, T=6)
-        sig = make_signals(cfg.d, cfg.mu_norm, "axis_aligned")
-        ds = generate_dataset(cfg, sig, stream(0, "d"))
-        assert ds.roles == (Role.RELEVANT, Role.WEAK_CONFUSING, Role.WEAK_SAME,
-                            Role.WEAK_SAME, Role.IRRELEVANT, Role.IRRELEVANT)
-
     def test_token_reconstruction_bitwise(self):
         cfg = small_config()
         sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
                            stream(3, "s"))
         ds = generate_dataset(cfg, sig, stream(3, "d"))
         for x, eps, y in zip(ds.X, ds.noise, ds.y_true):
-            own = sig.signal_for(y)
-            opp = sig.signal_for(-y)
+            own = signal_for(sig, y)
+            opp = signal_for(sig, -y)
             assert np.array_equal(x[0], eps[0] + own)
             assert np.array_equal(x[1], eps[1] + cfg.rho * opp)
             assert np.array_equal(x[2], eps[2] + cfg.rho * own)

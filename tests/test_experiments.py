@@ -1,5 +1,6 @@
 import csv
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
 from attnsim.model import ModelState, init_params, make_head
 from attnsim.rng import stream
 from attnsim.theory import TheoryReport
-from attnsim.train import InitProducts, TrainConfig, _SubspaceEngine, train
+from attnsim.train import TrainConfig, _SubspaceEngine, train
 
 
 def tiny_config(seed=0, **train_kw):
@@ -142,7 +143,7 @@ class TestBuildInputs:
     V = W(0) B^T is formed a row block at a time by both threads; every
     array, the engine's products and the trace must still equal a serial
     draw from the same named stream followed by training on the held
-    W(0)."""
+    W(0), whose products the engine forms itself."""
 
     @pytest.mark.parametrize("d, sigma_w, sigma_p", [
         (8, None, None), (1000, None, None), (768, None, None),
@@ -153,7 +154,7 @@ class TestBuildInputs:
         cfg = tiny_config(seed=5)
         cfg = replace(cfg, data=replace(cfg.data, d=d),
                       model=ModelParams(sigma_w=sigma_w, sigma_p=sigma_p))
-        signals, dataset, test_set, state0, products = build_inputs(cfg)
+        signals, dataset, test_set, state0 = build_inputs(cfg)
 
         ref_signals = make_signals(d, cfg.data.mu_norm, cfg.model.signal_mode,
                                    stream(5, "signals"))
@@ -182,16 +183,17 @@ class TestBuildInputs:
                                nu=make_head(ref_signals,
                                             cfg.model.head_scale))
         alpha = cfg.train.alpha
-        eng = _SubspaceEngine(state0, dataset, signals, alpha, products)
+        eng = _SubspaceEngine(state0, dataset, signals, alpha)
         ref_eng = _SubspaceEngine(ref_state, ref_data, ref_signals, alpha)
         N = eng.N
+        assert eng._P is state0.init.P
         assert eng._P.tobytes() == ref_eng._P.tobytes()      # [p0 | V]
         assert eng._B.tobytes() == ref_eng._B.tobytes()
         assert (eng._KP[:N + 1].tobytes()                     # K = P^T P
                 == ref_eng._KP[:N + 1].tobytes())
 
-        got = train(state0, dataset, signals, cfg.train, test_set=test_set,
-                    products=products).trace
+        got = train(state0, dataset, signals, cfg.train,
+                    test_set=test_set).trace
         ref = train(ref_state, ref_data, ref_signals, cfg.train,
                     test_set=ref_test).trace
         assert trace_table(got, [0, 1]) == trace_table(ref, [0, 1])
@@ -199,12 +201,33 @@ class TestBuildInputs:
             assert (getattr(got, name).tobytes()
                     == getattr(ref, name).tobytes())
 
-    def test_products_of_another_state_rejected(self):
+    @pytest.mark.parametrize("case", ["other-dataset", "no-basis"])
+    def test_fresh_products_unless_formed_on_this_dataset(self, case):
+        # the engine takes B and V from state0's draw only when this
+        # dataset's tokens are a view of its B; otherwise it forms them
+        # from W(0), with the bits of training a held W(0)
         cfg = tiny_config(seed=5)
-        signals, dataset, _, state0, products = build_inputs(cfg)
-        other = ModelState(W=state0.W.copy(), p=state0.p, nu=state0.nu)
-        with pytest.raises(ValueError, match="another W"):
-            train(other, dataset, signals, cfg.train, products=products)
+        signals, dataset, test_set, state0 = build_inputs(cfg)
+        held = ModelState(W=state0.W.copy(), p=state0.p, nu=state0.nu)
+        if case == "no-basis":
+            state0 = ModelState(
+                W=model.InitDraw(cfg.data.d, cfg.resolved_sigmas()[0],
+                                 stream(5, "init")),
+                p=state0.p, nu=state0.nu)
+            assert state0.init.B is None
+        # the build's tokens again, owning their memory
+        dataset = generate_dataset(cfg.data, signals, stream(5, "data"))
+        assert dataset.X.base is None
+        eng = _SubspaceEngine(state0, dataset, signals, cfg.train.alpha)
+        assert eng._P is not state0.init.P
+        assert dataset.X.base is eng._B
+        ref_data = generate_dataset(cfg.data, signals, stream(5, "data"))
+        got = train(state0, dataset, signals, cfg.train, test_set=test_set)
+        ref = train(held, ref_data, signals, cfg.train, test_set=test_set)
+        assert got.trace.scores.tobytes() == ref.trace.scores.tobytes()
+        assert got.trace.test_loss.tobytes() == ref.trace.test_loss.tobytes()
+        assert (got.final_state().W.tobytes()
+                == ref.final_state().W.tobytes())
 
     def test_without_test_set_other_arrays_unchanged(self):
         cfg = tiny_config(seed=2)
@@ -221,7 +244,7 @@ class TestBuildInputs:
         # the test set is scored through X alone, so its noise is never
         # regenerated
         cfg = tiny_config(seed=1)
-        signals, dataset, test_set, state0, _ = build_inputs(cfg)
+        signals, dataset, test_set, state0 = build_inputs(cfg)
         train(state0, dataset, signals, cfg.train, test_set=test_set)
         assert "noise" not in test_set.__dict__
 
@@ -241,7 +264,7 @@ class TestBuildInputs:
         monkeypatch.setattr(data_mod, "_draw_tokens", counting)
         cfg = tiny_config(seed=4, log_every=log_every, test_size=150)
         assert experiments.projects_test_set(cfg.data, cfg.train) == projected
-        signals, dataset, test_set, state0, _ = build_inputs(cfg)
+        signals, dataset, test_set, state0 = build_inputs(cfg)
         assert drawn == ([8] if projected else [8, 150])
         train(state0, dataset, signals, cfg.train, test_set=test_set)
         # chunks of a sixth of 150 samples, rounded up to 32
@@ -264,7 +287,7 @@ class TestBuildInputs:
         # that never come: the failed draw must wake it, and build_inputs
         # must raise the draw's error instead of hanging
         first_formed = threading.Event()
-        exact_multiply = InitProducts._multiply
+        exact_multiply = model.InitDraw._multiply
 
         def multiply(self, lo, hi):
             exact_multiply(self, lo, hi)
@@ -278,7 +301,7 @@ class TestBuildInputs:
             return init_params(d, sigma_w, sigma_p, rng,
                                on_rows=first_block_then_fail)
 
-        monkeypatch.setattr(InitProducts, "_multiply", multiply)
+        monkeypatch.setattr(model.InitDraw, "_multiply", multiply)
         monkeypatch.setattr(experiments, "init_params", failing_init)
         cfg = tiny_config()
         cfg = replace(cfg, data=replace(cfg.data, d=1000))
@@ -303,13 +326,13 @@ class TestBuildInputs:
         # routine's
         monkeypatch.setattr(model, "INIT_ROWS", 2)
         formed = []
-        exact_multiply = InitProducts._multiply
+        exact_multiply = model.InitDraw._multiply
 
         def multiply(self, lo, hi):
             formed.append((lo, hi))
             exact_multiply(self, lo, hi)
 
-        monkeypatch.setattr(InitProducts, "_multiply", multiply)
+        monkeypatch.setattr(model.InitDraw, "_multiply", multiply)
         d = 301
         cfg = tiny_config()
         cfg = replace(cfg, data=replace(cfg.data, d=d))
@@ -319,13 +342,13 @@ class TestBuildInputs:
         try:
             while builds < 3 or time.monotonic() - start < 1.0:
                 formed.clear()
-                signals, dataset, _, state0, products = build_inputs(
+                signals, dataset, _, state0 = build_inputs(
                     replace(cfg, seed=builds))
                 assert sorted(formed) == model.row_blocks(d)
-                serial = InitProducts.of(state0.W, dataset, signals)
+                serial = model.InitDraw.of(state0.W, dataset, signals)
 
                 formed.clear()
-                shared = InitProducts(d)
+                shared = model.InitDraw(d)
                 takers = [threading.Thread(target=shared.form)
                           for _ in range(4)]
                 for taker in takers:
@@ -337,12 +360,43 @@ class TestBuildInputs:
                     taker.join(timeout=30)
                 assert not any(taker.is_alive() for taker in takers)
                 assert sorted(formed) == model.row_blocks(d)
-                for got in (products, shared):
+                for got in (state0.init, shared):
                     assert got.P[:, 1:].tobytes() == serial.P[:, 1:].tobytes()
                 builds += 1
         finally:
             sys.setswitchinterval(interval)
         assert time.monotonic() - start < 30
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer (``perfbench/tracer.py``) wraps library
+    functions at the names their callers import them under; each must
+    exist and be the one a run calls."""
+
+    TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "perfbench", "tracer.py")
+
+    def test_every_patched_name_is_called(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("_bench_tracer",
+                                                      self.TRACER)
+        tracer_mod = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up by name
+        monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
+        spec.loader.exec_module(tracer_mod)
+        names = ("train", "make_signals", "generate_dataset", "init_params",
+                 "make_head", "execute")
+        before = {name: getattr(experiments, name) for name in names}
+        with tracer_mod.Tracer().installed() as tracer:
+            assert all(getattr(experiments, name) is not before[name]
+                       for name in names)
+            experiments.execute(tiny_config())
+        assert {name: getattr(experiments, name) for name in names} == before
+        assert {sp.name for sp in tracer.spans} == {
+            "experiments.execute", "data.make_signals",
+            "data.generate_dataset", "model.init_params", "model.make_head",
+            "train.train"}
+        assert tracer.counts["train.log_points"] == 4
 
 
 class TestInitLifetime:
@@ -358,18 +412,17 @@ class TestInitLifetime:
     def test_projection_branch_drops_it(self):
         cfg = tiny_config(seed=3, log_every=1)
         assert experiments.projects_test_set(cfg.data, cfg.train)
-        (signals, dataset, test_set, state0, products), ref = self.drawn(cfg)
-        assert products.W is None       # V is formed
+        (signals, dataset, test_set, state0), ref = self.drawn(cfg)
         result = train(state0, dataset, signals, cfg.train,
-                       test_set=test_set, products=products)
+                       test_set=test_set)
         assert ref() is None
         assert result.final_state().W.shape == (64, 64)
 
     def test_without_test_set_dropped_before_the_loop(self):
         cfg = tiny_config(seed=3, test_size=0)
-        (signals, dataset, _, state0, products), ref = self.drawn(cfg)
+        (signals, dataset, _, state0), ref = self.drawn(cfg)
         held = []
-        train(state0, dataset, signals, cfg.train, products=products,
+        train(state0, dataset, signals, cfg.train,
               hooks=(lambda step, info: held.append(ref() is not None),))
         assert held == [False] * 4
 
@@ -377,7 +430,7 @@ class TestInitLifetime:
         cfg = tiny_config(seed=3, steps=100, log_every=1)
         cfg = replace(cfg, data=replace(cfg.data, n=30))   # 123 rows
         assert not experiments.projects_test_set(cfg.data, cfg.train)
-        (signals, dataset, test_set, state0, products), ref = self.drawn(cfg)
+        (signals, dataset, test_set, state0), ref = self.drawn(cfg)
         train_mod = importlib.import_module("attnsim.train")
         monkeypatch.setattr(train_mod, "_TEST_BLOCK", 32)
         scoring_cls = train_mod._TestScoring
@@ -388,8 +441,7 @@ class TestInitLifetime:
             exact_block(self, lo, hi)
 
         monkeypatch.setattr(scoring_cls, "_block", block)
-        train(state0, dataset, signals, cfg.train, test_set=test_set,
-              products=products)
+        train(state0, dataset, signals, cfg.train, test_set=test_set)
         assert held == [True] * 4       # 101 logged states, blocks of 32
         assert ref() is None
 
@@ -412,7 +464,7 @@ class TestInitLifetime:
         # 300 and 1000 end in a ragged row block
         cfg = tiny_config(seed=7)
         cfg = replace(cfg, data=replace(cfg.data, d=d))
-        signals, dataset, test_set, state0, products = build_inputs(cfg)
+        signals, dataset, test_set, state0 = build_inputs(cfg)
         ref_W, ref_p = init_params(d, *cfg.resolved_sigmas(),
                                    stream(7, "init"))
         assert state0.W is state0.init.W
@@ -423,7 +475,7 @@ class TestInitLifetime:
         # the final state of a released W(0) against that of a held one
         ref_state = ModelState(W=ref_W, p=ref_p, nu=state0.nu)
         final = train(state0, dataset, signals, cfg.train,
-                      test_set=test_set, products=products).final_state()
+                      test_set=test_set).final_state()
         ref = train(ref_state, dataset, signals, cfg.train,
                     test_set=test_set).final_state()
         assert final.W.tobytes() == ref.W.tobytes()
@@ -435,10 +487,10 @@ class TestInitLifetime:
             init.array()
 
     def test_training_tokens_held_once(self):
-        signals, dataset, _, _, products = build_inputs(tiny_config())
+        signals, dataset, _, state0 = build_inputs(tiny_config())
         n, T, d = dataset.X.shape
-        assert dataset.X.base is products.B
-        assert np.array_equal(products.B[:n * T],
+        assert dataset.X.base is state0.init.B
+        assert np.array_equal(state0.init.B[:n * T],
                               dataset.X.reshape(n * T, d))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
-from attnsim.data import DataConfig, Role, generate_dataset, make_signals
+from attnsim.data import DataConfig, generate_dataset, make_signals
 from attnsim.experiments import default_config, run_check_suites
 from attnsim.model import ModelState, make_head, softmax
 from attnsim.rng import stream
@@ -66,8 +66,10 @@ class TestDiagnostics:
 
     def test_role_decomposition_identity(self):
         # Lambda splits into class-signal attention plus noise attention
-        # according to each token's role
+        # according to each token's role, fixed by its row: 0 relevant,
+        # 1 confusing, 2 .. 1 + n_weak_same weak-same, the rest irrelevant
         ds, sig, state = make_instance(seed=2, n=6, T=5)
+        weak_same = range(2, 2 + ds.config.n_weak_same)
         rho = ds.config.rho
         diag = compute_diagnostics(state, ds, sig)
         lam = {1: diag.lambda_plus, -1: diag.lambda_minus}
@@ -75,11 +77,10 @@ class TestDiagnostics:
             own = lam[int(ds.y_true[i])]
             opp = lam[-int(ds.y_true[i])]
             for col, t in enumerate(range(1, ds.T)):
-                role = ds.roles[t]
                 base = diag.rho_attn[i, 0] - diag.rho_attn[i, t]
-                if role == Role.WEAK_CONFUSING:
+                if t == 1:
                     expected = own - rho * opp + base
-                elif role == Role.WEAK_SAME:
+                elif t in weak_same:
                     expected = (1 - rho) * own + base
                 else:
                     expected = own + base
@@ -145,11 +146,13 @@ class TestTokenScore:
         sig = make_signals(16, 4.0, "random_orthogonal", stream(0, "s"))
         ds = generate_dataset(cfg, sig, stream(0, "d"))
         gamma = ds.X @ make_head(sig)
-        signs = {Role.RELEVANT: 1, Role.WEAK_SAME: 1,
-                 Role.WEAK_CONFUSING: -1, Role.IRRELEVANT: 0}
-        for t, role in enumerate(ds.roles):
+        # rows 0 relevant, 1 confusing, 2 .. 1 + n_weak_same weak-same, the
+        # rest irrelevant
+        n_same = cfg.n_weak_same
+        signs = [1, -1] + [1] * n_same + [0] * (cfg.T - 2 - n_same)
+        for t, sign in enumerate(signs):
             np.testing.assert_array_equal(np.sign(gamma[:, t]),
-                                          signs[role] * ds.y_true)
+                                          sign * ds.y_true)
 
     def test_benign_scale_margins(self):
         # frozen-seed check of Y*gamma_1 concentration around the clean

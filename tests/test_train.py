@@ -849,7 +849,7 @@ class TestStreamedTestSet:
     def test_test_tokens_never_held(self):
         # 400 test samples at T=8, d=1500 are 38.4 MB of tokens; a
         # projection-branch run draws and scores them holding one chunk of
-        # 64 samples (16%) and the projection ((2N + 1)/d = 7%) at a time
+        # 72 samples (18%) and the projection ((2N + 1)/d = 7%) at a time
         state, ds, sig, _ = self.setup_run(n=6, T=8, d=1500)
         tcfg = run_config(alpha=0.05, steps=60, log_every=1)
         assert projects_test_set(ds.config, tcfg)
