@@ -7,7 +7,7 @@ Subcommands: ``run`` (single experiment, trace + summary), ``sweep``
 * 0 success
 * 1 check failure
 * 2 usage or configuration error (``ConfigError``), found when the config
-  is loaded, before any computation
+  is loaded or the output directory is created, before any computation
 * 3 numerical divergence of training (partial trace kept)
 * 4 other numerical error (a ``ValueError`` or ``ArithmeticError`` raised
   while computing, e.g. non-finite test-set scores)

@@ -10,9 +10,12 @@ probability.  Token indices are 1-based in all reports and docs; array row
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import math
 import numbers
 import sys
+import typing
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,6 +50,80 @@ def _check_type(name: str, value, kind: type) -> None:
     # NaN compares false, and an integer beyond any float fails too
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+@functools.cache
+def _layout(cls) -> tuple:
+    """(key, kind, default) of each field of section ``cls``: the kind is
+    the field's annotation, X for ``X | None``, and the default is
+    ``dataclasses.MISSING`` for a required key."""
+    hints = typing.get_type_hints(cls)
+    layout = []
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if typing.get_args(kind)[-1:] == (type(None),):
+            kind = typing.get_args(kind)[0]
+        layout.append((f.name, kind, f.default))
+    return tuple(layout)
+
+
+class _Section:
+    """A config section: a frozen dataclass written to and read from a JSON
+    object of its fields.  Keys are strict: an unknown key is an error, and
+    a field without a default is required.  A field that is a section is
+    written and read as one.  A field of kind int or float is type-checked
+    by :func:`_check_type` on every construction, and one of kind
+    ``tuple[X, ...]``, a JSON list, item by item; it is stored as a tuple
+    of X and may not repeat a value, which would label two rows or columns
+    alike.  A field may be None only when None is its default.  A section's
+    ``__post_init__`` calls this one, then makes its own checks."""
+
+    def __post_init__(self):
+        for key, kind, default in _layout(type(self)):
+            value = getattr(self, key)
+            if value is None and default is None:
+                continue
+            if typing.get_origin(kind) is tuple:
+                kind = typing.get_args(kind)[0]
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"{key} must be a list, got {value!r}")
+                for v in value:
+                    _check_type(key, v, kind)
+                value = tuple(kind(v) for v in value)
+                object.__setattr__(self, key, value)
+                repeated = sorted({v for v in value if value.count(v) > 1})
+                if repeated:
+                    raise ConfigError(f"{key} repeats {repeated}")
+            elif kind in (int, float):
+                _check_type(key, value, kind)
+
+    def to_json(self) -> dict:
+        obj = {}
+        for key, _, _ in _layout(type(self)):
+            value = getattr(self, key)
+            obj[key] = (value.to_json() if isinstance(value, _Section)
+                        else list(value) if isinstance(value, tuple)
+                        else value)
+        return obj
+
+    @classmethod
+    def from_json(cls, obj):
+        name = cls.__name__
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{name} must be a JSON object, "
+                              f"got {type(obj).__name__}")
+        layout = _layout(cls)
+        unknown = sorted(set(obj) - {key for key, _, _ in layout})
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {unknown}")
+        missing = [key for key, _, default in layout
+                   if default is dataclasses.MISSING and key not in obj]
+        if missing:
+            raise ConfigError(f"missing {name} keys: {missing}")
+        return cls(**{
+            key: (kind.from_json(obj[key])
+                  if _Section in getattr(kind, "__mro__", ()) else obj[key])
+            for key, kind, _ in layout if key in obj})
 
 
 @dataclass(frozen=True)
@@ -92,14 +169,8 @@ def make_signals(d: int, mu_norm: float, mode: str = "random_orthogonal",
     return SignalBasis(mu_plus=mu_plus, mu_minus=mu_minus)
 
 
-# field -> kind: counts are integers, scales and rates real numbers
-_DATA_FIELDS = {"n": int, "T": int, "d": int, "mu_norm": float,
-                "sigma_eps": float, "eta": float, "rho": float,
-                "n_weak_same": int}
-
-
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Section):
     """Scalar parameters of the data distribution.
 
     n: training samples; T: tokens per sequence; d: ambient dimension;
@@ -118,8 +189,7 @@ class DataConfig:
     n_weak_same: int = 1
 
     def __post_init__(self):
-        for name, kind in _DATA_FIELDS.items():
-            _check_type(name, getattr(self, name), kind)
+        super().__post_init__()
         if self.n < 1 or self.T < 1:
             raise ConfigError("n and T must be positive")
         if self.d < 2:
@@ -139,21 +209,6 @@ class DataConfig:
             raise ConfigError(f"eta must lie in [0, 0.5), got {self.eta}")
         if not (0.0 < self.rho < 1.0):
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _DATA_FIELDS}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DataConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"data config must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - set(_DATA_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown data config keys: {sorted(unknown)}")
-        missing = [k for k in _DATA_FIELDS if k not in obj and k != "n_weak_same"]
-        if missing:
-            raise ConfigError(f"missing data config keys: {missing}")
-        return cls(**obj)
 
 
 @dataclass(frozen=True)

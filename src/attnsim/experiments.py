@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (ConfigError, DataConfig, _check_type, a8_sigma,
+from .data import (ConfigError, DataConfig, _check_type, _Section, a8_sigma,
                    generate_dataset, make_signals, snr)
 from .model import InitDraw, ModelState, init_params, make_head
 from .multiclass import MulticlassConfig, make_class_signals
@@ -46,12 +46,9 @@ __all__ = [
     "TRACE_COLUMNS",
 ]
 
-_MODEL_FIELDS = ("sigma_w", "sigma_p", "head_scale", "signal_mode",
-                 "assumption_delta")
-
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Section):
     """Initialization scales and head construction.
 
     ``sigma_w``/``sigma_p`` default to the near-uniform-attention scale
@@ -65,6 +62,7 @@ class ModelParams:
     assumption_delta: float = 0.01
 
     def __post_init__(self):
+        super().__post_init__()
         if self.signal_mode not in ("random_orthogonal", "axis_aligned"):
             raise ConfigError(f"unknown signal_mode {self.signal_mode!r}")
         if isinstance(self.head_scale, str):
@@ -72,43 +70,18 @@ class ModelParams:
                 raise ConfigError(f"unknown head_scale {self.head_scale!r}")
         else:
             _check_type("head_scale", self.head_scale, float)
-        _check_type("assumption_delta", self.assumption_delta, float)
         if not 0 < self.assumption_delta < 1:
             raise ConfigError("assumption_delta is a failure probability and "
                               "must lie in (0, 1), got "
                               f"{self.assumption_delta}")
         for name in ("sigma_w", "sigma_p"):
             v = getattr(self, name)
-            if v is not None:
-                _check_type(name, v, float)
-                if v < 0:
-                    raise ConfigError(f"{name} must be >= 0, got {v}")
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _MODEL_FIELDS}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModelParams":
-        if not isinstance(obj, dict):
-            raise ConfigError("model config must be an object")
-        unknown = set(obj) - set(_MODEL_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**obj)
-
-
-_TOP_FIELDS = ("seed", "data", "model", "train", "tracked_samples")
-
-
-def _reject_repeats(name: str, values: tuple):
-    """A repeated value would label two rows or columns alike."""
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise ConfigError(f"{name} repeats {repeated}")
+            if v is not None and v < 0:
+                raise ConfigError(f"{name} must be >= 0, got {v}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Section):
     data: DataConfig
     train: TrainConfig
     model: ModelParams = ModelParams()
@@ -116,50 +89,13 @@ class ExperimentConfig:
     tracked_samples: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _check_type("seed", self.seed, int)
+        super().__post_init__()
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.tracked_samples is not None:
-            if not isinstance(self.tracked_samples, (list, tuple)):
-                raise ConfigError(f"tracked_samples must be a list of sample "
-                                  f"indices, got {self.tracked_samples!r}")
-            object.__setattr__(self, "tracked_samples",
-                               tuple(self.tracked_samples))
-            for i in self.tracked_samples:
-                _check_type("tracked_samples", i, int)
-            bad = [i for i in self.tracked_samples
-                   if not 0 <= i < self.data.n]
-            if bad:
-                raise ConfigError(f"tracked_samples out of range: {bad}")
-            _reject_repeats("tracked_samples", self.tracked_samples)
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "data": self.data.to_json(),
-            "model": self.model.to_json(),
-            "train": self.train.to_json(),
-            "tracked_samples": (list(self.tracked_samples)
-                                if self.tracked_samples is not None else None),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        unknown = set(obj) - set(_TOP_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("data", "train"):
-            if key not in obj:
-                raise ConfigError(f"missing config section {key!r}")
-        return cls(
-            data=DataConfig.from_json(obj["data"]),
-            train=TrainConfig.from_json(obj["train"]),
-            model=ModelParams.from_json(obj.get("model", {})),
-            seed=obj.get("seed", 0),
-            tracked_samples=obj.get("tracked_samples"),
-        )
+        bad = [i for i in self.tracked_samples or ()
+               if not 0 <= i < self.data.n]
+        if bad:
+            raise ConfigError(f"tracked_samples out of range: {bad}")
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
@@ -327,20 +263,16 @@ class RunArtifacts:
 
 
 def _summarize(config: ExperimentConfig, trace: TrainTrace) -> dict:
+    """The summary of a run; a trace with no logged rows, of a run that
+    diverged at step 0, has no final row and an empty theory digest."""
     grok = measure_grokking(trace, config.train.fit_threshold,
                             config.train.gen_threshold)
-    scan = softmax_bound_scan(trace)
-    digest = {c.name: c.passed for c in scan.checks}
-    balance = loss_derivative_balance(trace)
-    digest[balance.name] = balance.passed
-    noiseless = config.data.sigma_eps == 0
-    return {
-        "config": config.to_json(),
-        "config_hash": config.config_hash(),
-        "snr": None if noiseless else snr(config.data),
-        "n_snr2": None if noiseless else config.data.n * snr(config.data) ** 2,
-        "regime": None if noiseless else classify_regime(config.data),
-        "final": {
+    digest, final = {}, None
+    if trace.n_logged:
+        checks = [*softmax_bound_scan(trace).checks,
+                  loss_derivative_balance(trace)]
+        digest = {c.name: c.passed for c in checks}
+        final = {
             "step": int(trace.steps[-1]),
             "train_loss": float(trace.train_loss[-1]),
             "train_acc": float(trace.train_acc[-1]),
@@ -349,7 +281,15 @@ def _summarize(config: ExperimentConfig, trace: TrainTrace) -> dict:
                          else float(trace.test_acc[-1])),
             "test_loss": (None if math.isnan(trace.test_loss[-1])
                           else float(trace.test_loss[-1])),
-        },
+        }
+    noiseless = config.data.sigma_eps == 0
+    return {
+        "config": config.to_json(),
+        "config_hash": config.config_hash(),
+        "snr": None if noiseless else snr(config.data),
+        "n_snr2": None if noiseless else config.data.n * snr(config.data) ** 2,
+        "regime": None if noiseless else classify_regime(config.data),
+        "final": final,
         "tau_fit": grok.tau_fit,
         "tau_gen": grok.tau_gen,
         "theory_digest": digest,
@@ -358,13 +298,22 @@ def _summarize(config: ExperimentConfig, trace: TrainTrace) -> dict:
     }
 
 
+def _make_out_dir(path):
+    """Create the output directory before anything is computed; a path
+    where it cannot be is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
 def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
     """Execute one run and write ``trace.csv`` (or .json) plus
     ``summary.json`` into ``out_dir``.  On divergence the partial trace and
     summary are still written before the error propagates."""
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown trace format {fmt!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     trace_path = os.path.join(out_dir, f"trace.{fmt}")
     summary_path = os.path.join(out_dir, "summary.json")
     result = execute(config, raise_on_divergence=False)
@@ -390,30 +339,19 @@ def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
 # Sweeps
 # --------------------------------------------------------------------------
 
-_SWEEP_FIELDS = ("d_values", "mu_values", "seeds", "base")
-
 HEATMAP_COLUMNS = ("d", "mu_norm", "seed", "train_loss", "test_loss",
                    "train_acc", "test_acc")
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Section):
     d_values: tuple[int, ...]
     mu_values: tuple[float, ...]
     seeds: tuple[int, ...]
     base: ExperimentConfig
 
     def __post_init__(self):
-        # grids are stored as tuples of int d, float mu_norm and int seeds
-        for name, kind in (("d_values", int), ("mu_values", float),
-                           ("seeds", int)):
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{name} must be a list, got {values!r}")
-            for v in values:
-                _check_type(name, v, kind)
-            object.__setattr__(self, name, tuple(kind(v) for v in values))
-            _reject_repeats(name, getattr(self, name))
+        super().__post_init__()
         if not self.d_values or not self.mu_values or not self.seeds:
             raise ConfigError("sweep grids must be nonempty")
         if min(self.seeds) < 0:
@@ -421,26 +359,6 @@ class SweepSpec:
         for d in self.d_values:
             for mu in self.mu_values:
                 replace(self.base.data, d=d, mu_norm=mu)  # validates the cell
-
-    def to_json(self) -> dict:
-        return {"d_values": list(self.d_values),
-                "mu_values": list(self.mu_values),
-                "seeds": list(self.seeds),
-                "base": self.base.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SweepSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError("sweep spec must be a JSON object")
-        unknown = set(obj) - set(_SWEEP_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
-        missing = [k for k in _SWEEP_FIELDS if k not in obj]
-        if missing:
-            raise ConfigError(f"missing sweep keys: {missing}")
-        return cls(d_values=obj["d_values"], mu_values=obj["mu_values"],
-                   seeds=obj["seeds"],
-                   base=ExperimentConfig.from_json(obj["base"]))
 
 
 def _sweep_cell(spec: SweepSpec, di: int, mi: int, si: int) -> dict:
@@ -472,6 +390,8 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
     seed from (seed, d-index, mu-index, seed-index)."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     cells = [(di, mi, si)
              for di in range(len(spec.d_values))
              for mi in range(len(spec.mu_values))
@@ -495,7 +415,6 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
                                  for m in metrics}})
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for name, table in (("heatmap.csv", rows),
                             ("heatmap_mean.csv", mean_rows)):
             with open(os.path.join(out_dir, name), "w", newline="") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfigError, _check_type
+from .data import ConfigError, _Section
 from .rng import normal_fill
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MulticlassConfig:
+class MulticlassConfig(_Section):
     n: int
     T: int
     d: int
@@ -39,8 +39,7 @@ class MulticlassConfig:
     n_weak: int = 2
 
     def __post_init__(self):
-        for name in ("mu_norm", "sigma_eps", "eta", "rho"):
-            _check_type(name, getattr(self, name), float)
+        super().__post_init__()
         if self.K < 2:
             raise ConfigError("K must be >= 2")
         if self.n < 1 or self.T < 1 or self.d < 1:

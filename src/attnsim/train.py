@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError, DataConfig, Dataset, SignalBasis, _check_type
+from .data import ConfigError, DataConfig, Dataset, SignalBasis, _Section
 from .model import (InitDraw, ModelState, _attend, _fit_loss_means, _fits,
                     _logistic_loss, _token_scores, batch_outputs,
                     loss_derivative)
@@ -47,14 +47,9 @@ __all__ = [
     "attention_gaps",
 ]
 
-# field -> kind: counts are integers, the step size and thresholds reals
-_TRAIN_FIELDS = {"alpha": float, "steps": int, "log_every": int,
-                 "test_size": int, "fit_threshold": float,
-                 "gen_threshold": float}
-
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Section):
     alpha: float
     steps: int
     log_every: int = 10
@@ -63,8 +58,7 @@ class TrainConfig:
     gen_threshold: float = 0.95
 
     def __post_init__(self):
-        for name, kind in _TRAIN_FIELDS.items():
-            _check_type(name, getattr(self, name), kind)
+        super().__post_init__()
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
         if self.steps < 0:
@@ -77,20 +71,6 @@ class TrainConfig:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ConfigError(f"{name} must lie in (0, 1], got {v}")
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in _TRAIN_FIELDS}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"train config must be an object, got {type(obj).__name__}")
-        unknown = set(obj) - set(_TRAIN_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        if "alpha" not in obj or "steps" not in obj:
-            raise ConfigError("train config requires at least alpha and steps")
-        return cls(**obj)
 
 
 class DivergenceError(RuntimeError):
@@ -472,7 +452,6 @@ class _SubspaceEngine:
         np.matmul(B, B.T, out=self._GL[:, :N])
         self._GL[:, N + 1:2 * N + 1] = np.eye(N)
         self._KP = np.empty((N + 1 + _FOLD, N + 1))
-        np.matmul(P.T, P, out=self._KP[:N + 1])
         self.gamma = (tokens @ state0.nu).reshape(n, T)
         # W(0) is read through state0, which may drop it (and redraw it)
         self._state0, self._B, self._P, self._nu = state0, B, P, state0.nu
@@ -482,7 +461,11 @@ class _SubspaceEngine:
         self._pending_x = np.empty((_FOLD, N + 1))
         self._pending_beta = np.empty((_FOLD, self.nT))
         self._pending = 0
-        self._score()
+        # an overflowing V gives non-finite step-0 scores, which train
+        # reports as a divergence at step 0, as its loop does later ones
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(P.T, P, out=self._KP[:N + 1])
+            self._score()
 
     def _score(self):
         """Scores ``u`` of every B row at the current state (token rows,

@@ -17,7 +17,7 @@ import pytest
 
 import attnsim
 from attnsim import experiments, model
-from attnsim.cli import EXIT_NUMERICAL, EXIT_USAGE
+from attnsim.cli import EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_USAGE
 from attnsim.cli import main as cli_main
 from attnsim.data import (ConfigError, DataConfig, generate_dataset,
                           make_signals)
@@ -28,6 +28,22 @@ from attnsim.model import ModelState, init_params, make_head
 from attnsim.rng import stream
 from attnsim.theory import TheoryReport
 from attnsim.train import TrainConfig, _SubspaceEngine, train
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def bench_module(monkeypatch, name):
+    """Import ``perfbench/<name>.py`` without writing bytecode beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        f"_bench_{name}", os.path.join(HERE, os.pardir, "perfbench",
+                                       f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tiny_config(seed=0, **train_kw):
@@ -68,6 +84,84 @@ class TestConfigJson:
         with pytest.raises(ConfigError):
             ModelParams(head_scale="nonsense")
         assert ModelParams(head_scale=0.3).head_scale == 0.3
+
+    # one instance of each section, some optional fields away from their
+    # defaults, and a key it requires (None: every key is optional)
+    SECTIONS = {
+        "data": (lambda: replace(tiny_config().data, n_weak_same=2), "d"),
+        "train": (lambda: TrainConfig(alpha=0.1, steps=5, test_size=0),
+                  "alpha"),
+        "model": (lambda: ModelParams(sigma_w=0.2, head_scale=0.3,
+                                      signal_mode="axis_aligned"), None),
+        "experiment": (lambda: replace(tiny_config(seed=3),
+                                       tracked_samples=(1, 0)), "train"),
+        "sweep": (lambda: SweepSpec(d_values=(48, 64), mu_values=(4.0,),
+                                    seeds=(0, 1), base=tiny_config()),
+                  "base"),
+    }
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_section_round_trip(self, section):
+        cfg = self.SECTIONS[section][0]()
+        text = json.dumps(cfg.to_json())
+        assert type(cfg).from_json(json.loads(text)) == cfg
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_section_unknown_key(self, section):
+        cfg = self.SECTIONS[section][0]()
+        obj = cfg.to_json()
+        obj["bogus"] = 1
+        with pytest.raises(ConfigError, match=rf"unknown {type(cfg).__name__}"
+                                              r" keys: \['bogus'\]"):
+            type(cfg).from_json(obj)
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_section_missing_required_key(self, section):
+        make, required = self.SECTIONS[section]
+        cls = type(make())
+        obj = make().to_json()
+        if required is None:    # every key is optional
+            assert cls.from_json({}) == cls()
+            return
+        del obj[required]
+        with pytest.raises(ConfigError, match=rf"missing {cls.__name__} "
+                                              rf"keys: \['{required}'\]"):
+            cls.from_json(obj)
+
+    @pytest.mark.parametrize("value", [[1], "x"])
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_section_not_an_object(self, section, value):
+        cls = type(self.SECTIONS[section][0]())
+        with pytest.raises(ConfigError,
+                           match=f"{cls.__name__} must be a JSON object"):
+            cls.from_json(value)
+
+    def test_nested_section_fault_names_it(self):
+        obj = tiny_config().to_json()
+        obj["train"] = [1]
+        with pytest.raises(ConfigError, match="TrainConfig must be a JSON"):
+            ExperimentConfig.from_json(obj)
+
+    def test_config_hash_pinned(self, monkeypatch):
+        # summaries and the benchmark's stored references carry these
+        workloads = bench_module(monkeypatch, "workloads")
+        hashes = {name: workloads.regime_config(d, mu, steps, every, 3)
+                  .config_hash()
+                  for name, d, mu, steps, every in workloads.REGIMES}
+        assert hashes == {"harmful": "3e5253f90c0b",
+                          "benign": "04651a4ac107",
+                          "not-overfitting": "819589e97b03"}
+        assert default_config().config_hash() == "9e79d38da6a7"
+        assert workloads.heatmap_spec(7).base.config_hash() == "da34f67df8e7"
+
+    def test_readme_schema_loads(self):
+        # the documented example writes every key of a valid config
+        with open(os.path.join(HERE, os.pardir, "README.md")) as fh:
+            text = fh.read()
+        block = (text.split("### Config schema", 1)[1]
+                 .split("```json\n", 1)[1].split("```", 1)[0])
+        obj = json.loads(block)
+        assert ExperimentConfig.from_json(obj).to_json() == obj
 
 
 class TestRun:
@@ -373,17 +467,8 @@ class TestBenchmarkTracer:
     functions at the names their callers import them under; each must
     exist and be the one a run calls."""
 
-    TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          os.pardir, "perfbench", "tracer.py")
-
     def test_every_patched_name_is_called(self, monkeypatch):
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        spec = importlib.util.spec_from_file_location("_bench_tracer",
-                                                      self.TRACER)
-        tracer_mod = importlib.util.module_from_spec(spec)
-        # its dataclasses look their module up by name
-        monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
-        spec.loader.exec_module(tracer_mod)
+        tracer_mod = bench_module(monkeypatch, "tracer")
         names = ("train", "make_signals", "generate_dataset", "init_params",
                  "make_head", "execute")
         before = {name: getattr(experiments, name) for name in names}
@@ -743,6 +828,52 @@ class TestCli:
         assert summary["divergence"]["quantity"] == "u"
         assert set(summary["divergence"]["last_finite"]) == {
             "max_abs_u", "a", "pi_norm"}
+
+    def test_step_zero_divergence_exit_three(self, tmp_path):
+        # V = W(0) B^T is finite but P^T P overflows, so the step-0 scores
+        # are already non-finite: no row is logged, and nothing warns
+        base = default_config()
+        cfg = replace(base, train=replace(base.train, steps=5),
+                      model=ModelParams(sigma_w=1e200))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config",
+                             self.write_config(tmp_path, cfg),
+                             "--out-dir", str(out)])
+        assert code == EXIT_DIVERGED
+        assert not caught
+        assert (out / "trace.csv").read_text().count("\n") == 1  # header
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged_at"] == 0
+        assert summary["divergence"] == {"step": 0, "quantity": "u",
+                                         "last_finite": None}
+        assert summary["final"] is None
+        assert summary["theory_digest"] == {}
+
+    @pytest.mark.parametrize("command, computes",
+                             [("run", "execute"), ("sweep", "_sweep_cell")])
+    def test_out_dir_is_a_file_exit_two(self, tmp_path, capsys, monkeypatch,
+                                         command, computes):
+        def computed(*args, **kwargs):
+            raise AssertionError(f"{computes} ran")
+
+        monkeypatch.setattr(experiments, computes, computed)
+        config = self.write_config(tmp_path)
+        if command == "sweep":
+            spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),
+                             base=tiny_config())
+            with open(config, "w") as fh:
+                json.dump(spec.to_json(), fh)
+        out = tmp_path / "out"
+        out.write_text("")
+        code = cli_main([command, "--config", config, "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: cannot create output directory")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "engine", "subspace"),

@@ -60,6 +60,12 @@ class TestMulticlassConfig:
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             kcfg(**{key: value})
 
+    @pytest.mark.parametrize("key", ["n", "T", "d", "K", "n_weak"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_non_integer_count_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            kcfg(**{key: value})
+
 
 class TestKDataset:
     def test_structure(self):
