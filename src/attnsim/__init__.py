@@ -9,8 +9,7 @@ finite-scale good-run events, grokking, and SNR-based overfitting regimes.
 from .data import (ConfigError, DataConfig, Dataset, SignalBasis, a8_sigma,
                    generate_dataset, make_signals, snr)
 from .model import ModelState, batch_outputs, init_params, make_head, softmax
-from .multiclass import (MulticlassConfig, MulticlassDataset,
-                         generate_multiclass_dataset, head_gradient_estimate,
+from .multiclass import (MulticlassConfig, head_gradient_estimate,
                          make_class_signals)
 from .rng import cell_seed, stream
 from .theory import (AttentionDiagnostics, CheckResult, GLinearityResult,

@@ -134,10 +134,6 @@ class SignalBasis:
     mu_minus: np.ndarray
 
     @property
-    def d(self) -> int:
-        return self.mu_plus.shape[0]
-
-    @property
     def mu_norm(self) -> float:
         return float(np.linalg.norm(self.mu_plus))
 
@@ -228,10 +224,6 @@ class Dataset:
     noise_rng: np.random.Generator = field(repr=False)
     clean_idx: np.ndarray = field(repr=False, default=None)
     noisy_idx: np.ndarray = field(repr=False, default=None)
-    clean_pos: np.ndarray = field(repr=False, default=None)
-    clean_neg: np.ndarray = field(repr=False, default=None)
-    noisy_pos: np.ndarray = field(repr=False, default=None)
-    noisy_neg: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -331,8 +323,6 @@ def generate_dataset(config: DataConfig, signals: SignalBasis,
         config=config, y_train=y_train, y_true=y_true, signals=signals,
         noise_rng=copy.deepcopy(tok_rng),
         clean_idx=idx[clean], noisy_idx=idx[~clean],
-        clean_pos=idx[clean & (y_train > 0)], clean_neg=idx[clean & (y_train < 0)],
-        noisy_pos=idx[~clean & (y_train > 0)], noisy_neg=idx[~clean & (y_train < 0)],
     )
     if not lazy:
         # stored where the cached X lives: drawing it through the property

@@ -187,9 +187,7 @@ def execute(config: ExperimentConfig,
             raise_on_divergence: bool = True):
     """Run one configured training; returns (trace, final_state_fn)."""
     signals, dataset, test_set, state0 = build_inputs(config)
-    sw, sp = config.resolved_sigmas()
     return train(state0, dataset, signals, config.train, test_set=test_set,
-                 meta={"seed": config.seed, "sigma_w": sw, "sigma_p": sp},
                  raise_on_divergence=raise_on_divergence)
 
 
@@ -257,7 +255,6 @@ def _write_trace(path, trace: TrainTrace, tracked: list[int], fmt: str):
 class RunArtifacts:
     trace_path: str
     summary_path: str
-    config_echo: dict
     trace: TrainTrace
     summary: dict
 
@@ -326,7 +323,6 @@ def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
         fh.write("\n")
     artifacts = RunArtifacts(trace_path=str(trace_path),
                              summary_path=str(summary_path),
-                             config_echo=config.to_json(),
                              trace=trace, summary=summary)
     if trace.diverged_at is not None:
         err = DivergenceError(trace.diverged_at, trace)
@@ -493,13 +489,9 @@ def _build_train_inputs(config: ExperimentConfig):
 
 
 def _suite_goodrun(config: ExperimentConfig, train_inputs) -> TheoryReport:
-    # concentration events only: the class-count brackets are n ~ 10^3
-    # statements and stay report-level at typical run sizes
     signals, dataset, _, state0 = train_inputs()
     sw, sp = config.resolved_sigmas()
-    return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp,
-                          groups=("noise_norms", "noise_inner", "init_norms",
-                                  "init_inner", "signal_noise_inner"))
+    return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp)
 
 
 def _suite_init(config: ExperimentConfig, train_inputs) -> TheoryReport:

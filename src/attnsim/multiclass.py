@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfigError, _Section
+from .data import ConfigError, _check_type, _Section
 from .rng import normal_fill
 
 __all__ = [
     "MulticlassConfig",
-    "MulticlassDataset",
     "make_class_signals",
-    "generate_multiclass_dataset",
     "head_gradient_estimate",
 ]
 
@@ -54,35 +52,14 @@ class MulticlassConfig(_Section):
             raise ConfigError("rho must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class MulticlassDataset:
-    X: np.ndarray            # (n, T, d)
-    y_train: np.ndarray      # (n,) in [0, K)
-    y_true: np.ndarray
-    weak_classes: np.ndarray  # (n, n_weak)
-    K: int
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-
 def make_class_signals(d: int, K: int, mu_norm: float,
-                       mode: str = "random_orthogonal",
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """K orthogonal, equal-norm class signals, stacked as rows (K, d)."""
+                       rng: np.random.Generator) -> np.ndarray:
+    """K random orthogonal class signals of norm ``mu_norm``, stacked as
+    rows (K, d)."""
     if d < K:
         raise ValueError(f"need d >= K for orthogonal signals, got d={d}, K={K}")
-    if mode == "axis_aligned":
-        mus = np.zeros((K, d))
-        mus[np.arange(K), np.arange(K)] = mu_norm
-        return mus
-    if mode == "random_orthogonal":
-        if rng is None:
-            raise ValueError("random_orthogonal mode requires an rng")
-        q, _ = np.linalg.qr(rng.normal(size=(d, K)))
-        return mu_norm * q.T
-    raise ValueError(f"unknown signal mode {mode!r}")
+    q, _ = np.linalg.qr(rng.normal(size=(d, K)))
+    return mu_norm * q.T
 
 
 def _draw_labels(n: int, config: MulticlassConfig,
@@ -102,27 +79,18 @@ def _draw_labels(n: int, config: MulticlassConfig,
 
 def _draw_tokens(config: MulticlassConfig, mus: np.ndarray,
                  tok_rng: np.random.Generator, y_true: np.ndarray,
-                 weak: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                 weak: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Tokens (len(y_true), T, d) of the token stream's next samples: noise,
     then the true-class signal added to token 1 and each weak token's
-    rho-scaled class signal.  Drawing a batch in consecutive slices gives
-    the bits of one draw.  With ``out``, the tokens are written into its
-    leading len(y_true) samples and that view is returned."""
-    X = (np.empty((len(y_true), config.T, config.d)) if out is None
-         else out[:len(y_true)])
+    rho-scaled class signal, written into the leading len(y_true) samples
+    of ``out``; that view is returned.  Drawing a batch in consecutive
+    slices gives the bits of one draw."""
+    X = out[:len(y_true)]
     normal_fill(tok_rng, X, config.sigma_eps)
     X[:, 0, :] += mus[y_true]
     for j in range(config.n_weak):
         X[:, 1 + j, :] += config.rho * mus[weak[:, j]]
     return X
-
-
-def generate_multiclass_dataset(config: MulticlassConfig, mus: np.ndarray,
-                                rng: np.random.Generator) -> MulticlassDataset:
-    tok_rng, y_true, weak, y_train = _draw_labels(config.n, config, rng)
-    X = _draw_tokens(config, mus, tok_rng, y_true, weak)
-    return MulticlassDataset(X=X, y_train=y_train, y_true=y_true,
-                             weak_classes=weak, K=config.K)
 
 
 # Monte Carlo samples of one head_gradient_estimate batch.  Each batch
@@ -137,13 +105,12 @@ _ESTIMATE_THREADS = 2
 
 
 def _check_mc_samples(mc_samples, least: int):
-    """Raise ValueError unless ``mc_samples`` is an integer (a Python or
-    numpy integer, not a bool) of at least ``least``."""
-    if (isinstance(mc_samples, (bool, np.bool_))
-            or not isinstance(mc_samples, (int, np.integer))
-            or mc_samples < least):
-        raise ValueError(f"mc_samples must be an integer >= {least}, "
-                         f"got {mc_samples!r}")
+    """Raise ConfigError unless ``mc_samples`` is an integer, as
+    :func:`~attnsim.data._check_type` takes one, of at least ``least``."""
+    _check_type("mc_samples", mc_samples, int)
+    if mc_samples < least:
+        raise ConfigError(f"mc_samples must be >= {least}, "
+                          f"got {mc_samples!r}")
 
 
 def head_gradient_estimate(config: MulticlassConfig, mus: np.ndarray,

@@ -88,16 +88,6 @@ class CheckResult:
                 "note": self.note}
 
 
-def _bounds_check(name: str, value: float, lo: float | None,
-                  hi: float | None, measured: dict,
-                  note: str = "") -> CheckResult:
-    """Passes unless ``value`` lies below ``lo`` or above ``hi``; a bound
-    of None is absent."""
-    passed = not ((lo is not None and value < lo)
-                  or (hi is not None and value > hi))
-    return CheckResult(name, passed, measured, {"lo": lo, "hi": hi}, note)
-
-
 @dataclass
 class TheoryReport:
     checks: list[CheckResult] = field(default_factory=list)
@@ -399,20 +389,16 @@ def softmax_bound_scan(trace: TrainTrace) -> TheoryReport:
 # Good-run events
 # --------------------------------------------------------------------------
 
-ALL_GOOD_RUN_GROUPS = ("noise_norms", "noise_inner", "init_norms",
-                       "init_inner", "signal_noise_inner", "counts")
-
-
 def good_run_check(dataset: Dataset, init_state: ModelState | None,
                    signals: SignalBasis, sigma_w: float = 0.0,
-                   sigma_p: float = 0.0,
-                   groups=ALL_GOOD_RUN_GROUPS) -> TheoryReport:
+                   sigma_p: float = 0.0) -> TheoryReport:
     """Finite-scale concentration events over one realized dataset and
     initialization: noise-norm bands of relative width
-    ``GOOD_RUN_NORM_RTOL``, inner-product caps scaled by
-    ``GOOD_RUN_INNER_C``, and clean/noisy class-count brackets, one
-    ``good_run_<event>`` row each with the worst case over the indexed
-    family in ``measured`` and its band in ``threshold``.
+    ``GOOD_RUN_NORM_RTOL`` and inner-product caps scaled by
+    ``GOOD_RUN_INNER_C``, one ``good_run_<event>`` row each with the worst
+    case over the indexed family in ``measured`` and its cap in
+    ``threshold`` (whose ``lo`` is always None).  The events on W(0), p(0)
+    and the head are reported only with ``init_state``.
 
     Events whose natural scale is zero (for instance noise events at
     sigma_eps = 0) are reported as vacuous: they carry no bounds and pass.
@@ -425,12 +411,13 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
     report = TheoryReport()
     E = dataset.noise.reshape(n * T, d)
 
-    def event(name, value, hi=None, lo=None, vacuous=False):
+    def event(name, value, hi=None, vacuous=False):
         if vacuous:
-            lo = hi = None
-        report.checks.append(_bounds_check(
-            f"good_run_{name}", value, lo, hi,
-            {"measured": value, "vacuous": vacuous}))
+            hi = None
+        # a NaN value passes, as it is not above the cap
+        report.checks.append(CheckResult(
+            f"good_run_{name}", not (hi is not None and value > hi),
+            {"measured": value, "vacuous": vacuous}, {"lo": None, "hi": hi}))
 
     def band(name, values, scale, vacuous=False):
         if vacuous or scale == 0.0:
@@ -439,87 +426,69 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
             event(name, float(np.max(np.abs(values / scale - 1.0))),
                   GOOD_RUN_NORM_RTOL)
 
-    if "noise_norms" in groups:
-        band("norm_eps", np.linalg.norm(E, axis=1), sig * math.sqrt(d),
-             vacuous=(sig == 0))
+    band("norm_eps", np.linalg.norm(E, axis=1), sig * math.sqrt(d),
+         vacuous=(sig == 0))
+    if sig == 0:
+        event("inner_eps_eps", 0.0, vacuous=True)
+    else:
+        gram = E @ E.T
+        off = gram[~np.eye(n * T, dtype=bool)]
+        event("inner_eps_eps", float(np.max(np.abs(off))),
+              GOOD_RUN_INNER_C * sig * sig * math.sqrt(d) * log_term)
 
-    if "noise_inner" in groups:
-        if sig == 0:
-            event("inner_eps_eps", 0.0, vacuous=True)
-        else:
-            gram = E @ E.T
-            off = gram[~np.eye(n * T, dtype=bool)]
-            event("inner_eps_eps", float(np.max(np.abs(off))),
-                  GOOD_RUN_INNER_C * sig * sig * math.sqrt(d) * log_term)
-
-    need_W = init_state is not None and any(
-        grp in groups for grp in ("init_norms", "init_inner"))
-    if need_W:
+    if init_state is not None:
         W0, p0 = init_state.W, init_state.p
         Wmu_p = W0 @ signals.mu_plus
         Wmu_m = W0 @ signals.mu_minus
         WE = E @ W0.T
-        if "init_norms" in groups:
-            band("norm_W_mu_plus", np.linalg.norm(Wmu_p),
-                 sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
-            band("norm_W_mu_minus", np.linalg.norm(Wmu_m),
-                 sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
-            band("norm_W_eps", np.linalg.norm(WE, axis=1), sigma_w * sig * d,
-                 vacuous=(sigma_w == 0 or sig == 0))
-            band("norm_p", np.linalg.norm(p0), sigma_p * math.sqrt(d),
-                 vacuous=(sigma_p == 0))
-        if "init_inner" in groups:
-            sw2 = sigma_w * sigma_w
-            vac_w = sigma_w == 0
-            event("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
-                  GOOD_RUN_INNER_C * sw2 * mu * mu * math.sqrt(d) * log_term,
-                  vacuous=vac_w)
-            event("inner_Wmu_Weps",
-                  float(np.max(np.abs(np.concatenate(
-                      [WE @ Wmu_p, WE @ Wmu_m])))) if sig > 0 else 0.0,
-                  GOOD_RUN_INNER_C * sw2 * sig * mu * d * log_term,
-                  vacuous=vac_w or sig == 0)
-            if sig > 0 and not vac_w:
-                gw = WE @ WE.T
-                event("inner_Weps_Weps",
-                      float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
-                      GOOD_RUN_INNER_C * sw2 * sig * sig * d ** 1.5 * log_term)
-            else:
-                event("inner_Weps_Weps", 0.0, vacuous=True)
-            event("inner_Wmu_p",
-                  max(abs(float(Wmu_p @ p0)), abs(float(Wmu_m @ p0))),
-                  GOOD_RUN_INNER_C * sigma_w * sigma_p * mu * math.sqrt(d)
-                  * log_term,
-                  vacuous=vac_w or sigma_p == 0)
-            event("inner_Weps_p",
-                  float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
-                  GOOD_RUN_INNER_C * sigma_w * sigma_p * sig * d * log_term,
-                  vacuous=vac_w or sigma_p == 0 or sig == 0)
-
-    if "signal_noise_inner" in groups:
-        if sig == 0:
-            event("inner_mu_eps", 0.0, vacuous=True)
-            event("inner_nu_eps", 0.0, vacuous=True)
+        band("norm_W_mu_plus", np.linalg.norm(Wmu_p),
+             sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
+        band("norm_W_mu_minus", np.linalg.norm(Wmu_m),
+             sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
+        band("norm_W_eps", np.linalg.norm(WE, axis=1), sigma_w * sig * d,
+             vacuous=(sigma_w == 0 or sig == 0))
+        band("norm_p", np.linalg.norm(p0), sigma_p * math.sqrt(d),
+             vacuous=(sigma_p == 0))
+        sw2 = sigma_w * sigma_w
+        vac_w = sigma_w == 0
+        event("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
+              GOOD_RUN_INNER_C * sw2 * mu * mu * math.sqrt(d) * log_term,
+              vacuous=vac_w)
+        event("inner_Wmu_Weps",
+              float(np.max(np.abs(np.concatenate(
+                  [WE @ Wmu_p, WE @ Wmu_m])))) if sig > 0 else 0.0,
+              GOOD_RUN_INNER_C * sw2 * sig * mu * d * log_term,
+              vacuous=vac_w or sig == 0)
+        if sig > 0 and not vac_w:
+            gw = WE @ WE.T
+            event("inner_Weps_Weps",
+                  float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
+                  GOOD_RUN_INNER_C * sw2 * sig * sig * d ** 1.5 * log_term)
         else:
-            worst_mu = float(np.max(np.abs(
-                np.concatenate([E @ signals.mu_plus, E @ signals.mu_minus]))))
-            event("inner_mu_eps", worst_mu,
-                  GOOD_RUN_INNER_C * sig * mu * math.sqrt(log_term))
-            if init_state is not None:
-                nu_norm = float(np.linalg.norm(init_state.nu))
-                event("inner_nu_eps", float(np.max(np.abs(E @ init_state.nu))),
-                      GOOD_RUN_INNER_C * sig * nu_norm * math.sqrt(log_term),
-                      vacuous=(nu_norm == 0))
+            event("inner_Weps_Weps", 0.0, vacuous=True)
+        event("inner_Wmu_p",
+              max(abs(float(Wmu_p @ p0)), abs(float(Wmu_m @ p0))),
+              GOOD_RUN_INNER_C * sigma_w * sigma_p * mu * math.sqrt(d)
+              * log_term,
+              vacuous=vac_w or sigma_p == 0)
+        event("inner_Weps_p",
+              float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
+              GOOD_RUN_INNER_C * sigma_w * sigma_p * sig * d * log_term,
+              vacuous=vac_w or sigma_p == 0 or sig == 0)
 
-    if "counts" in groups:
-        eta = cfg.eta
-        for name, count in (("count_clean_pos", len(dataset.clean_pos)),
-                            ("count_clean_neg", len(dataset.clean_neg))):
-            event(name, float(count), lo=(2 - 3 * eta) * n / 4,
-                  hi=(2 - eta) * n / 4)
-        for name, count in (("count_noisy_pos", len(dataset.noisy_pos)),
-                            ("count_noisy_neg", len(dataset.noisy_neg))):
-            event(name, float(count), lo=eta * n / 4, hi=3 * eta * n / 4)
+    if sig == 0:
+        event("inner_mu_eps", 0.0, vacuous=True)
+        event("inner_nu_eps", 0.0, vacuous=True)
+    else:
+        worst_mu = float(np.max(np.abs(
+            np.concatenate([E @ signals.mu_plus, E @ signals.mu_minus]))))
+        event("inner_mu_eps", worst_mu,
+              GOOD_RUN_INNER_C * sig * mu * math.sqrt(log_term))
+        if init_state is not None:
+            nu_norm = float(np.linalg.norm(init_state.nu))
+            event("inner_nu_eps", float(np.max(np.abs(E @ init_state.nu))),
+                  GOOD_RUN_INNER_C * sig * nu_norm * math.sqrt(log_term),
+                  vacuous=(nu_norm == 0))
 
     return report
 
@@ -565,9 +534,7 @@ def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
     """Least-squares fit of g(attention gap) against the step index.
 
     ``quantity`` selects the gap family: "Lambda" (token 1 against every
-    other token), "Gamma" (token 2 against tokens 3..T), or
-    "Gamma_relevant_shifted" (token 2 against token 1, shifted down by
-    log(1/rho) so the comparison is on the weak-signal scale).
+    other token) or "Gamma" (token 2 against tokens 3..T).
 
     The pooled fit targets the common rate law: it fits the mean of the
     selected series, which measures linearity in time without being diluted
@@ -585,9 +552,6 @@ def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
         vals = trace.Lambda[np.ix_(mask, samples)]
     elif quantity == "Gamma":
         vals = trace.Gamma[np.ix_(mask, samples)][:, :, 1:]
-    elif quantity == "Gamma_relevant_shifted":
-        rho = trace.meta["rho"]
-        vals = trace.Gamma[np.ix_(mask, samples)][:, :, :1] - math.log(1.0 / rho)
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     gv = g(vals, T)
@@ -664,8 +628,7 @@ class Regime:
     NOT_OVERFITTING = "not-overfitting"
 
 
-def classify_regime(config: DataConfig, n: int | None = None,
-                    theta_benign: float = 1.0,
+def classify_regime(config: DataConfig, theta_benign: float = 1.0,
                     theta_harmful: float = 1.0) -> str:
     """Advisory regime from the signal-to-noise ratio.
 
@@ -674,12 +637,10 @@ def classify_regime(config: DataConfig, n: int | None = None,
     (signal learning dominates); benign in between.  The thresholds stand in
     for asymptotic constants and are deliberately exposed.
     """
-    if n is None:
-        n = config.n
     s2 = data_snr(config) ** 2
     if s2 * math.sqrt(config.d) < theta_harmful:
         return Regime.HARMFUL
-    if n * s2 > theta_benign:
+    if config.n * s2 > theta_benign:
         return Regime.NOT_OVERFITTING
     return Regime.BENIGN
 

@@ -80,10 +80,16 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int, trace=None):
         self.step, self.trace = step, trace
         self.divergence = trace.divergence if trace is not None else None
-        super().__init__(
-            f"non-finite update at step {step}" if self.divergence is None
-            else "non-finite {quantity} at step {step}; last finite "
-                 "{last_finite}".format(**self.divergence))
+        record = self.divergence
+        if record is None:
+            message = f"non-finite update at step {step}"
+        elif record["last_finite"] is None:     # step 0: no state was finite
+            message = ("non-finite {quantity} at step {step}, before any "
+                       "finite state".format(**record))
+        else:
+            message = ("non-finite {quantity} at step {step}; last finite "
+                       "{last_finite}".format(**record))
+        super().__init__(message)
 
 
 def empirical_loss(dataset: Dataset, state: ModelState) -> float:
@@ -216,13 +222,6 @@ class TrainTrace:
     def Gamma(self) -> np.ndarray:
         """(L, n, T-1) gaps of token 2 over token 1, then tokens 3..T."""
         return attention_gaps(self.scores)[1]
-
-    def validate(self):
-        if np.any(np.diff(self.steps) <= 0):
-            raise ValueError("logged steps must be strictly increasing")
-        for name in ("train_loss", "probs", "scores"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"trace field {name} contains non-finite values")
 
 
 class TrainResult:
@@ -590,8 +589,7 @@ class _SubspaceEngine:
 
 def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
           config: TrainConfig, test_set: Dataset | None = None,
-          hooks=(), meta: dict | None = None,
-          raise_on_divergence: bool = True) -> TrainResult:
+          hooks=(), raise_on_divergence: bool = True) -> TrainResult:
     """Run ``config.steps`` full-batch GD iterations with instrumentation.
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
@@ -654,14 +652,12 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
         if scoring is not None:
             scoring.close()
         state0.release()
-    full_meta = {"alpha": config.alpha, "steps": config.steps,
-                 "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
-                 "d": dataset.d, "rho": dataset.config.rho,
-                 "eta": dataset.config.eta, "mu_norm": dataset.config.mu_norm,
-                 "sigma_eps": dataset.config.sigma_eps}
-    if meta:
-        full_meta.update(meta)
-    trace = recorder.finish(logged, full_meta, test, divergence=divergence)
+    meta = {"alpha": config.alpha, "steps": config.steps,
+            "log_every": config.log_every, "n": dataset.n, "T": dataset.T,
+            "d": dataset.d, "rho": dataset.config.rho,
+            "eta": dataset.config.eta, "mu_norm": dataset.config.mu_norm,
+            "sigma_eps": dataset.config.sigma_eps}
+    trace = recorder.finish(logged, meta, test, divergence=divergence)
     result = TrainResult(trace, eng.materialize)
     if divergence is not None and raise_on_divergence:
         raise DivergenceError(trace.diverged_at, trace)

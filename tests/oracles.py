@@ -1,12 +1,37 @@
-"""Reference paths that only the tests read: the dense multiclass forward
-with its cross-entropy gradients, and the gradients of one binary output.
-The library's own paths are checked against them."""
+"""Reference paths that only the tests read: whole multiclass datasets,
+the dense multiclass forward with its cross-entropy gradients, and the
+gradients of one binary output.  The library's own paths are checked
+against them."""
 from dataclasses import dataclass
 
 import numpy as np
 
 from attnsim.model import ModelState, _attend, _token_scores, softmax
-from attnsim.multiclass import MulticlassDataset
+from attnsim.multiclass import MulticlassConfig, _draw_labels, _draw_tokens
+
+
+@dataclass(frozen=True)
+class MulticlassDataset:
+    X: np.ndarray            # (n, T, d)
+    y_train: np.ndarray      # (n,) in [0, K)
+    y_true: np.ndarray
+    weak_classes: np.ndarray  # (n, n_weak)
+    K: int
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+
+def generate_multiclass_dataset(config: MulticlassConfig, mus: np.ndarray,
+                                rng: np.random.Generator) -> MulticlassDataset:
+    """n samples drawn whole, with the streams and bits of one
+    ``head_gradient_estimate`` batch."""
+    tok_rng, y_true, weak, y_train = _draw_labels(config.n, config, rng)
+    X = _draw_tokens(config, mus, tok_rng, y_true, weak,
+                     np.empty((config.n, config.T, config.d)))
+    return MulticlassDataset(X=X, y_train=y_train, y_true=y_true,
+                             weak_classes=weak, K=config.K)
 
 
 @dataclass

@@ -26,8 +26,7 @@ from attnsim.data import DataConfig, a8_sigma, generate_dataset, make_signals
 from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  execute, run, sweep)
 from attnsim.model import ModelState, init_params, softmax
-from attnsim.multiclass import (MulticlassConfig,
-                                generate_multiclass_dataset, make_class_signals)
+from attnsim.multiclass import MulticlassConfig, make_class_signals
 from attnsim.rng import stream
 from attnsim.theory import (etf_gradient_check, g_linearity,
                             good_run_check, measure_grokking,
@@ -36,7 +35,8 @@ from attnsim.theory import (etf_gradient_check, g_linearity,
 from attnsim.train import TrainConfig, finite_diff_grad, grad_p, grad_w
 
 from conftest import record_criterion
-from oracles import MulticlassState, multiclass_loss_and_grads
+from oracles import (MulticlassState, generate_multiclass_dataset,
+                     multiclass_loss_and_grads)
 
 SEEDS = (0, 2, 4)
 
@@ -305,8 +305,7 @@ class TestCriterion6GoodRunFrequencies:
         draws = 200
         for k in range(draws):
             ds = generate_dataset(cfg, sig, stream(k, "accept-goodrun"))
-            rep = good_run_check(ds, None, sig,
-                                 groups=("noise_norms", "noise_inner"))
+            rep = good_run_check(ds, None, sig)
             norm_hold += rep["good_run_norm_eps"].passed
             inner_hold += rep["good_run_inner_eps_eps"].passed
         ok = norm_hold >= 0.99 * draws and inner_hold >= 0.99 * draws

@@ -224,9 +224,6 @@ class TestGenerateDataset:
         assert set(ds.clean_idx) & set(ds.noisy_idx) == set()
         np.testing.assert_array_equal(
             ds.noisy_idx, np.nonzero(ds.y_train != ds.y_true)[0])
-        assert sorted(np.concatenate([ds.clean_pos, ds.clean_neg])) == sorted(ds.clean_idx)
-        assert all(ds.y_train[ds.clean_pos] == 1)
-        assert all(ds.y_train[ds.noisy_neg] == -1)
 
     def test_eta_zero_no_flips(self):
         cfg = small_config(eta=0.0)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -8,6 +10,22 @@ import attnsim
 
 SRC = os.path.dirname(os.path.dirname(attnsim.__file__))
 DEMOS = os.path.join(os.path.dirname(SRC), "demos")
+
+
+@pytest.mark.parametrize("script", sorted(
+    f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_imports_resolve(script):
+    # the demos run only under --runslow; this catches a demo importing a
+    # name the library no longer has
+    with open(os.path.join(DEMOS, script)) as fh:
+        tree = ast.parse(fh.read(), filename=script)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "attnsim"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{script}: {node.module}.{alias.name}")
 
 
 @pytest.mark.slow

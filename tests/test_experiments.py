@@ -170,7 +170,7 @@ class TestRun:
         assert (tmp_path / "trace.csv").exists()
         assert (tmp_path / "summary.json").exists()
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["config"] == art.config_echo
+        assert summary["config"] == art.summary["config"]
         assert ExperimentConfig.from_json(summary["config"]) == tiny_config()
         assert summary["final"]["step"] == 60
         assert summary["diverged_at"] is None
@@ -654,6 +654,17 @@ class TestCheckSuites:
             run_check_suites(default_config(),
                              ["gradients", "identities", "identities"])
 
+    def test_goodrun_rows(self):
+        rows = run_check_suites(default_config(), ["goodrun"]).to_json()
+        assert [r["name"] for r in rows] == [f"good_run_{event}" for event in (
+            "norm_eps", "inner_eps_eps", "norm_W_mu_plus", "norm_W_mu_minus",
+            "norm_W_eps", "norm_p", "inner_Wmu_Wmu", "inner_Wmu_Weps",
+            "inner_Weps_Weps", "inner_Wmu_p", "inner_Weps_p", "inner_mu_eps",
+            "inner_nu_eps")]
+        for r in rows:
+            assert set(r["threshold"]) == {"lo", "hi"}
+            assert r["threshold"]["lo"] is None
+
     @pytest.mark.parametrize("suite", ["softmax", "glinearity"])
     def test_short_run_suites_ignore_the_test_set(self, monkeypatch, suite):
         config = default_config()
@@ -850,6 +861,17 @@ class TestCli:
                                          "last_finite": None}
         assert summary["final"] is None
         assert summary["theory_digest"] == {}
+
+    def test_step_zero_divergence_message(self, tmp_path, capsys):
+        base = default_config()
+        cfg = replace(base, train=replace(base.train, steps=5),
+                      model=ModelParams(sigma_w=1e200))
+        code = cli_main(["run", "--config", self.write_config(tmp_path, cfg),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "training diverged: non-finite u at step 0, before any finite "
+            "state\n")
 
     @pytest.mark.parametrize("command, computes",
                              [("run", "execute"), ("sweep", "_sweep_cell")])

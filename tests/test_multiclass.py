@@ -12,14 +12,15 @@ from attnsim import multiclass
 from attnsim.data import (ConfigError, DataConfig, generate_dataset,
                           make_signals)
 from attnsim.model import make_head
-from attnsim.multiclass import (MulticlassConfig, MulticlassDataset,
-                                generate_multiclass_dataset,
-                                head_gradient_estimate, make_class_signals)
+from attnsim.multiclass import (MulticlassConfig, head_gradient_estimate,
+                                make_class_signals)
 from attnsim.rng import stream
 from attnsim.theory import etf_gradient_check, rel_err
 from attnsim.train import empirical_loss
 
-from oracles import MulticlassState, grad_wv, multiclass_loss_and_grads
+from oracles import (MulticlassDataset, MulticlassState,
+                     generate_multiclass_dataset, grad_wv,
+                     multiclass_loss_and_grads)
 
 
 def kcfg(**kw):
@@ -39,18 +40,13 @@ def random_kstate(cfg, seed=0, sigma=0.4):
 
 
 class TestClassSignals:
-    def test_axis_aligned(self):
-        mus = make_class_signals(5, 3, 2.0, "axis_aligned")
-        assert mus.shape == (3, 5)
-        np.testing.assert_allclose(mus @ mus.T, 4.0 * np.eye(3), atol=1e-12)
-
     def test_random_orthogonal(self):
         mus = make_class_signals(64, 4, 7.0, rng=stream(1, "k"))
         np.testing.assert_allclose(mus @ mus.T, 49.0 * np.eye(4), atol=1e-9)
 
     def test_needs_room(self):
         with pytest.raises(ValueError):
-            make_class_signals(2, 3, 1.0, "axis_aligned")
+            make_class_signals(2, 3, 1.0, stream(1, "k"))
 
 
 class TestMulticlassConfig:
@@ -173,7 +169,7 @@ class TestMulticlassLoss:
 class TestHeadGradientGeometry:
     def test_k2_target_algebra(self):
         # with two classes the centered signals are +-(mu_0 - mu_1)/2
-        mus = make_class_signals(6, 2, 2.0, "axis_aligned")
+        mus = 2.0 * np.eye(2, 6)
         centered = mus - mus.mean(axis=0)
         np.testing.assert_allclose(centered[0], (mus[0] - mus[1]) / 2.0,
                                    rtol=1e-12)
@@ -319,7 +315,7 @@ class TestStreamedHeadGradient:
     @pytest.mark.parametrize("rows", [2, 4])
     def test_signal_shape_checked(self, rows):
         cfg = kcfg(d=32, K=3)
-        mus = make_class_signals(cfg.d, rows, cfg.mu_norm, "axis_aligned")
+        mus = cfg.mu_norm * np.eye(rows, cfg.d)
         with pytest.raises(ValueError, match="shape"):
             head_gradient_estimate(cfg, mus, 1000, stream(13, "mc"))
         with pytest.raises(ValueError, match="shape"):
@@ -329,7 +325,7 @@ class TestStreamedHeadGradient:
                                             -3, "2000"])
     def test_mc_samples_checked(self, mc_samples):
         cfg = kcfg(d=32, K=3)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, "axis_aligned")
+        mus = cfg.mu_norm * np.eye(cfg.K, cfg.d)
         with pytest.raises(ValueError, match="mc_samples"):
             head_gradient_estimate(cfg, mus, mc_samples, stream(13, "mc"))
         with pytest.raises(ValueError, match="mc_samples"):
@@ -337,7 +333,7 @@ class TestStreamedHeadGradient:
 
     def test_numpy_integer_mc_samples_accepted(self):
         cfg = kcfg(d=32, K=3)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, "axis_aligned")
+        mus = cfg.mu_norm * np.eye(cfg.K, cfg.d)
         got = head_gradient_estimate(cfg, mus, np.int64(300), stream(13, "mc"))
         want = head_gradient_estimate(cfg, mus, 300, stream(13, "mc"))
         assert got.tobytes() == want.tobytes()

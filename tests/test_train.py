@@ -338,8 +338,11 @@ class TestTrainLoop:
 
     def test_trace_finite_and_increasing(self):
         state, ds, sig, test = self.setup_run()
-        res = train(state, ds, sig, run_config(steps=40), test_set=test)
-        res.trace.validate()
+        trace = train(state, ds, sig, run_config(steps=40),
+                      test_set=test).trace
+        assert np.all(np.diff(trace.steps) > 0)
+        for name in ("train_loss", "probs", "scores"):
+            assert np.all(np.isfinite(getattr(trace, name))), name
 
     def test_hooks_called_at_log_points(self):
         state, ds, sig, test = self.setup_run()
