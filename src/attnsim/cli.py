@@ -11,6 +11,8 @@ Subcommands: ``run`` (single experiment, trace + summary), ``sweep``
 * 3 numerical divergence of training (partial trace kept)
 * 4 other numerical error (a ``ValueError`` or ``ArithmeticError`` raised
   while computing, e.g. non-finite test-set scores)
+* 5 operating-system or memory error (an ``OSError``, e.g. an output file
+  that cannot be written, or a ``MemoryError``) raised while running
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_NUMERICAL = 4
+EXIT_SYSTEM = 5
 
 
 def _load_json(path: str) -> dict:
@@ -136,6 +139,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (OSError, MemoryError) as exc:
+        print(f"system error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SYSTEM
     return EXIT_USAGE
 
 

@@ -464,7 +464,9 @@ def _suite_identities(config: ExperimentConfig) -> TheoryReport:
         worst = max(c.measured["max_rel_err"] for c in rep.checks)
         report.checks.append(CheckResult(
             f"update_identities_trial_{trial}", passed=rep.passed_all,
-            measured={"max_rel_err": worst}, threshold=UPDATE_IDENTITY_TOL))
+            measured={"max_rel_err": worst}, threshold=UPDATE_IDENTITY_TOL,
+            note=("failing rows: " + ", ".join(rep.failing)
+                  if rep.failing else "")))
     return report
 
 

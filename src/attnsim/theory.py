@@ -22,7 +22,7 @@ from .model import (ModelState, _attend, _token_scores, loss_derivative,
                     softmax)
 from .multiclass import (MulticlassConfig, _check_mc_samples,
                          head_gradient_estimate)
-from .train import TrainTrace, attention_gaps, gd_step, grad_p, grad_w
+from .train import TrainTrace, _gbar, attention_gaps, gd_step
 
 __all__ = [
     "CheckResult",
@@ -172,16 +172,15 @@ def compute_diagnostics(state: ModelState, dataset: Dataset,
 class InteractionTerms:
     """Softmax- and score-weighted inner products driving the updates.
 
-    All seven families reduce to inner products with the per-sample
-    aggregated direction c_i = sum_t s_t (gamma_t - f_i) x_t:
+    All families reduce to inner products with the per-sample aggregated
+    direction c_i = sum_t s_t (gamma_t - f_i) x_t:
 
-        I_{i,+-}    = <c_i, mu_+->          I_{i,j,u}   = <c_i, eps_u^(j)>
-        Iw_{i,+-}   = <W c_i, W mu_+->      Iw_{i,j,u}  = <W c_i, W eps_u^(j)>
-        Ip_i        = <W c_i, p>
+        <c_i, a>    and    <W c_i, W a>    for a tracked vector a,
+        Ip_i = <W c_i, p>.
 
-    The signal and p families are attributes; the noise-indexed families
-    are ``c @ eps`` and ``Wc @ (W eps)``, which :func:`verify_update_identity`
-    forms for every (j, u) at once.
+    ``c`` and ``Wc`` are attributes, and so is the p family ``I_p``;
+    :func:`verify_update_identity` forms the others for both signals and
+    every noise vector at once.
     """
 
     def __init__(self, state: ModelState, dataset: Dataset,
@@ -193,16 +192,60 @@ class InteractionTerms:
         self.probs = probs
         self.c = np.einsum("it,itd->id", self.omega, dataset.X)
         self.Wc = self.c @ state.W.T
-        self.I_plus = self.c @ signals.mu_plus
-        self.I_minus = self.c @ signals.mu_minus
-        self.Iw_plus = self.Wc @ (state.W @ signals.mu_plus)
-        self.Iw_minus = self.Wc @ (state.W @ signals.mu_minus)
         self.I_p = self.Wc @ state.p
 
 
 # --------------------------------------------------------------------------
 # One-step update identities
 # --------------------------------------------------------------------------
+
+_UPDATE_ROWS = (
+    "update_lambda_plus", "update_lambda_minus", "update_rho",
+    "update_p_norm", "update_w_norm_mu_+", "update_w_norm_mu_-",
+    "update_w_norm_eps", "update_w_cross_mu", "update_w_cross_mu_+_eps",
+    "update_w_cross_mu_-_eps", "update_w_cross_eps_pairs")
+
+
+def _update_changes(state: ModelState, dataset: Dataset,
+                    signals: SignalBasis, alpha: float):
+    """One GD step's changes over the tracked vectors A = [mu_+; mu_-; E],
+    E the noise rows in (j, u) order: Delta r = Delta(A W^T p),
+    Delta G = Delta((A W^T)(A W^T)^T) and Delta ||p||^2.  Returns
+    ``(lhs, rhs)``, each those three: lhs as the difference of the two
+    states' products, rhs as the interaction-term expressions plus the
+    exact alpha^2 terms."""
+    n, T, d = dataset.n, dataset.T, dataset.d
+    A = np.vstack([signals.mu_plus, signals.mu_minus,
+                   dataset.noise.reshape(n * T, d)])
+    inter = InteractionTerms(state, dataset, signals)
+    y = dataset.y_train
+    a = (-loss_derivative(y * inter.outputs)) * y / n          # (n,)
+    g = _gbar(dataset, state)
+    gw, gp = np.outer(state.p, g), state.W @ g                 # as gd_step
+    W1, p1 = state.W - alpha * gw, state.p - alpha * gp
+    pp = float(state.p @ state.p)
+    B0, B1 = A @ state.W.T, A @ W1.T
+    r0 = A @ (state.W.T @ state.p)
+    lhs = (A @ (W1.T @ p1) - r0, B1 @ B1.T - B0 @ B0.T,
+           float(p1 @ p1) - pp)
+    s = a @ (inter.c @ A.T)
+    Ag = A @ gw.T
+    rhs = (alpha * (a @ (inter.Wc @ B0.T)) + alpha * pp * s
+           + alpha * alpha * (A @ (gw.T @ gp)),
+           alpha * (np.outer(r0, s) + np.outer(s, r0))
+           + alpha * alpha * (Ag @ Ag.T),
+           2 * alpha * float(a @ inter.I_p) + alpha * alpha * float(gp @ gp))
+    return lhs, rhs
+
+
+def _update_blocks(r, G, pp):
+    """The blocks of (Delta r, Delta G, Delta ||p||^2) that the rows of
+    ``_UPDATE_ROWS`` compare, in that order."""
+    E = slice(2, None)
+    pairs = G[E, E][~np.eye(len(r) - 2, dtype=bool)]
+    return (r[0], r[1], r[E], pp, G[0, 0], G[1, 1], np.diag(G)[E], G[0, 1],
+            G[E, 0], G[E, 1], pairs)
+
 
 def verify_update_identity(state: ModelState, dataset: Dataset,
                            signals: SignalBasis, alpha: float) -> TheoryReport:
@@ -212,97 +255,17 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
 
     Covers the signal/noise attention updates (lambda_+1, lambda_-1, every
     rho_{j,u}), the squared norm of p, and the squared norms / pairwise
-    inner products of W applied to both signals and every noise vector.
+    inner products of W applied to both signals and every noise vector:
+    each row is a block of the stacked changes of :func:`_update_changes`.
     """
-    n, T, d = dataset.X.shape
-    inter = InteractionTerms(state, dataset, signals)
-    y = dataset.y_train
-    lp = loss_derivative(y * inter.outputs)
-    a_coef = (-lp) * y / n                     # (n,)
-    gw = grad_w(dataset, state)
-    gp = grad_p(dataset, state)
-    new = gd_step(state, dataset, alpha)
-
-    pp = float(state.p @ state.p)
-    E = dataset.noise.reshape(n * T, d)         # noise vectors, row-major (j,u)
-    I_eps = (inter.c @ E.T)                     # (n, nT)
-    WE0 = E @ state.W.T
-    WE1 = E @ new.W.T
-    Iw_eps = inter.Wc @ WE0.T                   # (n, nT)
-    q0 = state.W.T @ state.p
-    q1 = new.W.T @ new.p
-    cross = gw.T @ gp                           # (d,) since gw is rank one
-
+    lhs, rhs = _update_changes(state, dataset, signals, alpha)
     report = TheoryReport()
-
-    def add(name, lhs, rhs):
-        err = float(np.max(rel_err(lhs, rhs))) if np.size(lhs) else 0.0
+    for name, left, right in zip(_UPDATE_ROWS, _update_blocks(*lhs),
+                                 _update_blocks(*rhs)):
+        err = float(np.max(rel_err(left, right))) if np.size(left) else 0.0
         report.checks.append(CheckResult(
             name=name, passed=err <= UPDATE_IDENTITY_TOL,
             measured={"max_rel_err": err}, threshold=UPDATE_IDENTITY_TOL))
-
-    # signal and noise attention
-    for nm, mu, Iw, I in (("update_lambda_plus", signals.mu_plus,
-                           inter.Iw_plus, inter.I_plus),
-                          ("update_lambda_minus", signals.mu_minus,
-                           inter.Iw_minus, inter.I_minus)):
-        lhs = float(mu @ q1) - float(mu @ q0)
-        rhs = alpha * float(a_coef @ (Iw + pp * I)) \
-            + alpha * alpha * float(mu @ cross)
-        add(nm, lhs, rhs)
-
-    lhs_rho = E @ q1 - E @ q0                                   # (nT,)
-    rhs_rho = alpha * (a_coef @ (Iw_eps + pp * I_eps)) \
-        + alpha * alpha * (E @ cross)
-    add("update_rho", lhs_rho, rhs_rho)
-
-    # squared norm of p
-    lhs = float(new.p @ new.p) - pp
-    rhs = 2 * alpha * float(a_coef @ inter.I_p) \
-        + alpha * alpha * float(gp @ gp)
-    add("update_p_norm", lhs, rhs)
-
-    # norms and inner products through W
-    lam = {"+": float(signals.mu_plus @ q0), "-": float(signals.mu_minus @ q0)}
-    Wmu0 = {"+": state.W @ signals.mu_plus, "-": state.W @ signals.mu_minus}
-    Wmu1 = {"+": new.W @ signals.mu_plus, "-": new.W @ signals.mu_minus}
-    gwmu = {"+": gw @ signals.mu_plus, "-": gw @ signals.mu_minus}
-    I_sig = {"+": inter.I_plus, "-": inter.I_minus}
-
-    for k in ("+", "-"):
-        lhs = float(Wmu1[k] @ Wmu1[k]) - float(Wmu0[k] @ Wmu0[k])
-        rhs = 2 * alpha * lam[k] * float(a_coef @ I_sig[k]) \
-            + alpha * alpha * float(gwmu[k] @ gwmu[k])
-        add(f"update_w_norm_mu_{k}", lhs, rhs)
-
-    rho0 = E @ q0                                               # (nT,)
-    gwE = E @ gw.T                                              # (nT, d)
-    lhs_wn = np.einsum("md,md->m", WE1, WE1) - np.einsum("md,md->m", WE0, WE0)
-    rhs_wn = 2 * alpha * rho0 * (a_coef @ I_eps) \
-        + alpha * alpha * np.einsum("md,md->m", gwE, gwE)
-    add("update_w_norm_eps", lhs_wn, rhs_wn)
-
-    lhs = float(Wmu1["+"] @ Wmu1["-"]) - float(Wmu0["+"] @ Wmu0["-"])
-    rhs = alpha * float(a_coef @ (I_sig["-"] * lam["+"] + I_sig["+"] * lam["-"])) \
-        + alpha * alpha * float(gwmu["+"] @ gwmu["-"])
-    add("update_w_cross_mu", lhs, rhs)
-
-    for k in ("+", "-"):
-        lhs_c = WE1 @ Wmu1[k] - WE0 @ Wmu0[k]                   # (nT,)
-        rhs_c = alpha * ((a_coef @ I_eps) * lam[k]
-                         + float(a_coef @ I_sig[k]) * rho0) \
-            + alpha * alpha * (gwE @ gwmu[k])
-        add(f"update_w_cross_mu_{k}_eps", lhs_c, rhs_c)
-
-    # pairwise noise-noise inner products
-    lhs_pair = WE1 @ WE1.T - WE0 @ WE0.T                        # (nT, nT)
-    s_vec = a_coef @ I_eps                                      # (nT,)
-    rhs_pair = np.outer(rho0, s_vec) + np.outer(s_vec, rho0)
-    rhs_pair *= alpha
-    rhs_pair += alpha * alpha * (gwE @ gwE.T)
-    mask = ~np.eye(n * T, dtype=bool)
-    add("update_w_cross_eps_pairs", lhs_pair[mask], rhs_pair[mask])
-
     return report
 
 
@@ -404,7 +367,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
     sigma_eps = 0) are reported as vacuous: they carry no bounds and pass.
     """
     cfg = dataset.config
-    n, T, d = dataset.X.shape
+    n, T, d = dataset.n, dataset.T, dataset.d
     sig = cfg.sigma_eps
     mu = cfg.mu_norm
     log_term = math.log(T * n / GOOD_RUN_DELTA)

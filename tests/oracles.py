@@ -1,8 +1,9 @@
 """Reference paths that only the tests read: whole multiclass datasets,
-the dense multiclass forward with its cross-entropy gradients, and the
-gradients of one binary output.  The library's own paths are checked
-against them."""
+the dense multiclass forward with its cross-entropy gradients, the
+gradients of one binary output and the exact changes of one GD step.  The
+library's own paths are checked against them."""
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,3 +104,18 @@ def output_grads(X: np.ndarray, state: ModelState):
     probs, out, _ = _attend(u, gamma)
     c = (probs * (gamma - out[:, None]))[0] @ X
     return np.outer(state.p, c), state.W @ c
+
+
+def exact_update_changes(W0, p0, g, A, alpha):
+    """Delta r = Delta(A W^T p), Delta G = Delta((A W^T)(A W^T)^T) and
+    Delta ||p||^2 over one GD step in exact rational arithmetic: from the
+    float W0, p0, g, A and alpha, through the unrounded step
+    W1 = W0 - alpha p0 g^T, p1 = p0 - alpha W0 g.  Object arrays of
+    Fractions (and a Fraction)."""
+    W0, p0, g, A = (np.vectorize(Fraction, otypes=[object])(x)
+                    for x in (W0, p0, g, A))
+    alpha = Fraction(alpha)
+    W1 = W0 - alpha * np.outer(p0, g)
+    p1 = p0 - alpha * (W0 @ g)
+    B0, B1 = A @ W0.T, A @ W1.T
+    return B1 @ p1 - B0 @ p0, B1 @ B1.T - B0 @ B0.T, p1 @ p1 - p0 @ p0

@@ -304,7 +304,9 @@ class TestCriterion6GoodRunFrequencies:
         norm_hold = inner_hold = 0
         draws = 200
         for k in range(draws):
-            ds = generate_dataset(cfg, sig, stream(k, "accept-goodrun"))
+            # the check reads only the noise, so the tokens stay undrawn
+            ds = generate_dataset(cfg, sig, stream(k, "accept-goodrun"),
+                                  lazy=True)
             rep = good_run_check(ds, None, sig)
             norm_hold += rep["good_run_norm_eps"].passed
             inner_hold += rep["good_run_inner_eps_eps"].passed

@@ -17,7 +17,8 @@ import pytest
 
 import attnsim
 from attnsim import experiments, model
-from attnsim.cli import EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_USAGE
+from attnsim.cli import (EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_SYSTEM,
+                         EXIT_USAGE)
 from attnsim.cli import main as cli_main
 from attnsim.data import (ConfigError, DataConfig, generate_dataset,
                           make_signals)
@@ -1033,6 +1034,55 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_NUMERICAL
         assert "numerical error: math range error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [
+        OSError(28, "No space left on device"),
+        MemoryError("Unable to allocate 186. GiB for an array with shape "
+                    "(5000, 5000000) and data type float64")])
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_system_error_exit_five(self, tmp_path, capsys, monkeypatch,
+                                    command, error):
+        # the error is raised, never provoked: no test allocates for real
+        def fail(*args, **kwargs):
+            raise error
+
+        config = self.write_config(tmp_path)
+        argv = [command, "--config", config, "--out-dir", str(tmp_path / "o")]
+        if command == "run":
+            monkeypatch.setattr(experiments, "execute", fail)
+        elif command == "sweep":
+            monkeypatch.setattr(experiments, "_sweep_cell", fail)
+            spec = SweepSpec(d_values=(48,), mu_values=(4.0,), seeds=(0,),
+                             base=tiny_config())
+            with open(config, "w") as fh:
+                json.dump(spec.to_json(), fh)
+        else:
+            monkeypatch.setitem(experiments.CHECK_SUITES, "gradients", fail)
+            argv = ["check", "--config", config, "--suite", "gradients"]
+        assert cli_main(argv) == EXIT_SYSTEM
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"system error: {type(error).__name__}: {error}\n")
+
+    def test_trace_path_is_a_directory_exit_five(self, tmp_path):
+        # the out-dir exists and is writable, so this fails only when the
+        # trace is written; a subprocess shows what reaches stderr
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(attnsim.__file__)),
+            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "attnsim.cli", "run", "--config",
+             self.write_config(tmp_path), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_SYSTEM
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("system error: IsADirectoryError: ")
+        assert "trace.csv" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_large_head_scale_run_completes(self, tmp_path):
         # outputs reach |f| ~ 1600 without diverging: past where e^|f|

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
-from attnsim.experiments import default_config, run_check_suites
+from attnsim.experiments import (_random_instance, default_config,
+                                 run_check_suites)
 from attnsim.model import ModelState, make_head, softmax
 from attnsim.rng import stream
-from attnsim.theory import (SOFTMAX_IDENTITY_TOL, InteractionTerms, Regime,
+from attnsim.theory import (SOFTMAX_IDENTITY_TOL, UPDATE_IDENTITY_TOL,
+                            InteractionTerms, Regime, _update_changes,
                             classify_regime, compute_diagnostics, g,
                             g_linearity, good_run_check, init_checks,
                             loss_derivative_balance, measure_grokking,
-                            softmax_bound_check, softmax_bound_scan,
+                            rel_err, softmax_bound_check, softmax_bound_scan,
                             verify_update_identity)
-from attnsim.train import TrainConfig, TrainTrace, train
+from attnsim.train import TrainConfig, TrainTrace, _gbar, train
+from oracles import exact_update_changes
 
 
 def make_instance(seed=0, n=4, T=3, d=8, sigma=0.5, eta=0.25):
@@ -100,8 +103,9 @@ class TestDiagnostics:
                 ip += w * (ds.X[i, t] @ sig.mu_plus)
                 im += w * (ds.X[i, t] @ sig.mu_minus)
                 ipp += w * ((state.W @ ds.X[i, t]) @ state.p)
-            assert inter.I_plus[i] == pytest.approx(ip, rel=1e-10)
-            assert inter.I_minus[i] == pytest.approx(im, rel=1e-10)
+            # the signal families, as verify_update_identity forms them
+            assert (inter.c @ sig.mu_plus)[i] == pytest.approx(ip, rel=1e-10)
+            assert (inter.c @ sig.mu_minus)[i] == pytest.approx(im, rel=1e-10)
             assert inter.I_p[i] == pytest.approx(ipp, rel=1e-10)
             j, u = (i + 1) % ds.n, 1
             # the noise families, as verify_update_identity forms them
@@ -123,6 +127,34 @@ class TestUpdateIdentities:
             rep = verify_update_identity(state, ds, sig, alpha=0.05)
             worst = max(c.measured["max_rel_err"] for c in rep.checks)
             assert rep.passed_all, f"seed {seed}: worst rel err {worst}"
+
+    def test_row_names_in_order(self):
+        # `check` and the stored benchmark references key on these names
+        ds, sig, state = make_instance(seed=0)
+        rep = verify_update_identity(state, ds, sig, alpha=0.05)
+        assert [c.name for c in rep.checks] == [
+            "update_lambda_plus", "update_lambda_minus", "update_rho",
+            "update_p_norm", "update_w_norm_mu_+", "update_w_norm_mu_-",
+            "update_w_norm_eps", "update_w_cross_mu",
+            "update_w_cross_mu_+_eps", "update_w_cross_mu_-_eps",
+            "update_w_cross_eps_pairs"]
+
+    @pytest.mark.parametrize("seed", [10, 22])
+    def test_rhs_matches_exact_lhs(self, seed):
+        # the identities suite's instances at the two config seeds where
+        # the check fails: the stacked right-hand sides meet the bound
+        # against the exact change of the unrounded step, so the failures
+        # come from rounding in the float left-hand side
+        rng = stream(seed, "check-identities")
+        for _ in range(3):
+            ds, sig, state = _random_instance(rng)
+            A = np.vstack([sig.mu_plus, sig.mu_minus,
+                           ds.noise.reshape(ds.n * ds.T, ds.d)])
+            exact = exact_update_changes(state.W, state.p, _gbar(ds, state),
+                                         A, 0.05)
+            _, rhs = _update_changes(state, ds, sig, 0.05)
+            for want, got in zip(exact, rhs):
+                assert np.max(rel_err(want, got)) <= UPDATE_IDENTITY_TOL
 
     def test_alpha_zero_trivial(self):
         ds, sig, state = make_instance(seed=1)
