@@ -12,7 +12,8 @@ Subcommands: ``run`` (single experiment, trace + summary), ``sweep``
 * 4 other numerical error (a ``ValueError`` or ``ArithmeticError`` raised
   while computing, e.g. non-finite test-set scores)
 * 5 operating-system or memory error (an ``OSError``, e.g. an output file
-  that cannot be written, or a ``MemoryError``) raised while running
+  that cannot be written, or a ``MemoryError``, whose message names W(0)
+  and its size when W(0) cannot be allocated) raised while running
 """
 from __future__ import annotations
 

@@ -95,10 +95,15 @@ def init_params(d: int, sigma_w: float, sigma_p: float,
     of one (d, d) draw.  Each block is checked finite, and ``on_rows(W, lo,
     hi)`` is called once its rows are in W; an overflowing sigma_w raises
     at the first block.  With sigma_w = 0, W is zero and p is the stream's
-    first draw."""
+    first draw.  A W that cannot be allocated raises a MemoryError that
+    names it and its size."""
     if not (sigma_w >= 0 and sigma_p >= 0):     # NaN fails too
         raise ValueError("initialization scales must be >= 0")
-    W = np.empty((d, d)) if sigma_w > 0 else np.zeros((d, d))
+    try:
+        W = np.empty((d, d)) if sigma_w > 0 else np.zeros((d, d))
+    except MemoryError as exc:
+        raise MemoryError(
+            f"W(0): {d}x{d} float64, {8 * d * d} bytes") from exc
     for lo, hi in row_blocks(d):
         if sigma_w > 0:
             _check_finite("W", normal_fill(rng, W[lo:hi], sigma_w))
@@ -233,35 +238,36 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
 _TOKEN_MAJOR_MIN = 4096
 
 
-def _softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """:func:`softmax` of finite float input, without the check."""
+def _softmax(v: np.ndarray, axis: int = -1,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`softmax` of finite float input, without the check, written
+    into ``out`` when it is given."""
     if v.size >= _TOKEN_MAJOR_MIN:
         # a copy with ``axis`` leading reduces whole rows instead of many
         # short runs, which pays on the test-scoring blocks; the max is
         # exact either way
         m = (v.swapaxes(axis, 0).copy().max(axis=0, keepdims=True)
              .swapaxes(axis, 0))
-        # exponentiated and normalized in place: the same values without
-        # two more temporaries of the block's size
-        e = v - m
-        np.exp(e, out=e)
-        e /= e.sum(axis=axis, keepdims=True)
-        return e
-    m = v.max(axis=axis, keepdims=True)
-    e = np.exp(v - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    else:
+        m = v.max(axis=axis, keepdims=True)
+    # exponentiated and normalized in place: the values of
+    # exp(v - m) / sum, without two more temporaries of v's size
+    e = np.subtract(v, m, out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def loss_derivative(z):
     """l'(z) = -1/(1 + e^z) for l(z) = log(1 + exp(-z)); always in [-1, 0].
 
     Evaluated as -e/(1 + e) for z >= 0 and -1/(1 + e) for z < 0, with
-    e = exp(-|z|), so the exponential never overflows.  The endpoints are
-    reached in float64: the value rounds to -1.0 below about z = -37 and
-    to -0.0 above about z = 745."""
+    e = exp(-|z|), so the exponential never overflows; the numerator is
+    exp(-max(z, 0)), which is e or 1.  The endpoints are reached in
+    float64: the value rounds to -1.0 below about z = -37 and to -0.0
+    above about z = 745."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, e, 1.0) / (-1.0 - e)
+    out = np.exp(-np.maximum(z, 0.0)) / (-1.0 - np.exp(-np.abs(z)))
     return out if out.ndim else float(out)
 
 
@@ -298,20 +304,35 @@ def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
     return (flat @ q).reshape(n, T), (flat @ nu).reshape(n, T)
 
 
+def _attend_work(n: int, T: int) -> tuple[np.ndarray, ...]:
+    """Buffers for :func:`_attend` on scores (n, T), for a caller that
+    attends many times at that shape: the softmax, omega, the margins
+    y f and their scale."""
+    return np.empty((n, T)), np.empty((n, T)), np.empty(n), np.empty(n)
+
+
 def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None,
-            checked: bool = False):
+            checked: bool = False, work: tuple | None = None,
+            weights: np.ndarray | None = None):
     """Softmax of attention scores u (n, T) over tokens and the outputs
     f_i = <s_i, gamma_i>.  Given training labels y, also the token weights
     (1/n) l'(y_i f_i) y_i s_t (gamma_t - f_i), whose sum against the tokens
     is gbar; otherwise None in their place.  ``checked`` says the caller
-    has already found u finite."""
-    probs = _softmax(u) if checked else softmax(u, axis=-1)
+    has already found u finite.  The softmax and the intermediates are
+    written into ``work`` (:func:`_attend_work`) and the weights into
+    ``weights`` where those are given, with the bits of the allocating
+    call."""
+    probs, omega, margins, scale = work or (None,) * 4
+    probs = _softmax(u, out=probs) if checked else softmax(u, axis=-1)
     out = np.einsum("it,it->i", probs, gamma)
     if y is None:
         return probs, out, None
-    lprime = loss_derivative(y * out)
-    omega = probs * (gamma - out[:, None])
-    return probs, out, (lprime * y / len(y))[:, None] * omega
+    lprime = loss_derivative(np.multiply(y, out, out=margins))
+    omega = np.subtract(gamma, out[:, None], out=omega)
+    omega *= probs
+    scale = np.multiply(lprime, y, out=scale)
+    scale /= len(y)
+    return probs, out, np.multiply(scale[:, None], omega, out=weights)
 
 
 def batch_outputs(X: np.ndarray, state: ModelState) -> np.ndarray:

@@ -56,6 +56,9 @@ SATURATION_GAP = 500.0            # |gap| beyond which the bracket skips a row
 GOOD_RUN_NORM_RTOL = 0.10         # two-sided band around each norm scale
 GOOD_RUN_INNER_C = 5.0            # multiplier on the inner-product caps
 GOOD_RUN_DELTA = 0.01             # failure probability inside log terms
+# Share of config seeds at which good_run_norm_W_eps holds under
+# default_config(): 3205 of seeds 10000-14999.
+NORM_W_EPS_HOLD_RATE = 0.641
 INIT_S_UNIFORMITY = 0.25          # max_t |s_t(0) - 1/T| * T
 INIT_LAMBDA_GAP = 0.5             # max |Lambda(0)|
 INIT_GAMMA_GAP = 0.5              # max |Gamma(0)|
@@ -187,10 +190,9 @@ class InteractionTerms:
                  signals: SignalBasis):
         u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
         probs, out, _ = _attend(u, gamma)
-        self.omega = probs * (gamma - out[:, None])
+        omega = probs * (gamma - out[:, None])
         self.outputs = out
-        self.probs = probs
-        self.c = np.einsum("it,itd->id", self.omega, dataset.X)
+        self.c = np.einsum("it,itd->id", omega, dataset.X)
         self.Wc = self.c @ state.W.T
         self.I_p = self.Wc @ state.p
 
@@ -410,6 +412,9 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
              sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
         band("norm_W_eps", np.linalg.norm(WE, axis=1), sigma_w * sig * d,
              vacuous=(sigma_w == 0 or sig == 0))
+        report.checks[-1].note = (
+            f"expected to hold at {NORM_W_EPS_HOLD_RATE} of config seeds at "
+            "the default config; a failure alone is not a defect")
         band("norm_p", np.linalg.norm(p0), sigma_p * math.sqrt(d),
              vacuous=(sigma_p == 0))
         sw2 = sigma_w * sigma_w

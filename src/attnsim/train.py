@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ConfigError, DataConfig, Dataset, SignalBasis, _Section
-from .model import (InitDraw, ModelState, _attend, _fit_loss_means, _fits,
-                    _logistic_loss, _token_scores, batch_outputs,
-                    loss_derivative)
+from .model import (InitDraw, ModelState, _attend, _attend_work,
+                    _fit_loss_means, _fits, _logistic_loss, _token_scores,
+                    batch_outputs, loss_derivative)
 
 __all__ = [
     "TrainConfig",
@@ -262,7 +262,7 @@ class _Recorder:
         self.probs[k] = probs
         self.outputs[k] = out
         for hook in self.hooks:
-            hook(step, {"probs": probs, "outputs": out,
+            hook(step, {"probs": self.probs[k], "outputs": self.outputs[k],
                         "lambda_plus": float(u_all[self.nT]),
                         "lambda_minus": float(u_all[self.nT + 1])})
 
@@ -460,6 +460,30 @@ class _SubspaceEngine:
         self._pending_x = np.empty((_FOLD, N + 1))
         self._pending_beta = np.empty((_FOLD, self.nT))
         self._pending = 0
+        # a step writes into buffers allocated here, through views built
+        # here for each pending count k: g = [G bt; L^T bt; (G bt_j .
+        # bt)_j], bt, Kx, and two of u, each with its token rows as
+        # ``scores`` (n, T), used in turn so that the previous step's stay
+        # readable (divergence); x is updated in place
+        nT, g = self.nT, np.empty(2 * N + 1 + _FOLD)
+        self._bt, self._Kx = np.empty(nT), np.empty(N + 1 + _FOLD)
+        self._G_bt, self._Lt_bt = g[:N], g[N:2 * N + 1]
+        self._K_x, self._dots = self._Kx[:N + 1], np.empty(N + 1)
+        u = np.empty((2, N))
+        scores = u[:, :nT].reshape(2, n, T)
+        self.u, self.scores = u[0], scores[0]
+        self._spare = u[1], scores[1]
+        self._step_at = [(
+            self._GL[:nT, :2 * N + 1 + k], g[:2 * N + 1 + k],
+            g[2 * N + 1:2 * N + 1 + k], self._pending_x[:k].T,
+            self._pending_x[k], self._pending_beta[k],
+            self._GL[:, 2 * N + 1 + k], self._KP[N + 1 + k])
+            for k in range(_FOLD)]
+        self._score_at = [(self._KP[:N + 1 + k], self._Kx[:N + 1 + k],
+                           self._GL[:, N:2 * N + 1 + k])
+                          for k in range(_FOLD)]
+        self._weights_at = [beta.reshape(n, T)
+                            for beta in self._pending_beta]
         # an overflowing V gives non-finite step-0 scores, which train
         # reports as a divergence at step 0, as its loop does later ones
         with np.errstate(over="ignore", invalid="ignore"):
@@ -469,9 +493,9 @@ class _SubspaceEngine:
     def _score(self):
         """Scores ``u`` of every B row at the current state (token rows,
         then the two probes), and ``Kx`` = [K x; (K x_j . x)_j]."""
-        N, k = self.N, self._pending
-        self.Kx = self._KP[:N + 1 + k] @ self.x
-        self.u = self._GL[:, N:2 * N + 1 + k] @ self.Kx
+        KP, Kx, L = self._score_at[self._pending]
+        self.Kx = np.matmul(KP, self.x, Kx)
+        np.matmul(L, Kx, self.u)
 
     def _fold(self):
         k = self._pending
@@ -481,25 +505,34 @@ class _SubspaceEngine:
             self.Z[:, :self.nT] += x.T @ self._pending_beta[:k]
             self._pending = 0
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Where the next step's token weights (n, T) go: written here,
+        :meth:`step` reads them without a copy."""
+        return self._weights_at[self._pending]
+
     def step(self, weights):
         """Advance one GD step given the token weights of the current
         state, then score the new state."""
-        N, nT, k = self.N, self.nT, self._pending
-        beta = weights.reshape(nT)
-        bt = beta * -self.alpha
-        # [G bt; L^T bt; (G bt_j . bt)_j]
-        g = bt @ self._GL[:nT, :2 * N + 1 + k]
-        x = g[N:2 * N + 1]
+        k = self._pending
+        GL, g, g_dots, pending_xT, x_row, beta, G_col, K_row = \
+            self._step_at[k]
+        if weights is not self._weights_at[k]:
+            beta[...] = weights.reshape(self.nT)
+        np.matmul(np.multiply(beta, -self.alpha, self._bt), GL, g)
+        x_row[...] = self.x
         if k:
-            x += self._pending_x[:k].T @ g[2 * N + 1:]
-        x += self.x
-        self._prev = self.x, self.u, beta
-        self._pending_x[k] = self.x
-        self._pending_beta[k] = beta
-        self._GL[:, 2 * N + 1 + k] = g[:N]
-        self._KP[N + 1 + k] = self.Kx[:N + 1]
+            dots = np.matmul(pending_xT, g_dots, self._dots)
+            self.x += np.add(self._Lt_bt, dots, dots)
+        else:
+            self.x += self._Lt_bt
+        G_col[...] = self._G_bt
+        K_row[...] = self._K_x
+        # the step before's x stays in its pending row, its u in the spare
+        self._prev = x_row, beta
+        (self.u, self.scores), self._spare = self._spare, (self.u,
+                                                           self.scores)
         self._pending = k + 1
-        self.x = x
         if self._pending == _FOLD:
             self._fold()
         self._score()
@@ -510,7 +543,7 @@ class _SubspaceEngine:
         last finite max|u|, a and ||pi||."""
         if step == 0:
             return {"step": 0, "quantity": "u", "last_finite": None}
-        x, u, beta = self._prev
+        (x, beta), u = self._prev, self._spare[0]
         named = {"beta": beta, "a": self.x[:1], "pi": self.x[1:], "u": self.u}
         last = {"max_abs_u": float(np.abs(u).max()), "a": float(x[0]),
                 "pi_norm": float(np.linalg.norm(x[1:]))}
@@ -615,7 +648,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     scored block on the direct branch.
     """
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
-    n, T, nT = eng.n, eng.T, eng.nT
+    n, T = eng.n, eng.T
     log_at = _log_points(config.steps, config.log_every)
     recorder = _Recorder(dataset, len(log_at), eng.N, hooks=hooks)
     y = dataset.y_train
@@ -630,17 +663,22 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                if test_set is not None else None)
     if scoring is None:
         state0.release()
+    # the loop's softmax and intermediates are written into buffers
+    # allocated here, the token weights into the engine's
+    work, zeros = _attend_work(n, T), np.zeros(eng.N)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(config.steps + 1):
                 if step:
                     eng.step(weights)
                 u_all = eng.u
-                if not np.isfinite(u_all).all():
+                # 0 u_i is NaN exactly where u_i is NaN or +-inf
+                if math.isnan(np.dot(u_all, zeros)):
                     divergence = eng.divergence(step)
                     break
-                probs, out, weights = _attend(u_all[:nT].reshape(n, T),
-                                              eng.gamma, y, checked=True)
+                probs, out, weights = _attend(
+                    eng.scores, eng.gamma, y, checked=True, work=work,
+                    weights=eng.weights)
                 if step in log_at:
                     eng.coefficients(coefs[logged])
                     recorder.log(logged, step, u_all, probs, out)

@@ -1065,6 +1065,47 @@ class TestCli:
         assert captured.err == (
             f"system error: {type(error).__name__}: {error}\n")
 
+    @staticmethod
+    def refuse_w0(monkeypatch, d):
+        # np.empty raises for W(0)'s shape alone, as an allocation too
+        # large for the machine would; nothing is allocated for real
+        empty = np.empty
+
+        def refusing(shape, *args, **kwargs):
+            if shape == (d, d):
+                raise MemoryError(f"Unable to allocate array {shape}")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+
+    def test_w0_memory_error_names_array_and_size(self, monkeypatch):
+        self.refuse_w0(monkeypatch, 5000)
+        with pytest.raises(MemoryError) as info:
+            init_params(5000, 0.1, 0.1, stream(0, "init"))
+        assert str(info.value) == "W(0): 5000x5000 float64, 200000000 bytes"
+        assert isinstance(info.value.__cause__, MemoryError)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_w0_memory_error_exit_five(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        config = self.write_config(tmp_path)
+        argv = [command, "--config", config, "--out-dir", str(tmp_path / "o")]
+        d = tiny_config().data.d
+        if command == "sweep":
+            d = 48
+            spec = SweepSpec(d_values=(d,), mu_values=(4.0,), seeds=(0,),
+                             base=tiny_config())
+            with open(config, "w") as fh:
+                json.dump(spec.to_json(), fh)
+        elif command == "check":
+            argv = ["check", "--config", config, "--suite", "goodrun"]
+        self.refuse_w0(monkeypatch, d)
+        assert cli_main(argv) == EXIT_SYSTEM
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"system error: MemoryError: W(0): {d}x{d} "
+                                f"float64, {8 * d * d} bytes\n")
+
     def test_trace_path_is_a_directory_exit_five(self, tmp_path):
         # the out-dir exists and is writable, so this fails only when the
         # trace is written; a subprocess shows what reaches stderr

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
-from attnsim.model import (ModelState, _attend, _fits, batch_outputs,
-                           init_params, make_head, softmax)
+from attnsim.model import (ModelState, _attend, _attend_work, _fits,
+                           batch_outputs, init_params, loss_derivative,
+                           make_head, softmax)
 from attnsim.rng import stream
 from attnsim.train import empirical_loss
 
@@ -212,3 +213,57 @@ class TestEvaluate:
         assert not _fits(out, ds.y_true).any()
         assert empirical_loss(ds, state) == pytest.approx(math.log(2.0),
                                                           rel=1e-12)
+
+
+class TestAttendWork:
+    """``_attend`` writing into a workspace, as the training loop calls
+    it, against the allocating call: the same bytes, with the workspace
+    reused across calls."""
+
+    @staticmethod
+    def attend_both(u, gamma, y, work):
+        n, T = u.shape
+        weights = np.full((n, T), np.nan)
+        plain = _attend(u, gamma, y, checked=True)
+        kept = _attend(u, gamma, y, checked=True, work=work, weights=weights)
+        assert kept[0] is work[0]
+        assert kept[2] is (weights if y is not None else None)
+        for a, b in zip(plain, kept):
+            if a is None:
+                assert b is None
+            else:
+                assert a.tobytes() == b.tobytes()
+        return plain
+
+    @given(n=st.integers(1, 20), T=st.integers(2, 9),
+           score_scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+           head_scale=st.sampled_from([0.1, 1.0, 50.0, 1e3]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_allocating_call(self, n, T, score_scale,
+                                           head_scale, seed):
+        rng = np.random.default_rng(seed)
+        work = _attend_work(n, T)
+        for _ in range(2):       # the second call reuses every buffer
+            u = rng.normal(size=(n, T)) * score_scale
+            gamma = rng.normal(size=(n, T)) * head_scale
+            y = rng.choice(np.array([-1, 1]), size=n)
+            self.attend_both(u, gamma, y, work)
+            self.attend_both(u, gamma, None, work)
+
+    def test_saturated_rows_and_margins_past_endpoints(self):
+        # score gaps of 1000 give softmax rows of exact 0s and a 1, and a
+        # head of +-800 on the selected token puts the margins y f beyond
+        # both ends where loss_derivative rounds to -1.0 and -0.0
+        n, T = 6, 5
+        u = np.zeros((n, T))
+        u[:, 0] = 1000.0
+        gamma = np.zeros((n, T))
+        gamma[:, 0] = [800.0, -800.0, 40.0, -40.0, 0.5, 800.0]
+        y = np.array([1, 1, 1, 1, -1, -1])
+        probs, out, weights = self.attend_both(u, gamma, y,
+                                               _attend_work(n, T))
+        assert (probs[:, 1:] == 0.0).all() and (probs[:, 0] == 1.0).all()
+        margins = y * out
+        assert margins.min() < -37 and margins.max() > 745
+        assert loss_derivative(margins).tolist()[:2] == [-0.0, -1.0]

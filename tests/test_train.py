@@ -574,6 +574,61 @@ class TestSubspaceAgainstGdStep:
         assert record["step"] == fault_at and record["quantity"] == "beta"
         assert all(math.isfinite(v) for v in record["last_finite"].values())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("row", ["token", "probe+", "probe-"])
+    @pytest.mark.parametrize("fault_at", [_FOLD + _FOLD // 3, 2 * _FOLD],
+                             ids=["mid-fold", "after-fold"])
+    def test_planted_score_divergence_record(self, monkeypatch, value, row,
+                                             fault_at):
+        # a non-finite score planted in one row of the step-``fault_at``
+        # scores stops the run there: the rows before it are logged as
+        # the engine scored them, and the record names u, with the last
+        # finite max|u|, a and ||pi|| of the step before
+        state, ds, sig, _ = self.setup_run()
+        nT = ds.n * ds.T
+        index = {"token": nT // 2, "probe+": nT, "probe-": nT + 1}[row]
+        scored = []
+        exact_score = _SubspaceEngine._score
+
+        def planting(eng):
+            exact_score(eng)
+            if len(scored) == fault_at:
+                eng.u[index] = value
+            scored.append((eng.u.copy(), eng.x.copy()))
+
+        monkeypatch.setattr(_SubspaceEngine, "_score", planting)
+        res = train(state, ds, sig, run_config(steps=3 * _FOLD, log_every=1,
+                                               test_size=0),
+                    raise_on_divergence=False)
+        tr = res.trace
+        assert len(scored) == fault_at + 1
+        assert tr.diverged_at == fault_at and tr.n_logged == fault_at
+        for k, (u, _) in enumerate(scored[:fault_at]):
+            assert tr.scores[k].tobytes() == u[:nT].tobytes()
+            assert (tr.lambda_plus[k], tr.lambda_minus[k]) == (u[nT],
+                                                               u[nT + 1])
+        u, x = scored[fault_at - 1]
+        assert tr.divergence == {
+            "step": fault_at, "quantity": "u",
+            "last_finite": {"max_abs_u": float(np.abs(u).max()),
+                            "a": float(x[0]),
+                            "pi_norm": float(np.linalg.norm(x[1:]))}}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_planted_step_zero_divergence_record(self, monkeypatch, value):
+        state, ds, sig, _ = self.setup_run()
+        exact_score = _SubspaceEngine._score
+
+        def planting(eng):
+            exact_score(eng)
+            eng.u[-1] = value
+
+        monkeypatch.setattr(_SubspaceEngine, "_score", planting)
+        with pytest.raises(DivergenceError, match="before any finite"):
+            train(state, ds, sig, run_config(steps=5, test_size=0))
+
     def test_kept_products_match_recomputed(self):
         # L = J - alpha G Z^T is kept by rank-one terms and folds; after
         # several folds, between two folds, and after folding the pending
