@@ -38,7 +38,7 @@ for check in report.checks:
 
 print("3. softmax gap identity and cosh bracket")
 diag = compute_diagnostics(state, ds, sig)
-probs = softmax(diag.attn_scores, axis=-1)
+probs = softmax(diag.attn_scores)
 rep = softmax_bound_check(probs, diag.Lambda)
 for check in rep.checks:
     mark = "ok " if check.passed else "BAD"

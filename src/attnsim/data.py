@@ -340,9 +340,9 @@ def snr(config: DataConfig) -> float:
     return config.mu_norm / (config.sigma_eps * math.sqrt(config.d))
 
 
-def a8_sigma(config: DataConfig, delta: float = 0.01, scale: float = 1.0) -> float:
+def a8_sigma(config: DataConfig, delta: float = 0.01) -> float:
     """Initialization std making the initial attention near-uniform:
-    sigma^2 = scale / (max{||mu|| sqrt(d), sigma_eps d} * log^2(Tn/delta)).
+    sigma^2 = 1 / (max{||mu|| sqrt(d), sigma_eps d} * log^2(Tn/delta)).
     ``delta`` is a failure probability, in (0, 1).
     """
     if not 0 < delta < 1:
@@ -350,4 +350,4 @@ def a8_sigma(config: DataConfig, delta: float = 0.01, scale: float = 1.0) -> flo
     log_term = math.log(config.T * config.n / delta)
     denom = max(config.mu_norm * math.sqrt(config.d),
                 config.sigma_eps * config.d) * log_term ** 2
-    return math.sqrt(scale / denom)
+    return math.sqrt(1.0 / denom)

@@ -183,12 +183,11 @@ def build_inputs(config: ExperimentConfig):
     return signals, dataset, test_set, state0
 
 
-def execute(config: ExperimentConfig,
-            raise_on_divergence: bool = True):
-    """Run one configured training; returns (trace, final_state_fn)."""
+def execute(config: ExperimentConfig):
+    """Run one configured training and return its ``TrainResult``, whose
+    trace carries the ``divergence`` record of a run that diverged."""
     signals, dataset, test_set, state0 = build_inputs(config)
-    return train(state0, dataset, signals, config.train, test_set=test_set,
-                 raise_on_divergence=raise_on_divergence)
+    return train(state0, dataset, signals, config.train, test_set=test_set)
 
 
 # --------------------------------------------------------------------------
@@ -313,8 +312,7 @@ def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
     _make_out_dir(out_dir)
     trace_path = os.path.join(out_dir, f"trace.{fmt}")
     summary_path = os.path.join(out_dir, "summary.json")
-    result = execute(config, raise_on_divergence=False)
-    trace = result.trace
+    trace = execute(config).trace
     tracked = _tracked_samples(config, trace)
     _write_trace(trace_path, trace, tracked, fmt)
     summary = _summarize(config, trace)
@@ -366,8 +364,7 @@ def _sweep_cell(spec: SweepSpec, di: int, mi: int, si: int) -> dict:
     )
     row = {"d": spec.d_values[di], "mu_norm": spec.mu_values[mi],
            "seed": spec.seeds[si]}
-    result = execute(cfg, raise_on_divergence=False)
-    trace = result.trace
+    trace = execute(cfg).trace
     if trace.diverged_at is not None:
         row.update(train_loss=math.nan, test_loss=math.nan,
                    train_acc=math.nan, test_acc=math.nan)
@@ -427,8 +424,9 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
 # Check suites
 # --------------------------------------------------------------------------
 
-def _random_instance(rng, n=4, T=3, d=8):
-    cfg = DataConfig(n=n, T=T, d=d, mu_norm=2.0, sigma_eps=1.0, eta=0.25,
+def _random_instance(rng):
+    d = 8
+    cfg = DataConfig(n=4, T=3, d=d, mu_norm=2.0, sigma_eps=1.0, eta=0.25,
                      rho=0.3, n_weak_same=1)
     signals = make_signals(d, cfg.mu_norm, "random_orthogonal", rng)
     ds = generate_dataset(cfg, signals, rng)
@@ -473,10 +471,14 @@ def _suite_identities(config: ExperimentConfig) -> TheoryReport:
 def _short_run(config: ExperimentConfig, cap: int):
     """The trace of a run capped at ``cap`` steps, trained without the
     held-out set: no suite that calls this reads the test metrics, and
-    the stream independence leaves every other array's bits unchanged."""
+    the stream independence leaves every other array's bits unchanged.
+    A run that diverges raises :class:`DivergenceError`."""
     short = replace(config, train=replace(config.train, test_size=0,
                                           steps=min(config.train.steps, cap)))
-    return execute(short).trace
+    trace = execute(short).trace
+    if trace.diverged_at is not None:
+        raise DivergenceError(trace.diverged_at, trace)
+    return trace
 
 
 def _suite_softmax(config: ExperimentConfig) -> TheoryReport:

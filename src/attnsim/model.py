@@ -226,35 +226,35 @@ def make_head(signals: SignalBasis, scale="inverse_mu") -> np.ndarray:
     return c * diff / nrm
 
 
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax along ``axis``; rejects non-finite input."""
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis; rejects non-finite
+    input."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("softmax input must be finite")
-    return _softmax(v, axis)
+    return _softmax(v)
 
 
 # Above this many entries the softmax max runs over a token-major copy.
 _TOKEN_MAJOR_MIN = 4096
 
 
-def _softmax(v: np.ndarray, axis: int = -1,
-             out: np.ndarray | None = None) -> np.ndarray:
+def _softmax(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`softmax` of finite float input, without the check, written
     into ``out`` when it is given."""
     if v.size >= _TOKEN_MAJOR_MIN:
-        # a copy with ``axis`` leading reduces whole rows instead of many
-        # short runs, which pays on the test-scoring blocks; the max is
-        # exact either way
-        m = (v.swapaxes(axis, 0).copy().max(axis=0, keepdims=True)
-             .swapaxes(axis, 0))
+        # a copy with the token axis leading reduces whole rows instead of
+        # many short runs, which pays on the test-scoring blocks; the max
+        # is exact either way
+        m = (v.swapaxes(-1, 0).copy().max(axis=0, keepdims=True)
+             .swapaxes(-1, 0))
     else:
-        m = v.max(axis=axis, keepdims=True)
+        m = v.max(axis=-1, keepdims=True)
     # exponentiated and normalized in place: the values of
     # exp(v - m) / sum, without two more temporaries of v's size
     e = np.subtract(v, m, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -307,23 +307,23 @@ def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
 def _attend_work(n: int, T: int) -> tuple[np.ndarray, ...]:
     """Buffers for :func:`_attend` on scores (n, T), for a caller that
     attends many times at that shape: the softmax, omega, the margins
-    y f and their scale."""
+    y f and their scale.  The caller adds the (n, T) row the weights go
+    into."""
     return np.empty((n, T)), np.empty((n, T)), np.empty(n), np.empty(n)
 
 
 def _attend(u: np.ndarray, gamma: np.ndarray, y: np.ndarray | None = None,
-            checked: bool = False, work: tuple | None = None,
-            weights: np.ndarray | None = None):
+            work: tuple | None = None):
     """Softmax of attention scores u (n, T) over tokens and the outputs
     f_i = <s_i, gamma_i>.  Given training labels y, also the token weights
     (1/n) l'(y_i f_i) y_i s_t (gamma_t - f_i), whose sum against the tokens
-    is gbar; otherwise None in their place.  ``checked`` says the caller
-    has already found u finite.  The softmax and the intermediates are
-    written into ``work`` (:func:`_attend_work`) and the weights into
-    ``weights`` where those are given, with the bits of the allocating
-    call."""
-    probs, omega, margins, scale = work or (None,) * 4
-    probs = _softmax(u, out=probs) if checked else softmax(u, axis=-1)
+    is gbar; otherwise None in their place.  ``work`` is the
+    :func:`_attend_work` buffers followed by an (n, T) weights row; a
+    caller passing it has already found u finite, and the softmax, the
+    intermediates and the weights are written there, with the bits of the
+    allocating call."""
+    probs, omega, margins, scale, weights = work or (None,) * 5
+    probs = softmax(u) if work is None else _softmax(u, out=probs)
     out = np.einsum("it,it->i", probs, gamma)
     if y is None:
         return probs, out, None

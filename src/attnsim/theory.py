@@ -571,16 +571,12 @@ def noisy_stage_windows(trace: TrainTrace) -> tuple[tuple[int, int],
         floor_idx = min(onset + 1, L - 1)
     early = (int(trace.steps[onset]), int(trace.steps[floor_idx]))
 
-    takeover = []
-    for j in range(len(noisy)):
-        hit = np.nonzero(s2[:, j] >= NOISY_S2_TAKEOVER)[0]
-        if len(hit):
-            takeover.append(int(hit[0]))
-    if takeover:
-        late_start = min(max(takeover), L - 2)
-        crossed = s2[:, [j for j in range(len(noisy))
-                         if len(np.nonzero(s2[:, j] >= NOISY_S2_TAKEOVER)[0])]]
-        sat = np.nonzero(crossed.min(axis=1) >= NOISY_S2_SATURATION)[0]
+    hit = s2 >= NOISY_S2_TAKEOVER
+    crosses = hit.any(axis=0)
+    if crosses.any():
+        # argmax finds each crossing sample's first crossing
+        late_start = min(int(hit[:, crosses].argmax(axis=0).max()), L - 2)
+        sat = np.nonzero(s2[:, crosses].min(axis=1) >= NOISY_S2_SATURATION)[0]
         late_end = int(sat[0]) if len(sat) else L - 1
         if late_end <= late_start:
             late_end = L - 1
@@ -657,7 +653,7 @@ def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     plus smallness of the first gradient step's attention drift."""
     T = dataset.T
     d0 = compute_diagnostics(state0, dataset, signals)
-    probs = softmax(d0.attn_scores, axis=-1)
+    probs = softmax(d0.attn_scores)
     s_dev = float(np.max(np.abs(probs - 1.0 / T)) * T)
     lam_gap = float(np.max(np.abs(d0.Lambda)))
     gam_gap = float(np.max(np.abs(d0.Gamma)))

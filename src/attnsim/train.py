@@ -460,11 +460,12 @@ class _SubspaceEngine:
         self._pending_x = np.empty((_FOLD, N + 1))
         self._pending_beta = np.empty((_FOLD, self.nT))
         self._pending = 0
-        # a step writes into buffers allocated here, through views built
-        # here for each pending count k: g = [G bt; L^T bt; (G bt_j .
-        # bt)_j], bt, Kx, and two of u, each with its token rows as
-        # ``scores`` (n, T), used in turn so that the previous step's stay
-        # readable (divergence); x is updated in place
+        # a step and the loop's _attend write into buffers allocated here,
+        # through views built here for each pending count k: g = [G bt;
+        # L^T bt; (G bt_j . bt)_j], bt, Kx, the _attend workspace with
+        # beta_k as its weights row, and two of u, each with its token
+        # rows as ``scores`` (n, T), used in turn so that the previous
+        # step's stay readable (divergence); x is updated in place
         nT, g = self.nT, np.empty(2 * N + 1 + _FOLD)
         self._bt, self._Kx = np.empty(nT), np.empty(N + 1 + _FOLD)
         self._G_bt, self._Lt_bt = g[:N], g[N:2 * N + 1]
@@ -482,8 +483,9 @@ class _SubspaceEngine:
         self._score_at = [(self._KP[:N + 1 + k], self._Kx[:N + 1 + k],
                            self._GL[:, N:2 * N + 1 + k])
                           for k in range(_FOLD)]
-        self._weights_at = [beta.reshape(n, T)
-                            for beta in self._pending_beta]
+        attend = _attend_work(n, T)
+        self._work_at = [(*attend, beta.reshape(n, T))
+                         for beta in self._pending_beta]
         # an overflowing V gives non-finite step-0 scores, which train
         # reports as a divergence at step 0, as its loop does later ones
         with np.errstate(over="ignore", invalid="ignore"):
@@ -506,19 +508,18 @@ class _SubspaceEngine:
             self._pending = 0
 
     @property
-    def weights(self) -> np.ndarray:
-        """Where the next step's token weights (n, T) go: written here,
-        :meth:`step` reads them without a copy."""
-        return self._weights_at[self._pending]
+    def work(self) -> tuple:
+        """The :func:`_attend` workspace of the current state: the token
+        weights (n, T) written into its last entry are those :meth:`step`
+        reads."""
+        return self._work_at[self._pending]
 
-    def step(self, weights):
-        """Advance one GD step given the token weights of the current
-        state, then score the new state."""
+    def step(self):
+        """Advance one GD step by the token weights written into
+        :attr:`work`, then score the new state."""
         k = self._pending
         GL, g, g_dots, pending_xT, x_row, beta, G_col, K_row = \
             self._step_at[k]
-        if weights is not self._weights_at[k]:
-            beta[...] = weights.reshape(self.nT)
         np.matmul(np.multiply(beta, -self.alpha, self._bt), GL, g)
         x_row[...] = self.x
         if k:
@@ -622,7 +623,7 @@ class _SubspaceEngine:
 
 def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
           config: TrainConfig, test_set: Dataset | None = None,
-          hooks=(), raise_on_divergence: bool = True) -> TrainResult:
+          hooks=()) -> TrainResult:
     """Run ``config.steps`` full-batch GD iterations with instrumentation.
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
@@ -637,9 +638,8 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     test tokens chunk by chunk, drawing them if ``test_set`` was generated
     lazy, and an error raised in the loop stops that draw at its next
     chunk.  When an update or the scores it leads to go non-finite,
-    training stops; the partial trace is preserved and a
-    :class:`DivergenceError` carrying it is raised unless
-    ``raise_on_divergence`` is False.  The engine's basis B and
+    training stops and the partial trace is returned, its ``divergence``
+    the engine's record of the step.  The engine's basis B and
     V = W(0) B^T are those ``state0``'s :class:`InitDraw` formed beside
     the draw when ``dataset``'s tokens are a view of its B; otherwise they
     are formed here, over the same row blocks.  A drawn W(0) is released
@@ -648,7 +648,6 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     scored block on the direct branch.
     """
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
-    n, T = eng.n, eng.T
     log_at = _log_points(config.steps, config.log_every)
     recorder = _Recorder(dataset, len(log_at), eng.N, hooks=hooks)
     y = dataset.y_train
@@ -663,22 +662,18 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                if test_set is not None else None)
     if scoring is None:
         state0.release()
-    # the loop's softmax and intermediates are written into buffers
-    # allocated here, the token weights into the engine's
-    work, zeros = _attend_work(n, T), np.zeros(eng.N)
+    zeros = np.zeros(eng.N)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(config.steps + 1):
                 if step:
-                    eng.step(weights)
+                    eng.step()
                 u_all = eng.u
                 # 0 u_i is NaN exactly where u_i is NaN or +-inf
                 if math.isnan(np.dot(u_all, zeros)):
                     divergence = eng.divergence(step)
                     break
-                probs, out, weights = _attend(
-                    eng.scores, eng.gamma, y, checked=True, work=work,
-                    weights=eng.weights)
+                probs, out, _ = _attend(eng.scores, eng.gamma, y, eng.work)
                 if step in log_at:
                     eng.coefficients(coefs[logged])
                     recorder.log(logged, step, u_all, probs, out)
@@ -696,7 +691,4 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
             "eta": dataset.config.eta, "mu_norm": dataset.config.mu_norm,
             "sigma_eps": dataset.config.sigma_eps}
     trace = recorder.finish(logged, meta, test, divergence=divergence)
-    result = TrainResult(trace, eng.materialize)
-    if divergence is not None and raise_on_divergence:
-        raise DivergenceError(trace.diverged_at, trace)
-    return result
+    return TrainResult(trace, eng.materialize)

@@ -56,12 +56,12 @@ def forward_multiclass(dataset: MulticlassDataset, state: MulticlassState):
     n, T, d = dataset.X.shape
     flat = dataset.X.reshape(n * T, d)
     attn = (flat @ (state.W.T @ state.p)).reshape(n, T)
-    s = softmax(attn, axis=-1)
+    s = softmax(attn)
     pooled = np.einsum("it,itd->id", s, dataset.X)
     logits = pooled @ state.W_V          # (n, K)
     shift = logits - logits.max(axis=1, keepdims=True)
     logZ = np.log(np.exp(shift).sum(axis=1)) + logits.max(axis=1)
-    q = softmax(logits, axis=-1)
+    q = softmax(logits)
     losses = logZ - logits[np.arange(n), dataset.y_train]
     return s, pooled, q, losses
 

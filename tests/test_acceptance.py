@@ -349,7 +349,7 @@ class TestCriterion8InitUniformity:
             ds = generate_dataset(cfg, sig, stream(seed, "accept-init-data"))
             W, p = init_params(2000, s, s, stream(seed, "accept-init-w"))
             scores = ds.X.reshape(-1, 2000) @ (W.T @ p)
-            probs = softmax(scores.reshape(20, 8), axis=-1)
+            probs = softmax(scores.reshape(20, 8))
             dev = float(np.max(np.abs(probs - 1.0 / 8.0)) * 8.0)
             hold += dev <= 0.25
         ok = hold >= 95

@@ -841,6 +841,17 @@ class TestCli:
         assert set(summary["divergence"]["last_finite"]) == {
             "max_abs_u", "a", "pi_norm"}
 
+    @pytest.mark.parametrize("suite", ["softmax", "glinearity"])
+    def test_check_divergence_exit_three(self, tmp_path, capsys, suite):
+        # the suite's short run diverges as the run above does
+        cfg = tiny_config(alpha=1e305, steps=10, log_every=1, test_size=0)
+        code = cli_main(["check", "--config",
+                         self.write_config(tmp_path, cfg), "--suite", suite])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("training diverged: non-finite u at step 1")
+
     def test_step_zero_divergence_exit_three(self, tmp_path):
         # V = W(0) B^T is finite but P^T P overflows, so the step-0 scores
         # are already non-finite: no row is logged, and nothing warns

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
-from attnsim.model import (ModelState, _attend, _attend_work, _fits,
-                           batch_outputs, init_params, loss_derivative,
-                           make_head, softmax)
+from attnsim.model import (_TOKEN_MAJOR_MIN, ModelState, _attend,
+                           _attend_work, _fits, _softmax, batch_outputs,
+                           init_params, loss_derivative, make_head, softmax)
 from attnsim.rng import stream
 from attnsim.train import empirical_loss
 
@@ -104,6 +104,27 @@ class TestSoftmax:
         assert abs(s.sum() - 1.0) < 1e-12
         assert ((s > 0) & (s < 1 + 1e-12)).all()
 
+    @given(T=st.integers(2, 9), offset=st.integers(-4, 4),
+           scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+           saturated=st.integers(0, 6), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_agree_across_token_major_threshold(self, T, offset, scale,
+                                                     saturated, seed):
+        # the loop's (n, T) scores stay below _TOKEN_MAJOR_MIN entries and
+        # the test scorer's blocks reach past it: a row's softmax must
+        # have the same bytes on either branch
+        rows = -(-_TOKEN_MAJOR_MIN // T) + offset
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(rows, T)) * scale
+        # a token 1000 above the rest gives a row of exact 0s and a 1
+        picked = rng.choice(rows, size=saturated, replace=False)
+        v[picked, rng.integers(0, T, size=saturated)] += 1000.0
+        assert (v.size >= _TOKEN_MAJOR_MIN) == (offset >= 0)
+        half = rows // 2
+        assert v[half:].size < _TOKEN_MAJOR_MIN
+        parts = np.vstack([_softmax(v[:half]), _softmax(v[half:])])
+        assert _softmax(v).tobytes() == parts.tobytes()
+
 
 def tiny_state(d=6, seed=0, sigma=0.4):
     rng = stream(seed, "state")
@@ -165,7 +186,7 @@ class TestForward:
         # f = <s, gamma> with s from the checked public softmax
         state = tiny_state(seed=5)
         X = stream(6, "x").normal(size=(4, 5, 6))
-        s = softmax(X @ (state.W.T @ state.p), axis=-1)
+        s = softmax(X @ (state.W.T @ state.p))
         np.testing.assert_allclose(batch_outputs(X, state),
                                    np.sum(s * (X @ state.nu), axis=1),
                                    rtol=1e-12)
@@ -224,8 +245,8 @@ class TestAttendWork:
     def attend_both(u, gamma, y, work):
         n, T = u.shape
         weights = np.full((n, T), np.nan)
-        plain = _attend(u, gamma, y, checked=True)
-        kept = _attend(u, gamma, y, checked=True, work=work, weights=weights)
+        plain = _attend(u, gamma, y)
+        kept = _attend(u, gamma, y, (*work, weights))
         assert kept[0] is work[0]
         assert kept[2] is (weights if y is not None else None)
         for a, b in zip(plain, kept):

@@ -19,7 +19,7 @@ from attnsim.theory import (NORM_W_EPS_HOLD_RATE, SOFTMAX_IDENTITY_TOL,
                             compute_diagnostics, g,
                             g_linearity, good_run_check, init_checks,
                             loss_derivative_balance, measure_grokking,
-                            rel_err, softmax_bound_check, softmax_bound_scan,
+                            noisy_stage_windows, rel_err, softmax_bound_check, softmax_bound_scan,
                             verify_update_identity)
 from attnsim.train import TrainConfig, TrainTrace, _gbar, train
 from oracles import exact_update_changes
@@ -93,7 +93,7 @@ class TestDiagnostics:
     def test_interactions_match_defining_sums(self):
         ds, sig, state = make_instance(seed=3)
         inter = InteractionTerms(state, ds, sig)
-        s_all = softmax(ds.X @ (state.W.T @ state.p), axis=-1)
+        s_all = softmax(ds.X @ (state.W.T @ state.p))
         gam = ds.X @ state.nu
         for i in range(ds.n):
             s, gm = s_all[i], gam[i]
@@ -235,14 +235,14 @@ class TestSoftmaxBounds:
         for seed in range(8):
             ds, sig, state = make_instance(seed=seed, n=6, T=5)
             diag = compute_diagnostics(state, ds, sig)
-            probs = softmax(diag.attn_scores, axis=-1)
+            probs = softmax(diag.attn_scores)
             rep = softmax_bound_check(probs, diag.Lambda)
             assert rep.passed_all, f"seed {seed}"
 
     def test_identity_precision(self):
         ds, sig, state = make_instance(seed=3, n=6, T=5)
         diag = compute_diagnostics(state, ds, sig)
-        probs = softmax(diag.attn_scores, axis=-1)
+        probs = softmax(diag.attn_scores)
         rep = softmax_bound_check(probs, diag.Lambda)
         assert rep.checks[0].measured["max_rel_err"] <= 1e-12
 
@@ -254,7 +254,7 @@ class TestSoftmaxBounds:
         u = np.array([[0.0, 0.0, -150.0, -300.0]])
         Lam = u[:, :1] - u[:, 1:]
         with np.errstate(all="raise"):
-            good = softmax_bound_check(softmax(u, axis=-1), Lam)
+            good = softmax_bound_check(softmax(u), Lam)
             bad = softmax_bound_check(np.array([[0.0, 0.5, 0.3, 0.2]]), Lam)
         assert good["softmax_bracket"].passed
         assert good["softmax_bracket"].measured["skipped_saturated_rows"] == 0
@@ -294,7 +294,7 @@ class TestSoftmaxBounds:
         u = stream(0, "scan").normal(0.0, 2.0, (L, n, T))
         u[2, 1, 0] += 600.0
         u[4, 3, 2] += 700.0
-        probs = softmax(u, axis=-1)
+        probs = softmax(u)
         broken = probs.copy()
         broken[3, 0] = [0.0, 0.5, 0.3, 0.0]
         passed = []
@@ -454,6 +454,50 @@ class TestGrokking:
         tr = planted_trace(np.arange(3), np.full((3, 1, 3), 1 / 3.0))
         with pytest.raises(ValueError):
             measure_grokking(tr, 0.0, 0.95)
+
+
+class TestNoisyStageWindows:
+    # s_1 of every noisy sample: mean peak at index 2, below
+    # NOISY_S1_FLOOR from index 5
+    S1 = [0.30, 0.40, 0.45, 0.20, 0.05, 0.01, 0.005, 0.001, 0.001, 0.001]
+    # s_2 that crosses NOISY_S2_TAKEOVER at index 4 and saturates at 6
+    TAKES_OVER = [0.3, 0.3, 0.3, 0.4, 0.6, 0.9, 0.995, 0.998, 0.998, 0.998]
+    STEPS = np.arange(0, 100, 10)
+
+    def trace(self, s2_rows, n_clean=2):
+        """A trace whose noisy samples follow S1 and the given s_2 rows,
+        after ``n_clean`` clean samples at the uniform softmax."""
+        L, T = len(self.STEPS), 3
+        probs = np.full((L, n_clean + len(s2_rows), T), 1.0 / T)
+        for j, s2 in enumerate(s2_rows, start=n_clean):
+            probs[:, j, 0] = self.S1
+            probs[:, j, 1] = s2
+            probs[:, j, 2] = 1.0 - probs[:, j, 0] - probs[:, j, 1]
+        return planted_trace(self.STEPS, probs, noisy=range(
+            n_clean, n_clean + len(s2_rows)))
+
+    def test_sample_that_never_crosses_is_left_out(self):
+        # the sample held at s_2 = 0.3 neither starts stage 2 nor holds
+        # back its saturation
+        early, late = noisy_stage_windows(
+            self.trace([self.TAKES_OVER, [0.3] * 10]))
+        assert early == (20, 50)
+        assert late == (40, 60)
+
+    def test_saturation_never_reached(self):
+        # stage 2 starts at the last crossing (index 5) and, with one
+        # crossing sample capped at s_2 = 0.9, runs to the last log point
+        capped = [0.3, 0.3, 0.3, 0.3, 0.4, 0.6, 0.8, 0.9, 0.9, 0.9]
+        early, late = noisy_stage_windows(
+            self.trace([self.TAKES_OVER, capped]))
+        assert early == (20, 50)
+        assert late == (50, 90)
+
+    def test_single_noisy_sample(self):
+        early, late = noisy_stage_windows(
+            self.trace([self.TAKES_OVER], n_clean=1))
+        assert early == (20, 50)
+        assert late == (40, 60)
 
 
 class TestClassifyRegime:

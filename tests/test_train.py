@@ -366,17 +366,17 @@ class TestTrainLoop:
         # "too large" steps merely saturate the softmax and freeze
         state, ds, sig, _ = self.setup_run(seed=3)
         huge = run_config(alpha=1e305, steps=50, log_every=1, test_size=0)
-        with pytest.raises(DivergenceError) as err:
-            train(state, ds, sig, huge)
-        assert err.value.trace is not None
-        assert err.value.trace.n_logged >= 1
-        assert err.value.trace.diverged_at == 1
+        trace = train(state, ds, sig, huge).trace
+        assert trace.n_logged >= 1
+        assert trace.diverged_at == 1
         # the update itself stays finite; its scores overflow
-        record = err.value.divergence
+        record = trace.divergence
         assert record["quantity"] == "u"
         assert record["last_finite"]["a"] == 1.0
         assert record["last_finite"]["pi_norm"] == 0.0
-        assert str(err.value).startswith("non-finite u at step 1; last finite")
+        err = DivergenceError(trace.diverged_at, trace)
+        assert err.divergence is record
+        assert str(err).startswith("non-finite u at step 1; last finite")
 
 
 class TestTraceDiagnostics:
@@ -464,7 +464,7 @@ def assert_trace_matches(trace, logged, ds, sig, test):
         diag = compute_diagnostics(state, ds, sig)
         assert rel_err(trace.train_loss[k], empirical_loss(ds, state)) < 1e-9
         assert np.max(np.abs(trace.probs[k]
-                             - softmax(diag.attn_scores, axis=-1))) < 1e-9
+                             - softmax(diag.attn_scores))) < 1e-9
         assert rel_err(trace.lambda_plus[k], diag.lambda_plus) < 1e-9
         assert rel_err(trace.lambda_minus[k], diag.lambda_minus) < 1e-9
         assert np.max(np.abs(trace.Lambda[k] - diag.Lambda)) < 1e-8
@@ -562,8 +562,7 @@ class TestSubspaceAgainstGdStep:
         monkeypatch.setattr(model_mod, "loss_derivative", faulty)
         state, ds, sig, test = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=3 * _FOLD, log_every=5)
-        res = train(state, ds, sig, tcfg, test_set=test,
-                    raise_on_divergence=False)
+        res = train(state, ds, sig, tcfg, test_set=test)
         calls.clear()
         logged, diverged = gd_oracle(state, ds, 0.05, 3 * _FOLD,
                                      set(range(0, 3 * _FOLD + 1, 5)))
@@ -599,8 +598,7 @@ class TestSubspaceAgainstGdStep:
 
         monkeypatch.setattr(_SubspaceEngine, "_score", planting)
         res = train(state, ds, sig, run_config(steps=3 * _FOLD, log_every=1,
-                                               test_size=0),
-                    raise_on_divergence=False)
+                                               test_size=0))
         tr = res.trace
         assert len(scored) == fault_at + 1
         assert tr.diverged_at == fault_at and tr.n_logged == fault_at
@@ -626,8 +624,11 @@ class TestSubspaceAgainstGdStep:
             eng.u[-1] = value
 
         monkeypatch.setattr(_SubspaceEngine, "_score", planting)
-        with pytest.raises(DivergenceError, match="before any finite"):
-            train(state, ds, sig, run_config(steps=5, test_size=0))
+        trace = train(state, ds, sig, run_config(steps=5, test_size=0)).trace
+        assert trace.n_logged == 0
+        assert trace.divergence == {"step": 0, "quantity": "u",
+                                    "last_finite": None}
+        assert "before any finite" in str(DivergenceError(0, trace))
 
     def test_kept_products_match_recomputed(self):
         # L = J - alpha G Z^T is kept by rank-one terms and folds; after
@@ -642,11 +643,10 @@ class TestSubspaceAgainstGdStep:
         N, nT = eng.N, eng.nT
         xs, betas = [], []
         for _ in range(steps):
-            u = eng.u[:nT].reshape(eng.n, eng.T)
-            weights = _attend(u, eng.gamma, ds.y_train)[2]
+            weights = _attend(eng.scores, eng.gamma, ds.y_train, eng.work)[2]
             xs.append(eng.x.copy())
             betas.append(weights.reshape(nT).copy())
-            eng.step(weights)
+            eng.step()
         xs, betas = np.array(xs), np.array(betas)
         G = eng._GL[:, :N]
         J = np.eye(N, N + 1, k=1)
@@ -689,7 +689,7 @@ class TestSubspaceAgainstGdStep:
         tr = res.trace
         assert tr.steps[-1] == 20000
         assert np.max(np.abs(tr.probs[-1]
-                             - softmax(diag.attn_scores, axis=-1))) < 1e-9
+                             - softmax(diag.attn_scores))) < 1e-9
         assert rel_err(tr.lambda_plus[-1], diag.lambda_plus) < 1e-9
         assert rel_err(tr.lambda_minus[-1], diag.lambda_minus) < 1e-9
 
@@ -781,8 +781,7 @@ class TestConcurrentTestScoring:
             monkeypatch.setattr(model_mod, "loss_derivative", faulty)
         state, ds, sig, test = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=steps, log_every=log_every)
-        res = train(state, ds, sig, tcfg, test_set=test,
-                    raise_on_divergence=False)
+        res = train(state, ds, sig, tcfg, test_set=test)
         assert res.trace.diverged_at == fault_at
         assert res.trace.n_logged == len(rows)
         if fault_at is not None:
