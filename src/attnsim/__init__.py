@@ -12,16 +12,14 @@ from .model import ModelState, batch_outputs, init_params, make_head, softmax
 from .multiclass import (MulticlassConfig, head_gradient_estimate,
                          make_class_signals)
 from .rng import cell_seed, stream
-from .theory import (AttentionDiagnostics, CheckResult, GLinearityResult,
-                     GrokkingTimes, InteractionTerms, Regime, TheoryReport,
-                     classify_regime, compute_diagnostics, etf_gradient_check,
-                     g, g_linearity, good_run_check, init_checks,
-                     loss_derivative_balance, measure_grokking,
+from .theory import (CheckResult, GLinearityResult, GrokkingTimes, Regime,
+                     TheoryReport, classify_regime, compute_diagnostics,
+                     etf_gradient_check, g, g_linearity, good_run_check,
+                     init_checks, loss_derivative_balance, measure_grokking,
                      noisy_stage_windows, pre_saturation_window,
                      softmax_bound_check, softmax_bound_scan,
                      verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainResult, TrainTrace,
-                    empirical_loss, finite_diff_grad, gd_step, grad_p, grad_w,
-                    loss_derivative, train)
+                    finite_diff_grad, grad_p, grad_w, loss_derivative, train)
 
 __version__ = "0.1.0"

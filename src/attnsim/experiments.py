@@ -504,13 +504,15 @@ def _suite_init(config: ExperimentConfig, train_inputs) -> TheoryReport:
 
 
 def _suite_etf(config: ExperimentConfig) -> TheoryReport:
+    # three classes and two weak tokens where the config's d and T hold them
     d = min(config.data.d, 256)
-    K = 3
+    K = min(3, d)
     mc_cfg = MulticlassConfig(n=1, T=config.data.T, d=d, K=K,
                               mu_norm=config.data.mu_norm,
                               sigma_eps=config.data.sigma_eps,
                               eta=min(config.data.eta, 0.4),
-                              rho=config.data.rho, n_weak=2)
+                              rho=config.data.rho,
+                              n_weak=min(2, config.data.T - 1))
     rng = stream(config.seed, "check-etf")
     mus = make_class_signals(d, K, config.data.mu_norm, rng=rng)
     cos = etf_gradient_check(mc_cfg, mus, mc_samples=20000, rng=rng)

@@ -22,13 +22,11 @@ from .model import (ModelState, _attend, _token_scores, loss_derivative,
                     softmax)
 from .multiclass import (MulticlassConfig, _check_mc_samples,
                          head_gradient_estimate)
-from .train import TrainTrace, _gbar, attention_gaps, gd_step
+from .train import TrainTrace, _gbar, attention_gaps
 
 __all__ = [
     "CheckResult",
     "TheoryReport",
-    "AttentionDiagnostics",
-    "InteractionTerms",
     "Regime",
     "g",
     "rel_err",
@@ -172,31 +170,6 @@ def compute_diagnostics(state: ModelState, dataset: Dataset,
     )
 
 
-class InteractionTerms:
-    """Softmax- and score-weighted inner products driving the updates.
-
-    All families reduce to inner products with the per-sample aggregated
-    direction c_i = sum_t s_t (gamma_t - f_i) x_t:
-
-        <c_i, a>    and    <W c_i, W a>    for a tracked vector a,
-        Ip_i = <W c_i, p>.
-
-    ``c`` and ``Wc`` are attributes, and so is the p family ``I_p``;
-    :func:`verify_update_identity` forms the others for both signals and
-    every noise vector at once.
-    """
-
-    def __init__(self, state: ModelState, dataset: Dataset,
-                 signals: SignalBasis):
-        u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
-        probs, out, _ = _attend(u, gamma)
-        omega = probs * (gamma - out[:, None])
-        self.outputs = out
-        self.c = np.einsum("it,itd->id", omega, dataset.X)
-        self.Wc = self.c @ state.W.T
-        self.I_p = self.Wc @ state.p
-
-
 # --------------------------------------------------------------------------
 # One-step update identities
 # --------------------------------------------------------------------------
@@ -208,35 +181,53 @@ _UPDATE_ROWS = (
     "update_w_cross_mu_-_eps", "update_w_cross_eps_pairs")
 
 
-def _update_changes(state: ModelState, dataset: Dataset,
-                    signals: SignalBasis, alpha: float):
-    """One GD step's changes over the tracked vectors A = [mu_+; mu_-; E],
-    E the noise rows in (j, u) order: Delta r = Delta(A W^T p),
-    Delta G = Delta((A W^T)(A W^T)^T) and Delta ||p||^2.  Returns
-    ``(lhs, rhs)``, each those three: lhs as the difference of the two
-    states' products, rhs as the interaction-term expressions plus the
-    exact alpha^2 terms."""
-    n, T, d = dataset.n, dataset.T, dataset.d
-    A = np.vstack([signals.mu_plus, signals.mu_minus,
-                   dataset.noise.reshape(n * T, d)])
-    inter = InteractionTerms(state, dataset, signals)
-    y = dataset.y_train
-    a = (-loss_derivative(y * inter.outputs)) * y / n          # (n,)
-    g = _gbar(dataset, state)
-    gw, gp = np.outer(state.p, g), state.W @ g                 # as gd_step
-    W1, p1 = state.W - alpha * gw, state.p - alpha * gp
+def _tracked_rows(dataset: Dataset, signals: SignalBasis) -> np.ndarray:
+    """A = [mu_+; mu_-; E], E the noise rows in (j, u) order."""
+    return np.vstack([signals.mu_plus, signals.mu_minus,
+                      dataset.noise.reshape(-1, dataset.d)])
+
+
+def _step_change(state: ModelState, A: np.ndarray, g: np.ndarray,
+                 alpha: float):
+    """One GD step from ``state`` with gbar ``g``: W1 = W - alpha p g^T,
+    p1 = p - alpha W g.  Returns the changes of r = A W^T p,
+    G = (A W^T)(A W^T)^T and ||p||^2, each the difference of the two
+    states' float products, then the pre-step r, A W^T, ||p||^2, p g^T
+    and W g, which the right-hand sides reuse."""
+    gw, gp = np.outer(state.p, g), state.W @ g
+    W1 = gw * alpha
+    np.subtract(state.W, W1, out=W1)
+    p1 = state.p - alpha * gp
     pp = float(state.p @ state.p)
     B0, B1 = A @ state.W.T, A @ W1.T
     r0 = A @ (state.W.T @ state.p)
-    lhs = (A @ (W1.T @ p1) - r0, B1 @ B1.T - B0 @ B0.T,
-           float(p1 @ p1) - pp)
-    s = a @ (inter.c @ A.T)
+    return ((A @ (W1.T @ p1) - r0, B1 @ B1.T - B0 @ B0.T,
+             float(p1 @ p1) - pp), (r0, B0, pp, gw, gp))
+
+
+def _update_changes(state: ModelState, dataset: Dataset,
+                    signals: SignalBasis, alpha: float):
+    """One GD step's changes over the tracked rows, as ``(lhs, rhs)``: lhs
+    from :func:`_step_change`; rhs the interaction terms, inner products
+    with c_i = sum_t s_t (gamma_t - f_i) x_t, plus the exact alpha^2
+    terms.  The batch is scored once, for both."""
+    A = _tracked_rows(dataset, signals)
+    y = dataset.y_train
+    u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
+    probs, out, weights = _attend(u, gamma, y)
+    g = weights.ravel() @ dataset.X.reshape(-1, dataset.d)      # as _gbar
+    lhs, (r0, B0, pp, gw, gp) = _step_change(state, A, g, alpha)
+    c = np.einsum("it,itd->id", probs * (gamma - out[:, None]), dataset.X)
+    Wc = c @ state.W.T
+    a = (-loss_derivative(y * out)) * y / len(y)                 # (n,)
+    s = a @ (c @ A.T)
     Ag = A @ gw.T
-    rhs = (alpha * (a @ (inter.Wc @ B0.T)) + alpha * pp * s
+    rhs = (alpha * (a @ (Wc @ B0.T)) + alpha * pp * s
            + alpha * alpha * (A @ (gw.T @ gp)),
            alpha * (np.outer(r0, s) + np.outer(s, r0))
            + alpha * alpha * (Ag @ Ag.T),
-           2 * alpha * float(a @ inter.I_p) + alpha * alpha * float(gp @ gp))
+           2 * alpha * float(a @ (Wc @ state.p))
+           + alpha * alpha * float(gp @ gp))
     return lhs, rhs
 
 
@@ -253,13 +244,11 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
                            signals: SignalBasis, alpha: float) -> TheoryReport:
     """Check that one GD step moves every tracked bilinear quantity by its
     interaction-term expression (first order in alpha) plus the exact
-    alpha^2 cross term, to relative error ``UPDATE_IDENTITY_TOL``.
-
-    Covers the signal/noise attention updates (lambda_+1, lambda_-1, every
-    rho_{j,u}), the squared norm of p, and the squared norms / pairwise
-    inner products of W applied to both signals and every noise vector:
-    each row is a block of the stacked changes of :func:`_update_changes`.
-    """
+    alpha^2 cross term, to relative error ``UPDATE_IDENTITY_TOL``: the
+    signal/noise attention (lambda_+1, lambda_-1, every rho_{j,u}),
+    ||p||^2, and the squared norms and pairwise inner products of W applied
+    to both signals and every noise vector, one row per block of the
+    stacked changes of :func:`_update_changes`."""
     lhs, rhs = _update_changes(state, dataset, signals, alpha)
     report = TheoryReport()
     for name, left, right in zip(_UPDATE_ROWS, _update_blocks(*lhs),
@@ -650,32 +639,30 @@ def etf_gradient_check(config: MulticlassConfig, mus: np.ndarray,
 def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                 alpha: float) -> TheoryReport:
     """Near-uniform softmax and vanishing attention gaps at initialization,
-    plus smallness of the first gradient step's attention drift."""
+    plus smallness of the first gradient step's attention drift: the
+    lambda_+/- and rho blocks of its Delta r (:func:`_step_change`)."""
     T = dataset.T
     d0 = compute_diagnostics(state0, dataset, signals)
     probs = softmax(d0.attn_scores)
     s_dev = float(np.max(np.abs(probs - 1.0 / T)) * T)
     lam_gap = float(np.max(np.abs(d0.Lambda)))
     gam_gap = float(np.max(np.abs(d0.Gamma)))
-    d1 = compute_diagnostics(gd_step(state0, dataset, alpha), dataset, signals)
-    dlam = max(abs(d1.lambda_plus - d0.lambda_plus),
-               abs(d1.lambda_minus - d0.lambda_minus))
-    drho = float(np.max(np.abs(d1.rho_attn - d0.rho_attn)))
-    report = TheoryReport()
-    report.checks.append(CheckResult(
-        "init_softmax_uniformity", s_dev <= INIT_S_UNIFORMITY,
-        {"max_scaled_deviation": s_dev}, INIT_S_UNIFORMITY))
-    report.checks.append(CheckResult(
-        "init_lambda_gap", lam_gap <= INIT_LAMBDA_GAP,
-        {"max_abs": lam_gap}, INIT_LAMBDA_GAP))
-    report.checks.append(CheckResult(
-        "init_gamma_gap", gam_gap <= INIT_GAMMA_GAP,
-        {"max_abs": gam_gap}, INIT_GAMMA_GAP))
-    report.checks.append(CheckResult(
-        "init_first_step_drift", max(dlam, drho) <= INIT_FIRST_STEP_DRIFT,
-        {"max_dlambda": float(dlam), "max_drho": drho},
-        INIT_FIRST_STEP_DRIFT))
-    return report
+    with np.errstate(over="ignore", invalid="ignore"):  # Delta G, unread here
+        dr = _step_change(state0, _tracked_rows(dataset, signals),
+                          _gbar(dataset, state0), alpha)[0][0]
+    dlam, drho = (float(np.max(np.abs(block))) for block in (dr[:2], dr[2:]))
+    return TheoryReport([
+        CheckResult("init_softmax_uniformity", s_dev <= INIT_S_UNIFORMITY,
+                    {"max_scaled_deviation": s_dev}, INIT_S_UNIFORMITY),
+        CheckResult("init_lambda_gap", lam_gap <= INIT_LAMBDA_GAP,
+                    {"max_abs": lam_gap}, INIT_LAMBDA_GAP),
+        CheckResult("init_gamma_gap", gam_gap <= INIT_GAMMA_GAP,
+                    {"max_abs": gam_gap}, INIT_GAMMA_GAP),
+        CheckResult("init_first_step_drift",
+                    max(dlam, drho) <= INIT_FIRST_STEP_DRIFT,
+                    {"max_dlambda": dlam, "max_drho": drho},
+                    INIT_FIRST_STEP_DRIFT),
+    ])
 
 
 def loss_derivative_balance(trace: TrainTrace) -> CheckResult:

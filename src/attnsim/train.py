@@ -13,8 +13,7 @@ pre-step state (simultaneous update).
 :func:`train` runs the recursion in one engine, an exact
 reparameterization: every update lives in span{p(0)} + W(0) * span{tokens},
 so the whole trajectory is advanced with Gram-matrix recursions whose cost
-is independent of d.  :func:`gd_step` keeps the dense recursion on W as the
-oracle the engine is tested against.
+is independent of d.
 """
 from __future__ import annotations
 
@@ -35,11 +34,9 @@ __all__ = [
     "TrainTrace",
     "TrainResult",
     "DivergenceError",
-    "empirical_loss",
     "loss_derivative",
     "grad_w",
     "grad_p",
-    "gd_step",
     "train",
     "projects_test_set",
     "finite_diff_grad",
@@ -115,20 +112,6 @@ def grad_w(dataset: Dataset, state: ModelState) -> np.ndarray:
 
 def grad_p(dataset: Dataset, state: ModelState) -> np.ndarray:
     return state.W @ _gbar(dataset, state)
-
-
-def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:
-    """One simultaneous update of (W, p) at step size alpha."""
-    g = _gbar(dataset, state)
-    if not np.all(np.isfinite(g)):
-        raise DivergenceError(step=0)
-    gw = np.outer(state.p, g)
-    gp = state.W @ g
-    new = ModelState.__new__(ModelState)
-    new.W = state.W - alpha * gw
-    new.p = state.p - alpha * gp
-    new.nu = state.nu
-    return new
 
 
 def central_difference(f, x: float, h: float) -> float:

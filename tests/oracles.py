@@ -1,14 +1,17 @@
 """Reference paths that only the tests read: whole multiclass datasets,
 the dense multiclass forward with its cross-entropy gradients, the
-gradients of one binary output and the exact changes of one GD step.  The
-library's own paths are checked against them."""
+gradients of one binary output, the dense GD step on W and the exact
+changes of one GD step.  The library's own paths are checked against
+them."""
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from attnsim.data import Dataset
 from attnsim.model import ModelState, _attend, _token_scores, softmax
 from attnsim.multiclass import MulticlassConfig, _draw_labels, _draw_tokens
+from attnsim.train import DivergenceError, _gbar
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,21 @@ def output_grads(X: np.ndarray, state: ModelState):
     probs, out, _ = _attend(u, gamma)
     c = (probs * (gamma - out[:, None]))[0] @ X
     return np.outer(state.p, c), state.W @ c
+
+
+def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:
+    """One simultaneous update of (W, p) at step size alpha, dense in W:
+    the recursion the training engine reparameterizes."""
+    g = _gbar(dataset, state)
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError(step=0)
+    gw = np.outer(state.p, g)
+    gp = state.W @ g
+    new = ModelState.__new__(ModelState)
+    new.W = state.W - alpha * gw
+    new.p = state.p - alpha * gp
+    new.nu = state.nu
+    return new
 
 
 def exact_update_changes(W0, p0, g, A, alpha):

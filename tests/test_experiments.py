@@ -20,8 +20,8 @@ from attnsim import experiments, model
 from attnsim.cli import (EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_SYSTEM,
                          EXIT_USAGE)
 from attnsim.cli import main as cli_main
-from attnsim.data import (ConfigError, DataConfig, generate_dataset,
-                          make_signals)
+from attnsim.data import (ConfigError, DataConfig, a8_sigma,
+                          generate_dataset, make_signals)
 from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  build_inputs, default_config, run,
                                  run_check_suites, sweep, trace_table)
@@ -823,6 +823,20 @@ class TestCli:
         assert code == 1
         assert "failed checks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data_kw", [
+        pytest.param(dict(T=2, n_weak_same=0), id="T2"),
+        pytest.param(dict(d=2), id="d2"),
+    ])
+    def test_check_etf_on_smallest_configs(self, tmp_path, capsys, data_kw):
+        # the smallest T and d a config admits: the suite sizes its
+        # multiclass check to fit them, so no error is found mid-suite
+        base = tiny_config()
+        cfg = replace(base, data=replace(base.data, **data_kw))
+        code = cli_main(["check", "--config", self.write_config(tmp_path, cfg),
+                         "--suite", "etf"])
+        assert code in (0, 1)
+        assert "etf_head_gradient" in capsys.readouterr().out
+
     def test_unknown_suite_exit_two(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),
                          "--suite", "bogus"]) == 2
@@ -1171,13 +1185,13 @@ class TestBlasDeterminism:
     thread counts the reduction order may change, so they agree to 1e-12
     instead."""
 
-    def run_cli(self, tmp_path, name, blas_threads):
-        cfg = ExperimentConfig(
-            data=DataConfig(n=16, T=6, d=800, mu_norm=12.0, sigma_eps=1.0,
-                            eta=0.2, rho=0.1),
-            train=TrainConfig(alpha=5e-3, steps=300, log_every=10,
-                              test_size=400),
-            seed=3)
+    CONFIG = ExperimentConfig(
+        data=DataConfig(n=16, T=6, d=800, mu_norm=12.0, sigma_eps=1.0,
+                        eta=0.2, rho=0.1),
+        train=TrainConfig(alpha=5e-3, steps=300, log_every=10, test_size=400),
+        seed=3)
+
+    def run_cli(self, tmp_path, name, blas_threads, cfg=CONFIG):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_json()))
         src = os.path.dirname(os.path.dirname(attnsim.__file__))
@@ -1209,3 +1223,23 @@ class TestBlasDeterminism:
         assert head_a == head_c
         np.testing.assert_allclose(trace_c, trace_a, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(final_c, final_a, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.slow
+    def test_thread_counts_at_benign_point(self, tmp_path):
+        # the benign acceptance point at full length: 20k steps, 2001
+        # logged states, the test set scored through its projection
+        data = DataConfig(n=20, T=8, d=2000, mu_norm=20.0, sigma_eps=1.0,
+                          eta=0.2, rho=0.1, n_weak_same=1)
+        s = 3.0 * a8_sigma(data)
+        cfg = ExperimentConfig(
+            data=data, model=ModelParams(sigma_w=s, sigma_p=s),
+            train=TrainConfig(alpha=5e-3, steps=20000, log_every=10,
+                              test_size=1000),
+            seed=3)
+        assert cfg.config_hash() == "04651a4ac107"    # as pinned above
+        (head_a, trace_a, final_a), (head_b, trace_b, final_b) = (
+            self.numbers(self.run_cli(tmp_path, name, threads, cfg))
+            for name, threads in (("a", 1), ("b", 2)))
+        assert head_a == head_b and len(trace_a) == 2001
+        np.testing.assert_allclose(trace_b, trace_a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(final_b, final_a, rtol=1e-12, atol=1e-12)

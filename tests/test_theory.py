@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
-from attnsim.experiments import (_random_instance, default_config,
-                                 run_check_suites)
-from attnsim.model import ModelState, make_head, softmax
+from attnsim.experiments import (_build_train_inputs, _random_instance,
+                                 default_config, run_check_suites)
+from attnsim.model import ModelState, loss_derivative, make_head, softmax
 from attnsim.rng import stream
 from attnsim.theory import (NORM_W_EPS_HOLD_RATE, SOFTMAX_IDENTITY_TOL,
-                            UPDATE_IDENTITY_TOL, InteractionTerms, Regime,
-                            _update_changes, classify_regime,
+                            UPDATE_IDENTITY_TOL, Regime,
+                            _tracked_rows, _update_changes, classify_regime,
                             compute_diagnostics, g,
                             g_linearity, good_run_check, init_checks,
                             loss_derivative_balance, measure_grokking,
                             noisy_stage_windows, rel_err, softmax_bound_check, softmax_bound_scan,
                             verify_update_identity)
 from attnsim.train import TrainConfig, TrainTrace, _gbar, train
-from oracles import exact_update_changes
+from oracles import exact_update_changes, gd_step
 
 
 def make_instance(seed=0, n=4, T=3, d=8, sigma=0.5, eta=0.25):
@@ -91,34 +91,49 @@ class TestDiagnostics:
                 assert diag.Lambda[i, col] == pytest.approx(expected, abs=1e-10)
 
     def test_interactions_match_defining_sums(self):
+        # the right-hand sides of _update_changes against the interaction
+        # terms summed token by token: with omega_it = s_t (gamma_t - f_i)
+        # and a_i = -l'(y_i f_i) y_i / n, gbar = -sum_it a_i omega_it x_it
+        # and s(v) = sum_it a_i omega_it <x_it, v> for a tracked row v
         ds, sig, state = make_instance(seed=3)
-        inter = InteractionTerms(state, ds, sig)
-        s_all = softmax(ds.X @ (state.W.T @ state.p))
+        alpha = 0.05
+        _, (r, G, pp) = _update_changes(state, ds, sig, alpha)
+        W, p = state.W, state.p
+        s_all = softmax(ds.X @ (W.T @ p))
         gam = ds.X @ state.nu
+        terms = []                              # (a_i omega_it, x_it)
         for i in range(ds.n):
-            s, gm = s_all[i], gam[i]
+            s, gm, y = s_all[i], gam[i], ds.y_train[i]
             f = s @ gm
-            ip = im = ipp = 0.0
-            for t in range(ds.T):
-                w = s[t] * (gm[t] - f)
-                ip += w * (ds.X[i, t] @ sig.mu_plus)
-                im += w * (ds.X[i, t] @ sig.mu_minus)
-                ipp += w * ((state.W @ ds.X[i, t]) @ state.p)
-            # the signal families, as verify_update_identity forms them
-            assert (inter.c @ sig.mu_plus)[i] == pytest.approx(ip, rel=1e-10)
-            assert (inter.c @ sig.mu_minus)[i] == pytest.approx(im, rel=1e-10)
-            assert inter.I_p[i] == pytest.approx(ipp, rel=1e-10)
-            j, u = (i + 1) % ds.n, 1
-            # the noise families, as verify_update_identity forms them
-            eps = ds.noise[j, u]
-            inoise = sum(s[t] * (gm[t] - f) * (ds.X[i, t] @ eps)
-                         for t in range(ds.T))
-            assert (inter.c @ eps)[i] == pytest.approx(inoise, rel=1e-10)
-            iwn = sum(s[t] * (gm[t] - f)
-                      * ((state.W @ ds.X[i, t]) @ (state.W @ eps))
-                      for t in range(ds.T))
-            assert (inter.Wc @ (state.W @ eps))[i] == pytest.approx(
-                iwn, rel=1e-10)
+            a = -loss_derivative(y * f) * y / ds.n
+            terms += [(a * s[t] * (gm[t] - f), ds.X[i, t])
+                      for t in range(ds.T)]
+        gbar = -sum(w * x for w, x in terms)
+        A = [sig.mu_plus, sig.mu_minus, *ds.noise.reshape(ds.n * ds.T, ds.d)]
+
+        def s_of(v):
+            return sum(w * (x @ v) for w, x in terms)
+
+        def ws_of(v):                           # sum a_i omega_it <W x, W v>
+            return sum(w * ((W @ x) @ (W @ v)) for w, x in terms)
+
+        # rows mu_+, mu_- and the noise vector (j, u) = (1, 1)
+        rows = (0, 1, 2 + ds.T + 1)
+        for k in rows:
+            v = A[k]
+            assert r[k] == pytest.approx(
+                alpha * (ws_of(v) + (p @ p) * s_of(v))
+                + alpha ** 2 * (p @ (W @ gbar)) * (v @ gbar), rel=1e-10)
+        for k in rows:
+            for m in rows:
+                assert G[k, m] == pytest.approx(
+                    alpha * ((W @ A[k]) @ p * s_of(A[m])
+                             + s_of(A[k]) * (W @ A[m]) @ p)
+                    + alpha ** 2 * (p @ p) * (A[k] @ gbar) * (A[m] @ gbar),
+                    rel=1e-10)
+        assert pp == pytest.approx(
+            2 * alpha * sum(w * ((W @ x) @ p) for w, x in terms)
+            + alpha ** 2 * (W @ gbar) @ (W @ gbar), rel=1e-10)
 
 
 class TestUpdateIdentities:
@@ -149,10 +164,8 @@ class TestUpdateIdentities:
         rng = stream(seed, "check-identities")
         for _ in range(3):
             ds, sig, state = _random_instance(rng)
-            A = np.vstack([sig.mu_plus, sig.mu_minus,
-                           ds.noise.reshape(ds.n * ds.T, ds.d)])
             exact = exact_update_changes(state.W, state.p, _gbar(ds, state),
-                                         A, 0.05)
+                                         _tracked_rows(ds, sig), 0.05)
             _, rhs = _update_changes(state, ds, sig, 0.05)
             for want, got in zip(exact, rhs):
                 assert np.max(rel_err(want, got)) <= UPDATE_IDENTITY_TOL
@@ -547,6 +560,23 @@ class TestInitChecks:
         state = ModelState(W=W, p=p, nu=make_head(sig))
         rep = init_checks(state, ds, sig, alpha=5e-3)
         assert rep.passed_all
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drift_matches_dense_step(self, seed):
+        # the drift read from Delta r against the attention of W(0) and of
+        # the dense step's W(1), on the init suite's inputs
+        config = replace(default_config(), seed=seed)
+        sig, ds, _, state = _build_train_inputs(config)
+        alpha = config.train.alpha
+        got = init_checks(state, ds, sig, alpha)[
+            "init_first_step_drift"].measured
+        d0 = compute_diagnostics(state, ds, sig)
+        d1 = compute_diagnostics(gd_step(state, ds, alpha), ds, sig)
+        dlam = max(abs(d1.lambda_plus - d0.lambda_plus),
+                   abs(d1.lambda_minus - d0.lambda_minus))
+        drho = np.max(np.abs(d1.rho_attn - d0.rho_attn))
+        assert rel_err(got["max_dlambda"], dlam) <= 1e-12
+        assert rel_err(got["max_drho"], drho) <= 1e-12
 
 
 class TestSignalGrowth:

@@ -19,10 +19,10 @@ from attnsim.theory import compute_diagnostics, rel_err
 from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError,
                            TrainConfig, _log_points, _SubspaceEngine,
                            _test_chunk, _TestScoring, central_difference,
-                           empirical_loss, finite_diff_grad, gd_step, grad_p,
-                           grad_w, loss_derivative, projects_test_set, train)
+                           empirical_loss, finite_diff_grad, grad_p, grad_w,
+                           loss_derivative, projects_test_set, train)
 
-from oracles import output_grads
+from oracles import gd_step, output_grads
 
 train_mod = importlib.import_module("attnsim.train")
 
