@@ -277,15 +277,10 @@ def _fits(out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * out > 0
 
 
-def _logistic_loss(out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-output logistic loss log(1 + exp(-y f)), evaluated stably."""
-    return np.logaddexp(0.0, -y * out)
-
-
 def _fit_loss_means(out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The means over the last axis of :func:`_fits` and
-    :func:`_logistic_loss` of outputs (..., m) against labels y, stacked as
-    (acc, loss): the margins y f are formed once (exactly, as y is +-1)
+    """The means over the last axis of :func:`_fits` and of the logistic
+    loss log(1 + exp(-y f)) of outputs (..., m) against labels y, stacked
+    as (acc, loss): the margins y f are formed once (exactly, as y is +-1)
     and both metrics are reduced together, with the bits of two separate
     means."""
     z = out * y
@@ -305,10 +300,9 @@ def _token_scores(X: np.ndarray, q: np.ndarray, nu: np.ndarray):
 
 
 def _attend_work(n: int, T: int) -> tuple[np.ndarray, ...]:
-    """Buffers for :func:`_attend` on scores (n, T), for a caller that
-    attends many times at that shape: the softmax, omega, the margins
-    y f and their scale.  The caller adds the (n, T) row the weights go
-    into."""
+    """Buffers for :func:`_attend` on scores (n, T): the softmax s,
+    omega = s (gamma - f), the margins y f and scale = l'(y f) y / n.  The
+    caller adds the (n, T) row the weights scale * omega go into."""
     return np.empty((n, T)), np.empty((n, T)), np.empty(n), np.empty(n)
 
 

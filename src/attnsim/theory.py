@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataConfig, Dataset, SignalBasis, snr as data_snr
-from .model import (ModelState, _attend, _token_scores, loss_derivative,
-                    softmax)
+from .model import ModelState, loss_derivative
 from .multiclass import (MulticlassConfig, _check_mc_samples,
                          head_gradient_estimate)
-from .train import TrainTrace, _gbar, attention_gaps
+from .train import TrainTrace, _score_dense, attention_gaps
 
 __all__ = [
     "CheckResult",
@@ -190,45 +189,42 @@ def _tracked_rows(dataset: Dataset, signals: SignalBasis) -> np.ndarray:
 def _step_change(state: ModelState, A: np.ndarray, g: np.ndarray,
                  alpha: float):
     """One GD step from ``state`` with gbar ``g``: W1 = W - alpha p g^T,
-    p1 = p - alpha W g.  Returns the changes of r = A W^T p,
-    G = (A W^T)(A W^T)^T and ||p||^2, each the difference of the two
-    states' float products, then the pre-step r, A W^T, ||p||^2, p g^T
-    and W g, which the right-hand sides reuse."""
+    p1 = p - alpha W g.  Returns W1, the changes of r = A W^T p and ||p||^2
+    (differences of the two states' float products), and the pre-step r,
+    ||p||^2, p g^T and W g, which the right-hand sides reuse."""
     gw, gp = np.outer(state.p, g), state.W @ g
     W1 = gw * alpha
     np.subtract(state.W, W1, out=W1)
     p1 = state.p - alpha * gp
     pp = float(state.p @ state.p)
-    B0, B1 = A @ state.W.T, A @ W1.T
     r0 = A @ (state.W.T @ state.p)
-    return ((A @ (W1.T @ p1) - r0, B1 @ B1.T - B0 @ B0.T,
-             float(p1 @ p1) - pp), (r0, B0, pp, gw, gp))
+    return W1, (A @ (W1.T @ p1) - r0, float(p1 @ p1) - pp), (r0, pp, gw, gp)
 
 
 def _update_changes(state: ModelState, dataset: Dataset,
                     signals: SignalBasis, alpha: float):
-    """One GD step's changes over the tracked rows, as ``(lhs, rhs)``: lhs
-    from :func:`_step_change`; rhs the interaction terms, inner products
-    with c_i = sum_t s_t (gamma_t - f_i) x_t, plus the exact alpha^2
-    terms.  The batch is scored once, for both."""
+    """One GD step's changes of r = A W^T p, G = (A W^T)(A W^T)^T and
+    ||p||^2 over the tracked rows, as ``(lhs, rhs)``: lhs the differences
+    of the two states' float products (Delta G formed here, the rest by
+    :func:`_step_change`); rhs the interaction terms, inner products with
+    c_i = sum_t omega_t x_t, plus the exact alpha^2 terms.  gbar, omega and
+    a = -scale come from one :func:`_score_dense` pass."""
     A = _tracked_rows(dataset, signals)
-    y = dataset.y_train
-    u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
-    probs, out, weights = _attend(u, gamma, y)
-    g = weights.ravel() @ dataset.X.reshape(-1, dataset.d)      # as _gbar
-    lhs, (r0, B0, pp, gw, gp) = _step_change(state, A, g, alpha)
-    c = np.einsum("it,itd->id", probs * (gamma - out[:, None]), dataset.X)
+    _, (_, omega, _, scale, _), g = _score_dense(dataset, state)
+    W1, (dr, dpp), (r0, pp, gw, gp) = _step_change(state, A, g, alpha)
+    B0, B1 = A @ state.W.T, A @ W1.T
+    c = np.einsum("it,itd->id", omega, dataset.X)
     Wc = c @ state.W.T
-    a = (-loss_derivative(y * out)) * y / len(y)                 # (n,)
+    a = -scale                                                   # (n,)
     s = a @ (c @ A.T)
     Ag = A @ gw.T
-    rhs = (alpha * (a @ (Wc @ B0.T)) + alpha * pp * s
-           + alpha * alpha * (A @ (gw.T @ gp)),
-           alpha * (np.outer(r0, s) + np.outer(s, r0))
-           + alpha * alpha * (Ag @ Ag.T),
-           2 * alpha * float(a @ (Wc @ state.p))
-           + alpha * alpha * float(gp @ gp))
-    return lhs, rhs
+    return (dr, B1 @ B1.T - B0 @ B0.T, dpp), (
+        alpha * (a @ (Wc @ B0.T)) + alpha * pp * s
+        + alpha * alpha * (A @ (gw.T @ gp)),
+        alpha * (np.outer(r0, s) + np.outer(s, r0))
+        + alpha * alpha * (Ag @ Ag.T),
+        2 * alpha * float(a @ (Wc @ state.p))
+        + alpha * alpha * float(gp @ gp))
 
 
 def _update_blocks(r, G, pp):
@@ -356,6 +352,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
 
     Events whose natural scale is zero (for instance noise events at
     sigma_eps = 0) are reported as vacuous: they carry no bounds and pass.
+    Any other event fails on an inf or NaN value, which measures nothing.
     """
     cfg = dataset.config
     n, T, d = dataset.n, dataset.T, dataset.d
@@ -368,9 +365,9 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
     def event(name, value, hi=None, vacuous=False):
         if vacuous:
             hi = None
-        # a NaN value passes, as it is not above the cap
         report.checks.append(CheckResult(
-            f"good_run_{name}", not (hi is not None and value > hi),
+            f"good_run_{name}",
+            hi is None or (math.isfinite(value) and value <= hi),
             {"measured": value, "vacuous": vacuous}, {"lo": None, "hi": hi}))
 
     def band(name, values, scale, vacuous=False):
@@ -391,47 +388,47 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
               GOOD_RUN_INNER_C * sig * sig * math.sqrt(d) * log_term)
 
     if init_state is not None:
-        W0, p0 = init_state.W, init_state.p
-        Wmu_p = W0 @ signals.mu_plus
-        Wmu_m = W0 @ signals.mu_minus
-        WE = E @ W0.T
-        band("norm_W_mu_plus", np.linalg.norm(Wmu_p),
-             sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
-        band("norm_W_mu_minus", np.linalg.norm(Wmu_m),
-             sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
-        band("norm_W_eps", np.linalg.norm(WE, axis=1), sigma_w * sig * d,
-             vacuous=(sigma_w == 0 or sig == 0))
-        report.checks[-1].note = (
-            f"expected to hold at {NORM_W_EPS_HOLD_RATE} of config seeds at "
-            "the default config; a failure alone is not a defect")
-        band("norm_p", np.linalg.norm(p0), sigma_p * math.sqrt(d),
-             vacuous=(sigma_p == 0))
-        sw2 = sigma_w * sigma_w
-        vac_w = sigma_w == 0
-        event("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
-              GOOD_RUN_INNER_C * sw2 * mu * mu * math.sqrt(d) * log_term,
-              vacuous=vac_w)
-        event("inner_Wmu_Weps",
-              float(np.max(np.abs(np.concatenate(
-                  [WE @ Wmu_p, WE @ Wmu_m])))) if sig > 0 else 0.0,
-              GOOD_RUN_INNER_C * sw2 * sig * mu * d * log_term,
-              vacuous=vac_w or sig == 0)
-        if sig > 0 and not vac_w:
-            gw = WE @ WE.T
-            event("inner_Weps_Weps",
-                  float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
-                  GOOD_RUN_INNER_C * sw2 * sig * sig * d ** 1.5 * log_term)
-        else:
-            event("inner_Weps_Weps", 0.0, vacuous=True)
-        event("inner_Wmu_p",
-              max(abs(float(Wmu_p @ p0)), abs(float(Wmu_m @ p0))),
-              GOOD_RUN_INNER_C * sigma_w * sigma_p * mu * math.sqrt(d)
-              * log_term,
-              vacuous=vac_w or sigma_p == 0)
-        event("inner_Weps_p",
-              float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
-              GOOD_RUN_INNER_C * sigma_w * sigma_p * sig * d * log_term,
-              vacuous=vac_w or sigma_p == 0 or sig == 0)
+        # a W(0) past the float range fails its events, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            W0, p0 = init_state.W, init_state.p
+            Wmu_p, Wmu_m = W0 @ signals.mu_plus, W0 @ signals.mu_minus
+            WE = E @ W0.T
+            band("norm_W_mu_plus", np.linalg.norm(Wmu_p),
+                 sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
+            band("norm_W_mu_minus", np.linalg.norm(Wmu_m),
+                 sigma_w * mu * math.sqrt(d), vacuous=(sigma_w == 0))
+            band("norm_W_eps", np.linalg.norm(WE, axis=1), sigma_w * sig * d,
+                 vacuous=(sigma_w == 0 or sig == 0))
+            report.checks[-1].note = (
+                f"expected to hold at {NORM_W_EPS_HOLD_RATE} of config seeds "
+                "at the default config; a failure alone is not a defect")
+            band("norm_p", np.linalg.norm(p0), sigma_p * math.sqrt(d),
+                 vacuous=(sigma_p == 0))
+            sw2, vac_w = sigma_w * sigma_w, sigma_w == 0
+            event("inner_Wmu_Wmu", abs(float(Wmu_p @ Wmu_m)),
+                  GOOD_RUN_INNER_C * sw2 * mu * mu * math.sqrt(d) * log_term,
+                  vacuous=vac_w)
+            event("inner_Wmu_Weps",
+                  float(np.max(np.abs(np.concatenate(
+                      [WE @ Wmu_p, WE @ Wmu_m])))) if sig > 0 else 0.0,
+                  GOOD_RUN_INNER_C * sw2 * sig * mu * d * log_term,
+                  vacuous=vac_w or sig == 0)
+            if sig > 0 and not vac_w:
+                gw = WE @ WE.T
+                event("inner_Weps_Weps",
+                      float(np.max(np.abs(gw[~np.eye(n * T, dtype=bool)]))),
+                      GOOD_RUN_INNER_C * sw2 * sig * sig * d ** 1.5 * log_term)
+            else:
+                event("inner_Weps_Weps", 0.0, vacuous=True)
+            event("inner_Wmu_p",
+                  float(np.max(np.abs([Wmu_p @ p0, Wmu_m @ p0]))),
+                  GOOD_RUN_INNER_C * sigma_w * sigma_p * mu * math.sqrt(d)
+                  * log_term,
+                  vacuous=vac_w or sigma_p == 0)
+            event("inner_Weps_p",
+                  float(np.max(np.abs(WE @ p0))) if sig > 0 else 0.0,
+                  GOOD_RUN_INNER_C * sigma_w * sigma_p * sig * d * log_term,
+                  vacuous=vac_w or sigma_p == 0 or sig == 0)
 
     if sig == 0:
         event("inner_mu_eps", 0.0, vacuous=True)
@@ -640,16 +637,18 @@ def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                 alpha: float) -> TheoryReport:
     """Near-uniform softmax and vanishing attention gaps at initialization,
     plus smallness of the first gradient step's attention drift: the
-    lambda_+/- and rho blocks of its Delta r (:func:`_step_change`)."""
+    lambda_+/- and rho blocks of its Delta r (:func:`_step_change`), formed
+    alone from the one :func:`_score_dense` pass that gives the softmax and
+    the gaps."""
     T = dataset.T
-    d0 = compute_diagnostics(state0, dataset, signals)
-    probs = softmax(d0.attn_scores)
+    u, (probs, *_), g = _score_dense(dataset, state0)
     s_dev = float(np.max(np.abs(probs - 1.0 / T)) * T)
-    lam_gap = float(np.max(np.abs(d0.Lambda)))
-    gam_gap = float(np.max(np.abs(d0.Gamma)))
-    with np.errstate(over="ignore", invalid="ignore"):  # Delta G, unread here
-        dr = _step_change(state0, _tracked_rows(dataset, signals),
-                          _gbar(dataset, state0), alpha)[0][0]
+    lam_gap, gam_gap = (float(np.max(np.abs(gaps)))
+                        for gaps in attention_gaps(u))
+    # Delta r can overflow where the scores did not: inf or NaN, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        dr = _step_change(state0, _tracked_rows(dataset, signals), g,
+                          alpha)[1][0]
     dlam, drho = (float(np.max(np.abs(block))) for block in (dr[:2], dr[2:]))
     return TheoryReport([
         CheckResult("init_softmax_uniformity", s_dev <= INIT_S_UNIFORMITY,

@@ -26,8 +26,8 @@ import numpy as np
 
 from .data import ConfigError, DataConfig, Dataset, SignalBasis, _Section
 from .model import (InitDraw, ModelState, _attend, _attend_work,
-                    _fit_loss_means, _fits, _logistic_loss, _token_scores,
-                    batch_outputs, loss_derivative)
+                    _fit_loss_means, _fits, _token_scores, batch_outputs,
+                    loss_derivative)
 
 __all__ = [
     "TrainConfig",
@@ -90,28 +90,34 @@ class DivergenceError(RuntimeError):
 
 
 def empirical_loss(dataset: Dataset, state: ModelState) -> float:
-    """(1/n) sum_i log(1 + exp(-y_i f(X_i))), evaluated log1p-stably."""
-    return float(np.mean(_logistic_loss(batch_outputs(dataset.X, state),
-                                        dataset.y_train)))
+    """(1/n) sum_i log(1 + exp(-y_i f(X_i))), evaluated log1p-stably: the
+    loss half of :func:`_fit_loss_means` of the dense outputs."""
+    return float(_fit_loss_means(batch_outputs(dataset.X, state),
+                                 dataset.y_train)[1])
 
 
-def _gbar(dataset: Dataset, state: ModelState) -> np.ndarray:
-    """(1/n) sum_i l'_i y_i sum_t s_t (gamma_t - f) x_t, accumulated in a
-    fixed order (no per-sample d x d intermediates)."""
+def _score_dense(dataset: Dataset, state: ModelState):
+    """The batch scored once at a dense ``state``: the scores u (n, T), the
+    :func:`_attend` workspace they fill (:func:`_attend_work`, then the
+    weights), and gbar, the weights summed against the tokens in a fixed
+    order.  Non-finite scores raise the ValueError of ``softmax``."""
     n, T, d = dataset.X.shape
     u, gamma = _token_scores(dataset.X, state.W.T @ state.p, state.nu)
-    _, _, weights = _attend(u, gamma, dataset.y_train)
-    return weights.reshape(n * T) @ dataset.X.reshape(n * T, d)
+    if not np.isfinite(u).all():
+        raise ValueError("softmax input must be finite")
+    work = (*_attend_work(n, T), np.empty((n, T)))
+    _attend(u, gamma, dataset.y_train, work)
+    return u, work, work[-1].reshape(n * T) @ dataset.X.reshape(n * T, d)
 
 
 def grad_w(dataset: Dataset, state: ModelState) -> np.ndarray:
     """Gradient of the empirical loss in W, oriented so that the update is
     W <- W - alpha * grad_w."""
-    return np.outer(state.p, _gbar(dataset, state))
+    return np.outer(state.p, _score_dense(dataset, state)[2])
 
 
 def grad_p(dataset: Dataset, state: ModelState) -> np.ndarray:
-    return state.W @ _gbar(dataset, state)
+    return state.W @ _score_dense(dataset, state)[2]
 
 
 def central_difference(f, x: float, h: float) -> float:

@@ -1,7 +1,7 @@
 """Reference paths that only the tests read: whole multiclass datasets,
 the dense multiclass forward with its cross-entropy gradients, the
-gradients of one binary output, the dense GD step on W and the exact
-changes of one GD step.  The library's own paths are checked against
+gradients of one binary output, the per-output logistic loss, the dense
+GD step on W and the exact changes of one GD step.  The library's own paths are checked against
 them."""
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +11,7 @@ import numpy as np
 from attnsim.data import Dataset
 from attnsim.model import ModelState, _attend, _token_scores, softmax
 from attnsim.multiclass import MulticlassConfig, _draw_labels, _draw_tokens
-from attnsim.train import DivergenceError, _gbar
+from attnsim.train import DivergenceError, _score_dense
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,15 @@ def output_grads(X: np.ndarray, state: ModelState):
     return np.outer(state.p, c), state.W @ c
 
 
+def logistic_loss(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-output logistic loss log(1 + exp(-y f)), evaluated stably."""
+    return np.logaddexp(0.0, -y * out)
+
+
 def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:
     """One simultaneous update of (W, p) at step size alpha, dense in W:
     the recursion the training engine reparameterizes."""
-    g = _gbar(dataset, state)
+    g = _score_dense(dataset, state)[2]
     if not np.all(np.isfinite(g)):
         raise DivergenceError(step=0)
     gw = np.outer(state.p, g)

@@ -52,7 +52,10 @@ def test_demo_imports_resolve(script):
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, os.path.join(DEMOS, script)],
+    # a RuntimeWarning fails the demo, as pytest's filterwarnings makes it
+    # fail the tests in process
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           os.path.join(DEMOS, script)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

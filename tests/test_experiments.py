@@ -17,8 +17,8 @@ import pytest
 
 import attnsim
 from attnsim import experiments, model
-from attnsim.cli import (EXIT_DIVERGED, EXIT_NUMERICAL, EXIT_SYSTEM,
-                         EXIT_USAGE)
+from attnsim.cli import (EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_NUMERICAL,
+                         EXIT_SYSTEM, EXIT_USAGE)
 from attnsim.cli import main as cli_main
 from attnsim.data import (ConfigError, DataConfig, a8_sigma,
                           generate_dataset, make_signals)
@@ -887,6 +887,25 @@ class TestCli:
                                          "last_finite": None}
         assert summary["final"] is None
         assert summary["theory_digest"] == {}
+
+    def test_overflowing_w0_fails_goodrun_exit_one(self, tmp_path, capsys):
+        # at sigma_w = 1e200 the products and norms of W(0) overflow: each
+        # bounded event of W(0) alone fails on its inf or NaN value, and
+        # nothing warns
+        cfg = replace(default_config(), model=ModelParams(sigma_w=1e200))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["check", "--config",
+                             self.write_config(tmp_path, cfg),
+                             "--suite", "goodrun"])
+        assert code == EXIT_CHECK_FAILED
+        assert not caught
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("failed checks: ")
+        assert set(err[0][len("failed checks: "):].split(", ")) == {
+            f"good_run_{event}" for event in (
+                "norm_W_mu_plus", "norm_W_mu_minus", "norm_W_eps",
+                "inner_Wmu_Wmu", "inner_Wmu_Weps", "inner_Weps_Weps")}
 
     def test_step_zero_divergence_message(self, tmp_path, capsys):
         base = default_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
 from attnsim.model import (_TOKEN_MAJOR_MIN, ModelState, _attend,
@@ -271,6 +272,23 @@ class TestAttendWork:
             y = rng.choice(np.array([-1, 1]), size=n)
             self.attend_both(u, gamma, y, work)
             self.attend_both(u, gamma, None, work)
+
+    @given(data=st.data(), n=st.integers(1, 12), T=st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_omega_and_scale_are_the_identity_factors(self, data, n, T):
+        # the update identities read c = sum_t omega_t x_t and a = -scale
+        # from this workspace in place of deriving them again: a reorder of
+        # _attend's arithmetic that moves their bits fails here first
+        wide = st.floats(-1e3, 1e3)
+        u = data.draw(arrays(float, (n, T), elements=wide))
+        gamma = data.draw(arrays(float, (n, T), elements=wide))
+        y = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+        work = (*_attend_work(n, T), np.empty((n, T)))
+        probs, out, _ = _attend(u, gamma, y, work)
+        _, omega, _, scale, _ = work
+        assert omega.tobytes() == (probs * (gamma - out[:, None])).tobytes()
+        assert (-scale).tobytes() == (
+            (-loss_derivative(y * out)) * y / n).tobytes()
 
     def test_saturated_rows_and_margins_past_endpoints(self):
         # score gaps of 1000 give softmax rows of exact 0s and a 1, and a

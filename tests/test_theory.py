@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from attnsim.data import DataConfig, generate_dataset, make_signals
-from attnsim.experiments import (_build_train_inputs, _random_instance,
-                                 default_config, run_check_suites)
+from attnsim.experiments import (ModelParams, _build_train_inputs,
+                                 _random_instance, default_config,
+                                 run_check_suites)
 from attnsim.model import ModelState, loss_derivative, make_head, softmax
 from attnsim.rng import stream
 from attnsim.theory import (NORM_W_EPS_HOLD_RATE, SOFTMAX_IDENTITY_TOL,
@@ -21,7 +22,7 @@ from attnsim.theory import (NORM_W_EPS_HOLD_RATE, SOFTMAX_IDENTITY_TOL,
                             loss_derivative_balance, measure_grokking,
                             noisy_stage_windows, rel_err, softmax_bound_check, softmax_bound_scan,
                             verify_update_identity)
-from attnsim.train import TrainConfig, TrainTrace, _gbar, train
+from attnsim.train import TrainConfig, TrainTrace, _score_dense, train
 from oracles import exact_update_changes, gd_step
 
 
@@ -164,7 +165,8 @@ class TestUpdateIdentities:
         rng = stream(seed, "check-identities")
         for _ in range(3):
             ds, sig, state = _random_instance(rng)
-            exact = exact_update_changes(state.W, state.p, _gbar(ds, state),
+            exact = exact_update_changes(state.W, state.p,
+                                         _score_dense(ds, state)[2],
                                          _tracked_rows(ds, sig), 0.05)
             _, rhs = _update_changes(state, ds, sig, 0.05)
             for want, got in zip(exact, rhs):
@@ -536,6 +538,17 @@ class TestClassifyRegime:
 
 
 class TestInitChecks:
+    def test_overflowing_drift_fails_unwarned(self):
+        # a huge W(0) against a tiny p(0) keeps the scores near uniform, but
+        # W1^T p1 of the first step overflows: the drift is NaN and fails,
+        # and nothing warns (a RuntimeWarning is an error under pytest)
+        config = replace(default_config(),
+                         model=ModelParams(sigma_w=1e155, sigma_p=1e-160))
+        sig, ds, _, state = _build_train_inputs(config)
+        rep = init_checks(state, ds, sig, config.train.alpha)
+        assert rep.failing == ["init_first_step_drift"]
+        assert math.isnan(rep["init_first_step_drift"].measured["max_drho"])
+
     def test_degenerate_zero_init(self):
         ds, sig, state = make_instance(seed=0)
         state.W = np.zeros((8, 8))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
                           make_signals)
-from attnsim.model import (ModelState, _attend, _fits, _logistic_loss,
-                           batch_outputs, init_params, make_head, softmax)
+from attnsim.model import (ModelState, _attend, _fits, batch_outputs,
+                           init_params, make_head, softmax)
 from attnsim.rng import stream
 from attnsim.theory import compute_diagnostics, rel_err
 from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError,
@@ -22,7 +22,7 @@ from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError,
                            empirical_loss, finite_diff_grad, grad_p, grad_w,
                            loss_derivative, projects_test_set, train)
 
-from oracles import gd_step, output_grads
+from oracles import gd_step, logistic_loss, output_grads
 
 train_mod = importlib.import_module("attnsim.train")
 
@@ -428,7 +428,7 @@ class TestTraceDiagnostics:
             assert tr.lambda_minus[k] == u_all[n * T + 1]
             assert tr.Lambda[k].tobytes() == lam.tobytes()
             assert tr.Gamma[k].tobytes() == gam.tobytes()
-            assert tr.train_loss[k] == float(np.mean(_logistic_loss(out, y)))
+            assert tr.train_loss[k] == float(np.mean(logistic_loss(out, y)))
             assert tr.train_acc[k] == float(_fits(out, y).mean())
             assert tr.train_acc_true[k] == float(_fits(out, y_true).mean())
         np.testing.assert_array_equal(tr.Gamma[..., 0], -tr.Lambda[..., 0])
@@ -473,7 +473,7 @@ def assert_trace_matches(trace, logged, ds, sig, test):
             out = batch_outputs(test.X, state)
             assert trace.test_acc[k] == float(_fits(out, test.y_true).mean())
             assert rel_err(trace.test_loss[k], float(np.mean(
-                _logistic_loss(out, test.y_train)))) < 1e-9
+                logistic_loss(out, test.y_train)))) < 1e-9
 
 
 def assert_matches_gd_oracle(state, ds, sig, test, tcfg):
@@ -727,7 +727,7 @@ def serial_test_metrics(test_set, nu, rows, to_scores, block=_TEST_BLOCK):
         _, out, _ = _attend(scores.reshape(b * m, T), gamma[:b * m])
         out = out.reshape(b, m)
         acc[lo:lo + b] = _fits(out, y).mean(axis=1)
-        loss[lo:lo + b] = _logistic_loss(out, y).mean(axis=1)
+        loss[lo:lo + b] = logistic_loss(out, y).mean(axis=1)
     return acc, loss
 
 
