@@ -380,15 +380,24 @@ def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
     """Run every (d, mu_norm, seed) cell and return the per-cell rows plus a
     seed-averaged table.  Writes ``heatmap.csv`` and ``heatmap_mean.csv``
     when ``out_dir`` is given.  Cells are independent; each derives its own
-    seed from (seed, d-index, mu-index, seed-index)."""
+    seed from (seed, d-index, mu-index, seed-index).
+
+    Cells run largest d first, ties in (mu, seed) order; the rows are
+    sorted before they are returned.  A sweep's peak memory is about
+    ``threads`` times its largest cell's, which holds W(0) (d²·8 bytes)
+    and the held test set (m·T·d·8 bytes): 360 MB at d=5000, m=500.  The
+    order matters because the malloc heap keeps what the small cells'
+    arrays grew it to: run first, they leave that memory resident under
+    the large cells."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if out_dir is not None:
         _make_out_dir(out_dir)
-    cells = [(di, mi, si)
-             for di in range(len(spec.d_values))
-             for mi in range(len(spec.mu_values))
-             for si in range(len(spec.seeds))]
+    cells = sorted(((di, mi, si)
+                    for di in range(len(spec.d_values))
+                    for mi in range(len(spec.mu_values))
+                    for si in range(len(spec.seeds))),
+                   key=lambda c: -spec.d_values[c[0]])
     # more threads than cores only oversubscribe them
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:

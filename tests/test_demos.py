@@ -11,10 +11,10 @@ import attnsim
 
 SRC = os.path.dirname(os.path.dirname(attnsim.__file__))
 DEMOS = os.path.join(os.path.dirname(SRC), "demos")
+SCRIPTS = sorted(f for f in os.listdir(DEMOS) if f.endswith(".py"))
 
 
-@pytest.mark.parametrize("script", sorted(
-    f for f in os.listdir(DEMOS) if f.endswith(".py")))
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_demo_imports_resolve(script):
     # the demos run only under --runslow; this catches a demo importing a
     # name the library no longer has, or passing one of its callables a
@@ -46,9 +46,7 @@ def test_demo_imports_resolve(script):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("script", ["three_regimes.py", "gap_dynamics.py",
-                                    "verify_identities.py", "heatmap.py",
-                                    "head_geometry.py"])
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))

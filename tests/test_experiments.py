@@ -604,6 +604,19 @@ class TestSweep:
             assert ((tmp_path / "t1" / name).read_bytes()
                     == (tmp_path / "t8" / name).read_bytes())
 
+    def test_cells_run_largest_d_first(self, monkeypatch):
+        # the largest cells run before the small ones have grown the heap
+        ran = []
+        real_execute = experiments.execute
+
+        def execute(config):
+            ran.append(config.data.d)
+            return real_execute(config)
+
+        monkeypatch.setattr(experiments, "execute", execute)
+        sweep(self.spec(), threads=1)
+        assert ran == [64] * 4 + [48] * 4
+
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # more sweep threads than cores run as many threads as cores
         pools = []
