@@ -19,7 +19,7 @@ from attnsim.train import finite_diff_grad, grad_p, grad_w
 
 rng = stream(7, "demo-identities")
 cfg = DataConfig(n=4, T=3, d=8, mu_norm=2.0, sigma_eps=1.0, eta=0.25, rho=0.3)
-sig = make_signals(8, 2.0, "random_orthogonal", rng)
+sig = make_signals(8, 2.0, rng)
 ds = generate_dataset(cfg, sig, rng)
 state = ModelState(W=rng.normal(0, 0.5, (8, 8)), p=rng.normal(0, 0.5, 8),
                    nu=rng.normal(0, 0.5, 8))

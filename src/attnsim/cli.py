@@ -77,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--steps", type=int, help="override step budget")
     p_run.add_argument("--log-every", type=int, help="override log cadence")
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="trace file format")
 
     p_sweep = sub.add_parser("sweep", help="(d, mu_norm) heatmap sweep")
     p_sweep.add_argument("--config", required=True, help="sweep spec JSON")
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = _load_config(args)
-            artifacts = run(config, args.out_dir, fmt=args.format)
+            artifacts = run(config, args.out_dir)
             print(json.dumps(artifacts.summary["final"], sort_keys=True))
             return EXIT_OK
         if args.command == "sweep":

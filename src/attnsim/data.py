@@ -34,6 +34,9 @@ __all__ = [
     "a8_sigma",
 ]
 
+# The failure probability delta inside every log(Tn/delta) term.
+DELTA = 0.01
+
 
 class ConfigError(ValueError):
     """Invalid or malformed configuration."""
@@ -138,31 +141,19 @@ class SignalBasis:
         return float(np.linalg.norm(self.mu_plus))
 
 
-def make_signals(d: int, mu_norm: float, mode: str = "random_orthogonal",
-                 rng: np.random.Generator | None = None) -> SignalBasis:
-    """Construct the two class signals, either axis-aligned or as a random
-    orthonormal pair scaled to ``mu_norm``."""
+def make_signals(d: int, mu_norm: float,
+                 rng: np.random.Generator) -> SignalBasis:
+    """Construct the two class signals: a random orthonormal pair scaled to
+    ``mu_norm``."""
     if d < 2:
         raise ValueError(f"signal construction needs d >= 2, got d={d}")
     if mu_norm <= 0:
         raise ValueError(f"mu_norm must be positive, got {mu_norm}")
-    if mode == "axis_aligned":
-        mu_plus = np.zeros(d)
-        mu_minus = np.zeros(d)
-        mu_plus[0] = mu_norm
-        mu_minus[1] = mu_norm
-    elif mode == "random_orthogonal":
-        if rng is None:
-            raise ValueError("random_orthogonal mode requires an rng")
-        g = rng.normal(size=(2, d))
-        u1 = g[0] / np.linalg.norm(g[0])
-        v = g[1] - (g[1] @ u1) * u1
-        u2 = v / np.linalg.norm(v)
-        mu_plus = mu_norm * u1
-        mu_minus = mu_norm * u2
-    else:
-        raise ValueError(f"unknown signal mode {mode!r}")
-    return SignalBasis(mu_plus=mu_plus, mu_minus=mu_minus)
+    g = rng.normal(size=(2, d))
+    u1 = g[0] / np.linalg.norm(g[0])
+    v = g[1] - (g[1] @ u1) * u1
+    u2 = v / np.linalg.norm(v)
+    return SignalBasis(mu_plus=mu_norm * u1, mu_minus=mu_norm * u2)
 
 
 @dataclass(frozen=True)
@@ -340,14 +331,12 @@ def snr(config: DataConfig) -> float:
     return config.mu_norm / (config.sigma_eps * math.sqrt(config.d))
 
 
-def a8_sigma(config: DataConfig, delta: float = 0.01) -> float:
+def a8_sigma(config: DataConfig) -> float:
     """Initialization std making the initial attention near-uniform:
-    sigma^2 = 1 / (max{||mu|| sqrt(d), sigma_eps d} * log^2(Tn/delta)).
-    ``delta`` is a failure probability, in (0, 1).
+    sigma^2 = 1 / (max{||mu|| sqrt(d), sigma_eps d} * log^2(Tn/delta)),
+    with delta = :data:`DELTA`.
     """
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    log_term = math.log(config.T * config.n / delta)
+    log_term = math.log(config.T * config.n / DELTA)
     denom = max(config.mu_norm * math.sqrt(config.d),
                 config.sigma_eps * config.d) * log_term ** 2
     return math.sqrt(1.0 / denom)

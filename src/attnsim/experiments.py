@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (ConfigError, DataConfig, _check_type, _Section, a8_sigma,
+from .data import (ConfigError, DataConfig, _Section, a8_sigma,
                    generate_dataset, make_signals, snr)
 from .model import InitDraw, ModelState, init_params, make_head
 from .multiclass import MulticlassConfig, make_class_signals
@@ -49,31 +49,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams(_Section):
-    """Initialization scales and head construction.
+    """Initialization scales of W and p.
 
     ``sigma_w``/``sigma_p`` default to the near-uniform-attention scale
-    derived from the data configuration when left as None.
+    :func:`a8_sigma` of the data configuration when left as None.  The
+    class signals and the head are fixed by the model: a random
+    orthonormal pair (:func:`make_signals`) and nu = (mu_+ - mu_-) /
+    (||mu|| ||mu_+ - mu_-||) (:func:`make_head`).
     """
 
     sigma_w: float | None = None
     sigma_p: float | None = None
-    head_scale: str | float = "inverse_mu"
-    signal_mode: str = "random_orthogonal"
-    assumption_delta: float = 0.01
 
     def __post_init__(self):
         super().__post_init__()
-        if self.signal_mode not in ("random_orthogonal", "axis_aligned"):
-            raise ConfigError(f"unknown signal_mode {self.signal_mode!r}")
-        if isinstance(self.head_scale, str):
-            if self.head_scale not in ("inverse_mu", "unit"):
-                raise ConfigError(f"unknown head_scale {self.head_scale!r}")
-        else:
-            _check_type("head_scale", self.head_scale, float)
-        if not 0 < self.assumption_delta < 1:
-            raise ConfigError("assumption_delta is a failure probability and "
-                              "must lie in (0, 1), got "
-                              f"{self.assumption_delta}")
         for name in ("sigma_w", "sigma_p"):
             v = getattr(self, name)
             if v is not None and v < 0:
@@ -102,7 +91,7 @@ class ExperimentConfig(_Section):
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def resolved_sigmas(self) -> tuple[float, float]:
-        base = a8_sigma(self.data, self.model.assumption_delta)
+        base = a8_sigma(self.data)
         sw = self.model.sigma_w if self.model.sigma_w is not None else base
         sp = self.model.sigma_p if self.model.sigma_p is not None else base
         return sw, sp
@@ -162,7 +151,6 @@ def build_inputs(config: ExperimentConfig):
         drawn = pool.submit(draw_init)
         try:
             signals = make_signals(d, config.data.mu_norm,
-                                   config.model.signal_mode,
                                    stream(s, "signals"))
             dataset = generate_dataset(config.data, signals, stream(s, "data"))
             init.set_basis(dataset, signals)
@@ -178,7 +166,7 @@ def build_inputs(config: ExperimentConfig):
             init.stop()
             raise
         p = drawn.result()
-    nu = make_head(signals, config.model.head_scale)
+    nu = make_head(signals)
     state0 = ModelState(W=init, p=p, nu=nu)
     return signals, dataset, test_set, state0
 
@@ -233,21 +221,13 @@ def trace_table(trace: TrainTrace, tracked: list[int]):
     return header, rows
 
 
-def _write_trace(path, trace: TrainTrace, tracked: list[int], fmt: str):
+def _write_trace(path, trace: TrainTrace, tracked: list[int]):
     header, rows = trace_table(trace, tracked)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    else:
-        def clean(v):
-            return None if isinstance(v, float) and math.isnan(v) else v
-        payload = [{k: clean(v) for k, v in zip(header, row)} for row in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 @dataclass(frozen=True)
@@ -261,8 +241,7 @@ class RunArtifacts:
 def _summarize(config: ExperimentConfig, trace: TrainTrace) -> dict:
     """The summary of a run; a trace with no logged rows, of a run that
     diverged at step 0, has no final row and an empty theory digest."""
-    grok = measure_grokking(trace, config.train.fit_threshold,
-                            config.train.gen_threshold)
+    grok = measure_grokking(trace)
     digest, final = {}, None
     if trace.n_logged:
         checks = [*softmax_bound_scan(trace).checks,
@@ -303,18 +282,16 @@ def _make_out_dir(path):
         raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
-def run(config: ExperimentConfig, out_dir, fmt: str = "csv") -> RunArtifacts:
-    """Execute one run and write ``trace.csv`` (or .json) plus
-    ``summary.json`` into ``out_dir``.  On divergence the partial trace and
-    summary are still written before the error propagates."""
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown trace format {fmt!r}")
+def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
+    """Execute one run and write ``trace.csv`` plus ``summary.json`` into
+    ``out_dir``.  On divergence the partial trace and summary are still
+    written before the error propagates."""
     _make_out_dir(out_dir)
-    trace_path = os.path.join(out_dir, f"trace.{fmt}")
+    trace_path = os.path.join(out_dir, "trace.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     trace = execute(config).trace
     tracked = _tracked_samples(config, trace)
-    _write_trace(trace_path, trace, tracked, fmt)
+    _write_trace(trace_path, trace, tracked)
     summary = _summarize(config, trace)
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -437,7 +414,7 @@ def _random_instance(rng):
     d = 8
     cfg = DataConfig(n=4, T=3, d=d, mu_norm=2.0, sigma_eps=1.0, eta=0.25,
                      rho=0.3, n_weak_same=1)
-    signals = make_signals(d, cfg.mu_norm, "random_orthogonal", rng)
+    signals = make_signals(d, cfg.mu_norm, rng)
     ds = generate_dataset(cfg, signals, rng)
     W = rng.normal(0.0, 0.5, size=(d, d))
     p = rng.normal(0.0, 0.5, size=d)
@@ -538,7 +515,7 @@ def _suite_glinearity(config: ExperimentConfig) -> TheoryReport:
     # honor explicitly configured scales
     model = config.model
     if model.sigma_w is None and model.sigma_p is None:
-        s = 3.0 * a8_sigma(config.data, model.assumption_delta)
+        s = 3.0 * a8_sigma(config.data)
         model = replace(model, sigma_w=s, sigma_p=s)
     trace = _short_run(replace(config, model=model), 4000)
     window = pre_saturation_window(trace)

@@ -204,26 +204,16 @@ class InitDraw:
         np.matmul(self.W[lo:hi], self.B.T, out=self.P[lo:hi, 1:])
 
 
-def make_head(signals: SignalBasis, scale="inverse_mu") -> np.ndarray:
-    """Head aligned with the signal difference: nu = c (mu_+ - mu_-)/||.||.
-
-    ``scale`` picks c: "inverse_mu" gives c = 1/||mu|| (keeps token scores
-    order-one), "unit" gives c = 1, and a float gives that value.  The
-    resulting head has cosine 1/sqrt(2) with either class signal.
+def make_head(signals: SignalBasis) -> np.ndarray:
+    """Head aligned with the signal difference:
+    nu = (mu_+ - mu_-) / (||mu|| ||mu_+ - mu_-||), which keeps token scores
+    order-one and has cosine 1/sqrt(2) with either class signal.
     """
     diff = signals.mu_plus - signals.mu_minus
     nrm = float(np.linalg.norm(diff))
     if nrm == 0.0:
         raise ValueError("degenerate signals: mu_plus equals mu_minus")
-    if scale == "inverse_mu":
-        c = 1.0 / signals.mu_norm
-    elif scale == "unit":
-        c = 1.0
-    elif isinstance(scale, (int, float)):
-        c = float(scale)
-    else:
-        raise ValueError(f"unknown head scale {scale!r}")
-    return c * diff / nrm
+    return (1.0 / signals.mu_norm) * diff / nrm
 
 
 def softmax(v: np.ndarray) -> np.ndarray:

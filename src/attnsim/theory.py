@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataConfig, Dataset, SignalBasis, snr as data_snr
+from .data import DELTA, DataConfig, Dataset, SignalBasis, snr as data_snr
 from .model import ModelState, loss_derivative
 from .multiclass import (MulticlassConfig, _check_mc_samples,
                          head_gradient_estimate)
@@ -52,7 +52,6 @@ SOFTMAX_IDENTITY_TOL = 1e-12      # max relative error of the s_1 rewriting
 SATURATION_GAP = 500.0            # |gap| beyond which the bracket skips a row
 GOOD_RUN_NORM_RTOL = 0.10         # two-sided band around each norm scale
 GOOD_RUN_INNER_C = 5.0            # multiplier on the inner-product caps
-GOOD_RUN_DELTA = 0.01             # failure probability inside log terms
 # Share of config seeds at which good_run_norm_W_eps holds under
 # default_config(): 3205 of seeds 10000-14999.
 NORM_W_EPS_HOLD_RATE = 0.641
@@ -64,6 +63,8 @@ SATURATION_LEVEL = 0.99           # relevant-token softmax ending the window
 NOISY_S1_FLOOR = 0.02             # mean noisy s_1 ending stage 1
 NOISY_S2_TAKEOVER = 0.50          # s_2 crossing that starts stage 2
 NOISY_S2_SATURATION = 0.99        # s_2 level ending stage 2
+FIT_THRESHOLD = 1.0               # training accuracy marking tau_fit
+GEN_THRESHOLD = 0.95              # test accuracy marking tau_gen
 
 
 def rel_err(a, b, floor: float = 1e-12):
@@ -358,7 +359,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
     n, T, d = dataset.n, dataset.T, dataset.d
     sig = cfg.sigma_eps
     mu = cfg.mu_norm
-    log_term = math.log(T * n / GOOD_RUN_DELTA)
+    log_term = math.log(T * n / DELTA)
     report = TheoryReport()
     E = dataset.noise.reshape(n * T, d)
 
@@ -601,16 +602,12 @@ class GrokkingTimes:
     tau_gen: int | None
 
 
-def measure_grokking(trace: TrainTrace, fit_threshold: float,
-                     gen_threshold: float) -> GrokkingTimes:
+def measure_grokking(trace: TrainTrace) -> GrokkingTimes:
     """First logged steps at which training accuracy (against the noisy
-    labels) and test accuracy cross their thresholds; None if never."""
-    for name, v in (("fit_threshold", fit_threshold),
-                    ("gen_threshold", gen_threshold)):
-        if not (0.0 < v <= 1.0):
-            raise ValueError(f"{name} must lie in (0, 1]")
-    fit_hits = np.nonzero(trace.train_acc >= fit_threshold)[0]
-    gen_hits = np.nonzero(trace.test_acc >= gen_threshold)[0]
+    labels) reaches ``FIT_THRESHOLD`` and test accuracy ``GEN_THRESHOLD``;
+    None if never."""
+    fit_hits = np.nonzero(trace.train_acc >= FIT_THRESHOLD)[0]
+    gen_hits = np.nonzero(trace.test_acc >= GEN_THRESHOLD)[0]
     return GrokkingTimes(
         tau_fit=int(trace.steps[fit_hits[0]]) if len(fit_hits) else None,
         tau_gen=int(trace.steps[gen_hits[0]]) if len(gen_hits) else None,

@@ -51,8 +51,6 @@ class TrainConfig(_Section):
     steps: int
     log_every: int = 10
     test_size: int = 1000
-    fit_threshold: float = 1.0
-    gen_threshold: float = 0.95
 
     def __post_init__(self):
         super().__post_init__()
@@ -64,23 +62,16 @@ class TrainConfig(_Section):
             raise ConfigError("log_every must be >= 1")
         if self.test_size < 0:
             raise ConfigError("test_size must be >= 0")
-        for name in ("fit_threshold", "gen_threshold"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1], got {v}")
 
 
 class DivergenceError(RuntimeError):
     """Raised when a gradient or score goes non-finite; carries the partial
-    trace (None for single-step calls) and its ``divergence`` record."""
+    trace and its ``divergence`` record."""
 
-    def __init__(self, step: int, trace=None):
+    def __init__(self, step: int, trace):
         self.step, self.trace = step, trace
-        self.divergence = trace.divergence if trace is not None else None
-        record = self.divergence
-        if record is None:
-            message = f"non-finite update at step {step}"
-        elif record["last_finite"] is None:     # step 0: no state was finite
+        self.divergence = record = trace.divergence
+        if record["last_finite"] is None:       # step 0: no state was finite
             message = ("non-finite {quantity} at step {step}, before any "
                        "finite state".format(**record))
         else:

@@ -11,7 +11,7 @@ import numpy as np
 from attnsim.data import Dataset
 from attnsim.model import ModelState, _attend, _token_scores, softmax
 from attnsim.multiclass import MulticlassConfig, _draw_labels, _draw_tokens
-from attnsim.train import DivergenceError, _score_dense
+from attnsim.train import _score_dense
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:
     the recursion the training engine reparameterizes."""
     g = _score_dense(dataset, state)[2]
     if not np.all(np.isfinite(g)):
-        raise DivergenceError(step=0)
+        raise FloatingPointError("non-finite gradient")
     gw = np.outer(state.p, g)
     gp = state.W @ g
     new = ModelState.__new__(ModelState)

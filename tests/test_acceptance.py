@@ -75,7 +75,7 @@ def fig3c_traces():
 def random_instance(rng, n=4, T=3, d=8):
     cfg = DataConfig(n=n, T=T, d=d, mu_norm=2.0, sigma_eps=1.0, eta=0.25,
                      rho=0.3, n_weak_same=1)
-    sig = make_signals(d, cfg.mu_norm, "random_orthogonal", rng)
+    sig = make_signals(d, cfg.mu_norm, rng)
     ds = generate_dataset(cfg, sig, rng)
     state = ModelState(W=rng.normal(0, 0.5, (d, d)), p=rng.normal(0, 0.5, d),
                        nu=rng.normal(0, 0.5, d))
@@ -284,7 +284,7 @@ class TestCriterion5Grokking:
         wins = 0
         pairs = []
         for tr in fig3b_traces:
-            times = measure_grokking(tr, fit_threshold=1.0, gen_threshold=0.95)
+            times = measure_grokking(tr)
             pairs.append((times.tau_fit, times.tau_gen))
             if (times.tau_fit is not None and times.tau_gen is not None
                     and times.tau_gen > times.tau_fit):
@@ -300,7 +300,7 @@ class TestCriterion6GoodRunFrequencies:
     def test_noise_events_frequency(self):
         cfg = DataConfig(n=20, T=8, d=5000, mu_norm=20.0, sigma_eps=1.0,
                          eta=0.2, rho=0.1)
-        sig = make_signals(5000, 20.0, "random_orthogonal", stream(66, "s"))
+        sig = make_signals(5000, 20.0, stream(66, "s"))
         norm_hold = inner_hold = 0
         draws = 200
         for k in range(draws):
@@ -344,8 +344,7 @@ class TestCriterion8InitUniformity:
         s = a8_sigma(cfg)  # the canonical near-uniform scale
         hold = 0
         for seed in range(100):
-            sig = make_signals(2000, 20.0, "random_orthogonal",
-                               stream(seed, "accept-init-sig"))
+            sig = make_signals(2000, 20.0, stream(seed, "accept-init-sig"))
             ds = generate_dataset(cfg, sig, stream(seed, "accept-init-data"))
             W, p = init_params(2000, s, s, stream(seed, "accept-init-w"))
             scores = ds.X.reshape(-1, 2000) @ (W.T @ p)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from attnsim.data import (ConfigError, DataConfig, _build_tokens, a8_sigma,
+from attnsim.data import (ConfigError, DataConfig, SignalBasis, _build_tokens,
                           generate_dataset, make_signals, snr)
 from attnsim.rng import normal_fill, stream
 
@@ -23,26 +23,21 @@ def small_config(**kw):
 
 
 class TestSignals:
-    def test_axis_aligned_closed_form(self):
-        sig = make_signals(3, 2.0, "axis_aligned")
-        assert np.array_equal(sig.mu_plus, [2.0, 0.0, 0.0])
-        assert np.array_equal(sig.mu_minus, [0.0, 2.0, 0.0])
-
     def test_random_orthogonal_invariants(self):
-        sig = make_signals(2000, 20.0, "random_orthogonal", stream(7, "sig"))
+        sig = make_signals(2000, 20.0, stream(7, "sig"))
         assert np.linalg.norm(sig.mu_plus) == pytest.approx(20.0, rel=1e-12)
         assert np.linalg.norm(sig.mu_minus) == pytest.approx(20.0, rel=1e-12)
         assert abs(sig.mu_plus @ sig.mu_minus) <= 1e-9 * 400.0
 
     def test_same_seed_bit_identical(self):
-        a = make_signals(64, 3.0, "random_orthogonal", stream(5, "sig"))
-        b = make_signals(64, 3.0, "random_orthogonal", stream(5, "sig"))
+        a = make_signals(64, 3.0, stream(5, "sig"))
+        b = make_signals(64, 3.0, stream(5, "sig"))
         assert np.array_equal(a.mu_plus, b.mu_plus)
         assert np.array_equal(a.mu_minus, b.mu_minus)
 
     def test_dimension_error(self):
         with pytest.raises(ValueError):
-            make_signals(1, 1.0, "axis_aligned")
+            make_signals(1, 1.0, stream(0, "sig"))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.7, 3e-3])
@@ -94,7 +89,8 @@ class TestSampleFromPStar:
 
     def test_zero_noise_degenerate(self):
         cfg = small_config(T=4, d=8, sigma_eps=0.0, n_weak_same=1, rho=0.2)
-        sig = make_signals(8, 4.0, "axis_aligned")
+        # class signals on the first two axes
+        sig = SignalBasis(*(4.0 * np.eye(8)[:2]))
         ds = generate_dataset(cfg, sig, stream(0, "x"))
         for tokens, y in zip(ds.X, ds.y_true):
             own = signal_for(sig, y)
@@ -106,7 +102,7 @@ class TestSampleFromPStar:
 
     def test_train_label_equals_true_label(self):
         cfg = small_config(eta=0.0)
-        sig = make_signals(cfg.d, cfg.mu_norm, "axis_aligned")
+        sig = SignalBasis(*(cfg.mu_norm * np.eye(cfg.d)[:2]))
         for k in range(10):
             ds = generate_dataset(cfg, sig, stream(k, "x"))
             assert np.array_equal(ds.y_train, ds.y_true)
@@ -126,15 +122,14 @@ class TestGenerateDataset:
     def test_shapes_paper_scale(self):
         cfg = DataConfig(n=20, T=8, d=2000, mu_norm=20.0, sigma_eps=1.0,
                          eta=0.2, rho=0.1)
-        sig = make_signals(2000, 20.0, "random_orthogonal", stream(1, "s"))
+        sig = make_signals(2000, 20.0, stream(1, "s"))
         ds = generate_dataset(cfg, sig, stream(1, "d"))
         assert ds.X.shape == (20, 8, 2000)
         assert ds.noise.shape == (20, 8, 2000)
 
     def test_token_reconstruction_bitwise(self):
         cfg = small_config()
-        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
-                           stream(3, "s"))
+        sig = make_signals(cfg.d, cfg.mu_norm, stream(3, "s"))
         ds = generate_dataset(cfg, sig, stream(3, "d"))
         for x, eps, y in zip(ds.X, ds.noise, ds.y_true):
             own = signal_for(sig, y)
@@ -147,7 +142,7 @@ class TestGenerateDataset:
 
     @pytest.mark.parametrize("n_weak_same", [0, 1, 2])
     def test_build_tokens_matches_vectorized_formula(self, n_weak_same):
-        sig = make_signals(40, 5.0, "random_orthogonal", stream(6, "s"))
+        sig = make_signals(40, 5.0, stream(6, "s"))
         rng = stream(6, "d")
         y = np.array([1, -1, -1, 1, 1, -1])
         noise = rng.normal(size=(len(y), 5, 40))
@@ -168,8 +163,7 @@ class TestGenerateDataset:
         # the noise is the same draw as an eager one from the token stream,
         # made only when first read, and reading it leaves X alone
         cfg = small_config(sigma_eps=sigma_eps)
-        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
-                           stream(4, "s"))
+        sig = make_signals(cfg.d, cfg.mu_norm, stream(4, "s"))
         ds = generate_dataset(cfg, sig, stream(4, "d"))
         tok_rng, _ = stream(4, "d").spawn(2)
         tok_rng.random(cfg.n)
@@ -187,8 +181,7 @@ class TestGenerateDataset:
     def test_token_chunks_equal_eager_draw(self, T):
         # 21 samples in chunks of 8: two whole chunks and a partial one
         cfg = small_config(n=21, T=T, d=40)
-        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
-                           stream(8, "s"))
+        sig = make_signals(cfg.d, cfg.mu_norm, stream(8, "s"))
         eager = generate_dataset(cfg, sig, stream(8, "d"))
         lazy = generate_dataset(cfg, sig, stream(8, "d"), lazy=True)
         assert np.array_equal(lazy.y_true, eager.y_true)
@@ -206,8 +199,7 @@ class TestGenerateDataset:
     def test_one_token_array_in_memory(self):
         cfg = DataConfig(n=300, T=8, d=1500, mu_norm=20.0, sigma_eps=1.0,
                          eta=0.2, rho=0.1)
-        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal",
-                           stream(5, "s"))
+        sig = make_signals(cfg.d, cfg.mu_norm, stream(5, "s"))
         tracemalloc.start()
         try:
             ds = generate_dataset(cfg, sig, stream(5, "d"))
@@ -218,7 +210,7 @@ class TestGenerateDataset:
 
     def test_partition_invariants(self):
         cfg = small_config(n=50)
-        sig = make_signals(cfg.d, cfg.mu_norm, "axis_aligned")
+        sig = SignalBasis(*(cfg.mu_norm * np.eye(cfg.d)[:2]))
         ds = generate_dataset(cfg, sig, stream(9, "d"))
         assert sorted(np.concatenate([ds.clean_idx, ds.noisy_idx])) == list(range(50))
         assert set(ds.clean_idx) & set(ds.noisy_idx) == set()
@@ -227,13 +219,13 @@ class TestGenerateDataset:
 
     def test_eta_zero_no_flips(self):
         cfg = small_config(eta=0.0)
-        sig = make_signals(cfg.d, cfg.mu_norm, "axis_aligned")
+        sig = SignalBasis(*(cfg.mu_norm * np.eye(cfg.d)[:2]))
         ds = generate_dataset(cfg, sig, stream(2, "d"))
         assert len(ds.noisy_idx) == 0
 
     def test_determinism(self):
         cfg = small_config()
-        sig = make_signals(cfg.d, cfg.mu_norm, "random_orthogonal", stream(4, "s"))
+        sig = make_signals(cfg.d, cfg.mu_norm, stream(4, "s"))
         a = generate_dataset(cfg, sig, stream(4, "d"))
         b = generate_dataset(cfg, sig, stream(4, "d"))
         assert np.array_equal(a.X, b.X)
@@ -247,7 +239,7 @@ class TestGenerateDataset:
         assert mass >= 0.99
         cfg = DataConfig(n=n, T=3, d=2, mu_norm=1.0, sigma_eps=1.0, eta=eta,
                          rho=0.5, n_weak_same=1)
-        sig = make_signals(2, 1.0, "axis_aligned")
+        sig = SignalBasis(*np.eye(2))
         ds = generate_dataset(cfg, sig, stream(123, "d"))
         assert 0.18 <= len(ds.noisy_idx) / n <= 0.22
 
@@ -271,8 +263,3 @@ class TestSnr:
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValueError):
             snr(small_config(sigma_eps=0.0))
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, 16 * 6, 5000.0, math.nan])
-    def test_a8_sigma_delta_outside_unit_interval_rejected(self, delta):
-        with pytest.raises(ValueError, match="delta"):
-            a8_sigma(small_config(), delta)

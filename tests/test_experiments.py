@@ -27,7 +27,7 @@ from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  run_check_suites, sweep, trace_table)
 from attnsim.model import ModelState, init_params, make_head
 from attnsim.rng import stream
-from attnsim.theory import TheoryReport
+from attnsim.theory import TheoryReport, loss_derivative_balance
 from attnsim.train import TrainConfig, _SubspaceEngine, train
 
 
@@ -81,19 +81,13 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match="train"):
             ExperimentConfig.from_json({"data": tiny_config().data.to_json()})
 
-    def test_head_scale_validation(self):
-        with pytest.raises(ConfigError):
-            ModelParams(head_scale="nonsense")
-        assert ModelParams(head_scale=0.3).head_scale == 0.3
-
     # one instance of each section, some optional fields away from their
     # defaults, and a key it requires (None: every key is optional)
     SECTIONS = {
         "data": (lambda: replace(tiny_config().data, n_weak_same=2), "d"),
         "train": (lambda: TrainConfig(alpha=0.1, steps=5, test_size=0),
                   "alpha"),
-        "model": (lambda: ModelParams(sigma_w=0.2, head_scale=0.3,
-                                      signal_mode="axis_aligned"), None),
+        "model": (lambda: ModelParams(sigma_w=0.2), None),
         "experiment": (lambda: replace(tiny_config(seed=3),
                                        tracked_samples=(1, 0)), "train"),
         "sweep": (lambda: SweepSpec(d_values=(48, 64), mu_values=(4.0,),
@@ -144,16 +138,16 @@ class TestConfigJson:
             ExperimentConfig.from_json(obj)
 
     def test_config_hash_pinned(self, monkeypatch):
-        # summaries and the benchmark's stored references carry these
+        # every summary.json and check report carries its config's hash
         workloads = bench_module(monkeypatch, "workloads")
         hashes = {name: workloads.regime_config(d, mu, steps, every, 3)
                   .config_hash()
                   for name, d, mu, steps, every in workloads.REGIMES}
-        assert hashes == {"harmful": "3e5253f90c0b",
-                          "benign": "04651a4ac107",
-                          "not-overfitting": "819589e97b03"}
-        assert default_config().config_hash() == "9e79d38da6a7"
-        assert workloads.heatmap_spec(7).base.config_hash() == "da34f67df8e7"
+        assert hashes == {"harmful": "157e8bc193bd",
+                          "benign": "cbf14aca1cfd",
+                          "not-overfitting": "c147a86fdf36"}
+        assert default_config().config_hash() == "bf3baec5b5e6"
+        assert workloads.heatmap_spec(7).base.config_hash() == "04887ac8bc79"
 
     def test_readme_schema_loads(self):
         # the documented example writes every key of a valid config
@@ -207,22 +201,6 @@ class TestRun:
         assert header[7:12] == first
         assert len(header) == 7 + 2 * 5
 
-    def test_json_trace_format(self, tmp_path):
-        art = run(tiny_config(), tmp_path, fmt="json")
-        rows = json.loads(open(art.trace_path).read())
-        assert rows[0]["step"] == 0
-        assert rows[-1]["step"] == 60
-
-    def test_unknown_format_rejected_before_training(self, tmp_path,
-                                                     monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("execute called")
-
-        monkeypatch.setattr(experiments, "execute", no_training)
-        with pytest.raises(ConfigError, match="xml"):
-            run(tiny_config(), tmp_path / "out", fmt="xml")
-        assert not (tmp_path / "out").exists()
-
     def test_tracked_samples_config(self, tmp_path):
         cfg = tiny_config()
         cfg = ExperimentConfig(data=cfg.data, train=cfg.train, model=cfg.model,
@@ -251,8 +229,7 @@ class TestBuildInputs:
                       model=ModelParams(sigma_w=sigma_w, sigma_p=sigma_p))
         signals, dataset, test_set, state0 = build_inputs(cfg)
 
-        ref_signals = make_signals(d, cfg.data.mu_norm, cfg.model.signal_mode,
-                                   stream(5, "signals"))
+        ref_signals = make_signals(d, cfg.data.mu_norm, stream(5, "signals"))
         ref_data = generate_dataset(cfg.data, ref_signals, stream(5, "data"))
         ref_test = generate_dataset(
             replace(cfg.data, n=cfg.train.test_size, eta=0.0), ref_signals,
@@ -274,9 +251,7 @@ class TestBuildInputs:
         if sigma_p == 0.0:
             assert not ref_p.any()
 
-        ref_state = ModelState(W=ref_W, p=ref_p,
-                               nu=make_head(ref_signals,
-                                            cfg.model.head_scale))
+        ref_state = ModelState(W=ref_W, p=ref_p, nu=make_head(ref_signals))
         alpha = cfg.train.alpha
         eng = _SubspaceEngine(state0, dataset, signals, alpha)
         ref_eng = _SubspaceEngine(ref_state, ref_data, ref_signals, alpha)
@@ -756,6 +731,11 @@ def test_public_names_resolve(module):
 
 
 class TestCli:
+    # keys the config no longer has: a config that still names one is
+    # rejected as an unknown key, as one naming ``engine`` is
+    REMOVED_KEYS = ("head_scale", "signal_mode", "assumption_delta",
+                    "fit_threshold", "gen_threshold")
+
     def write_config(self, tmp_path, cfg=None):
         path = tmp_path / "config.json"
         path.write_text(json.dumps((cfg or tiny_config()).to_json()))
@@ -977,10 +957,14 @@ class TestCli:
         ("model", "sigma_w", "0.1"),
         # JSON's NaN: sigma_w > 0 is false for it, so W(0) would be zero
         ("model", "sigma_w", math.nan),
-        # a failure probability: at n*T a8_sigma divides by zero, above it
-        # the log goes negative
+        # REMOVED_KEYS, at their old defaults and at values once rejected
+        # for their range
+        ("model", "head_scale", "inverse_mu"),
+        ("model", "signal_mode", "random_orthogonal"),
         ("model", "assumption_delta", 1.0),
         ("model", "assumption_delta", 32.0),
+        ("train", "fit_threshold", 1.0),
+        ("train", "gen_threshold", 0.95),
     ])
     def test_config_fault_rejected_at_load(self, tmp_path, capsys, section,
                                            key, value):
@@ -1009,7 +993,9 @@ class TestCli:
     def test_non_finite_real_rejected_at_load(self, section, key, value):
         obj = tiny_config().to_json()
         obj[section][key] = value
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        match = (rf"unknown \w+ keys: \['{key}'\]" if key in self.REMOVED_KEYS
+                 else f"{key} must be finite")
+        with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_json(obj)
 
     @pytest.mark.parametrize("key, value, match", [
@@ -1182,23 +1168,28 @@ class TestCli:
         assert "trace.csv" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_large_head_scale_run_completes(self, tmp_path):
-        # outputs reach |f| ~ 1600 without diverging: past where e^|f|
-        # overflows, so the balance check must not form it
+    def test_large_head_scale_run_completes(self):
+        # a head of norm 1000, not 1/||mu||: outputs reach |f| ~ 1600
+        # without diverging, past where e^|f| overflows, so the balance
+        # check must not form it
         cfg = ExperimentConfig(
             data=DataConfig(n=8, T=4, d=64, mu_norm=5.0, sigma_eps=1.0,
                             eta=0.25, rho=0.2),
             train=TrainConfig(alpha=5e-3, steps=50, log_every=10,
                               test_size=50),
-            model=ModelParams(head_scale=1000.0),
             seed=0)
-        out = tmp_path / "out"
-        code = cli_main(["run", "--config", self.write_config(tmp_path, cfg),
-                         "--out-dir", str(out)])
-        assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["diverged_at"] is None
-        assert summary["theory_digest"]["loss_derivative_balance"] is True
+        signals, dataset, test_set, state0 = build_inputs(cfg)
+        diff = signals.mu_plus - signals.mu_minus
+        state = ModelState(W=state0.W, p=state0.p,
+                           nu=1000.0 * diff / float(np.linalg.norm(diff)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = train(state, dataset, signals, cfg.train,
+                          test_set=test_set).trace
+            check = loss_derivative_balance(trace)
+        assert trace.diverged_at is None
+        assert check.measured["max_abs_output"] > 1500.0
+        assert check.passed
 
     def test_sweep_cli(self, tmp_path):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0, 8.0), seeds=(0,),
@@ -1268,7 +1259,7 @@ class TestBlasDeterminism:
             train=TrainConfig(alpha=5e-3, steps=20000, log_every=10,
                               test_size=1000),
             seed=3)
-        assert cfg.config_hash() == "04651a4ac107"    # as pinned above
+        assert cfg.config_hash() == "cbf14aca1cfd"    # as pinned above
         (head_a, trace_a, final_a), (head_b, trace_b, final_b) = (
             self.numbers(self.run_cli(tmp_path, name, threads, cfg))
             for name, threads in (("a", 1), ("b", 2)))

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from attnsim.data import DataConfig, generate_dataset, make_signals
+from attnsim.data import (DataConfig, SignalBasis, generate_dataset,
+                          make_signals)
 from attnsim.model import (_TOKEN_MAJOR_MIN, ModelState, _attend,
                            _attend_work, _fits, _softmax, batch_outputs,
                            init_params, loss_derivative, make_head, softmax)
@@ -40,36 +41,31 @@ class TestInitParams:
 
 class TestMakeHead:
     def test_axis_aligned_closed_form(self):
-        sig = make_signals(5, 2.0, "axis_aligned")
+        sig = SignalBasis(*(2.0 * np.eye(5)[:2]))
         nu = make_head(sig)  # (1/(2*sqrt(2))) * (1, -1, 0, ...)
         expected = np.zeros(5)
         expected[0] = 1.0 / (2.0 * math.sqrt(2.0))
         expected[1] = -expected[0]
         np.testing.assert_allclose(nu, expected, rtol=1e-12)
 
-    def test_unit_rule_norm(self):
-        sig = make_signals(64, 7.0, "random_orthogonal", stream(0, "s"))
-        assert np.linalg.norm(make_head(sig, "unit")) == pytest.approx(1.0, rel=1e-12)
-
     def test_dot_product_oracle(self):
         # independent arithmetic: nu^T mu_+ = ||mu|| cos(pi/4) * (1/||mu||)
-        sig = make_signals(6, 2.0, "axis_aligned")
-        nu = make_head(sig, "inverse_mu")
+        sig = SignalBasis(*(2.0 * np.eye(6)[:2]))
+        nu = make_head(sig)
         assert nu @ sig.mu_plus == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
         assert nu @ sig.mu_minus == pytest.approx(-1.0 / math.sqrt(2.0), rel=1e-12)
         assert np.linalg.norm(nu) == pytest.approx(0.5, rel=1e-12)
 
     def test_alignment_cosine(self):
-        sig = make_signals(100, 3.0, "random_orthogonal", stream(2, "s"))
+        sig = make_signals(100, 3.0, stream(2, "s"))
         nu = make_head(sig)
         cos = nu @ sig.mu_plus / (np.linalg.norm(nu) * 3.0)
         assert cos == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_degenerate_signals(self):
-        sig = make_signals(4, 1.0, "axis_aligned")
-        broken = type(sig)(mu_plus=sig.mu_plus, mu_minus=sig.mu_plus)
+        e = np.eye(4)[0]
         with pytest.raises(ValueError):
-            make_head(broken)
+            make_head(SignalBasis(mu_plus=e, mu_minus=e))
 
 
 class TestSoftmax:
@@ -152,7 +148,7 @@ class TestModelState:
 def make_dataset(seed=0, n=12):
     cfg = DataConfig(n=n, T=5, d=24, mu_norm=6.0, sigma_eps=0.5, eta=0.25,
                      rho=0.2)
-    sig = make_signals(24, 6.0, "random_orthogonal", stream(seed, "s"))
+    sig = make_signals(24, 6.0, stream(seed, "s"))
     return generate_dataset(cfg, sig, stream(seed, "d")), sig
 
 

@@ -141,7 +141,7 @@ class TestMulticlassLoss:
         # K = 2 with nu_0 = -nu_1 = nu/2 reproduces the logistic path exactly
         cfg = DataConfig(n=10, T=5, d=16, mu_norm=4.0, sigma_eps=1.0, eta=0.3,
                          rho=0.2)
-        sig = make_signals(16, 4.0, "random_orthogonal", stream(6, "s"))
+        sig = make_signals(16, 4.0, stream(6, "s"))
         ds = generate_dataset(cfg, sig, stream(6, "d"))
         rng = stream(7, "w")
         W = rng.normal(0.0, 0.3, size=(16, 16))
