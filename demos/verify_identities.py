@@ -13,9 +13,8 @@ import numpy as np
 from attnsim.data import DataConfig, generate_dataset, make_signals
 from attnsim.model import ModelState, softmax
 from attnsim.rng import stream
-from attnsim.theory import (compute_diagnostics, rel_err, softmax_bound_check,
-                            verify_update_identity)
-from attnsim.train import finite_diff_grad, grad_p, grad_w
+from attnsim.theory import rel_err, softmax_bound_check, verify_update_identity
+from attnsim.train import attention_gaps, finite_diff_grad, grad_p, grad_w
 
 rng = stream(7, "demo-identities")
 cfg = DataConfig(n=4, T=3, d=8, mu_norm=2.0, sigma_eps=1.0, eta=0.25, rho=0.3)
@@ -37,9 +36,9 @@ for check in report.checks:
     print(f"   {mark} {check.name:28s} rel err {check.measured['max_rel_err']:.2e}")
 
 print("3. softmax gap identity and cosh bracket")
-diag = compute_diagnostics(state, ds, sig)
-probs = softmax(diag.attn_scores)
-rep = softmax_bound_check(probs, diag.Lambda)
+scores = (ds.X.reshape(-1, ds.d) @ (state.W.T @ state.p)).reshape(ds.n, ds.T)
+Lambda, _ = attention_gaps(scores)
+rep = softmax_bound_check(softmax(scores), Lambda)
 for check in rep.checks:
     mark = "ok " if check.passed else "BAD"
     print(f"   {mark} {check.name:28s} {check.measured}")

@@ -13,9 +13,9 @@ from .multiclass import (MulticlassConfig, head_gradient_estimate,
                          make_class_signals)
 from .rng import cell_seed, stream
 from .theory import (CheckResult, GLinearityResult, GrokkingTimes, Regime,
-                     TheoryReport, classify_regime, compute_diagnostics,
-                     etf_gradient_check, g, g_linearity, good_run_check,
-                     init_checks, loss_derivative_balance, measure_grokking,
+                     TheoryReport, classify_regime, etf_gradient_check, g,
+                     g_linearity, good_run_check, init_checks,
+                     loss_derivative_balance, measure_grokking,
                      noisy_stage_windows, pre_saturation_window,
                      softmax_bound_check, softmax_bound_scan,
                      verify_update_identity)

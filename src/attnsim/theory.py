@@ -29,7 +29,6 @@ __all__ = [
     "Regime",
     "g",
     "rel_err",
-    "compute_diagnostics",
     "verify_update_identity",
     "softmax_bound_check",
     "softmax_bound_scan",
@@ -65,6 +64,8 @@ NOISY_S2_TAKEOVER = 0.50          # s_2 crossing that starts stage 2
 NOISY_S2_SATURATION = 0.99        # s_2 level ending stage 2
 FIT_THRESHOLD = 1.0               # training accuracy marking tau_fit
 GEN_THRESHOLD = 0.95              # test accuracy marking tau_gen
+THETA_BENIGN = 1.0                # n SNR^2 above which a run does not overfit
+THETA_HARMFUL = 1.0               # SNR^2 sqrt(d) below which a run is harmful
 
 
 def rel_err(a, b, floor: float = 1e-12):
@@ -123,7 +124,7 @@ class TheoryReport:
 
 
 # --------------------------------------------------------------------------
-# The g-function and attention diagnostics
+# The g-function
 # --------------------------------------------------------------------------
 
 def g(x, T: int):
@@ -135,39 +136,6 @@ def g(x, T: int):
     x = np.asarray(x, dtype=float)
     out = 2.0 * x + 2.0 * np.sinh(x - math.log(T))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class AttentionDiagnostics:
-    """Signal/noise attention and both attention-gap families at one state.
-
-    lambda_plus/minus: <W mu_k, p>.  rho_attn[i, t]: <W eps_t^(i), p>.
-    Lambda and Gamma: the gap families of :func:`attention_gaps`.
-    """
-
-    lambda_plus: float
-    lambda_minus: float
-    rho_attn: np.ndarray
-    Lambda: np.ndarray
-    Gamma: np.ndarray
-    attn_scores: np.ndarray
-
-
-def compute_diagnostics(state: ModelState, dataset: Dataset,
-                        signals: SignalBasis) -> AttentionDiagnostics:
-    n, T, d = dataset.X.shape
-    q = state.W.T @ state.p
-    u = (dataset.X.reshape(n * T, d) @ q).reshape(n, T)
-    rho_attn = (dataset.noise.reshape(n * T, d) @ q).reshape(n, T)
-    Lambda, Gamma = attention_gaps(u)
-    return AttentionDiagnostics(
-        lambda_plus=float(signals.mu_plus @ q),
-        lambda_minus=float(signals.mu_minus @ q),
-        rho_attn=rho_attn,
-        Lambda=Lambda,
-        Gamma=Gamma,
-        attn_scores=u,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -464,8 +432,6 @@ class SeriesFit:
 class GLinearityResult:
     pooled: SeriesFit
     per_series: list[SeriesFit]
-    n_points: int
-    window: tuple[int, int]
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> SeriesFit:
@@ -515,8 +481,7 @@ def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
         raise ValueError("no gap series selected (empty samples or T too small)")
     fits = [_ols(x, series[:, k]) for k in range(series.shape[1])]
     return GLinearityResult(pooled=_ols(x, series.mean(axis=1)),
-                            per_series=fits,
-                            n_points=int(mask.sum()), window=(lo, hi))
+                            per_series=fits)
 
 
 def pre_saturation_window(trace: TrainTrace) -> tuple[int, int]:
@@ -579,19 +544,18 @@ class Regime:
     NOT_OVERFITTING = "not-overfitting"
 
 
-def classify_regime(config: DataConfig, theta_benign: float = 1.0,
-                    theta_harmful: float = 1.0) -> str:
+def classify_regime(config: DataConfig) -> str:
     """Advisory regime from the signal-to-noise ratio.
 
-    Harmful when SNR^2 sqrt(d) < theta_harmful (even noise-noise overlaps
-    drown the signal); otherwise not-overfitting when n SNR^2 > theta_benign
-    (signal learning dominates); benign in between.  The thresholds stand in
-    for asymptotic constants and are deliberately exposed.
+    Harmful when SNR^2 sqrt(d) < ``THETA_HARMFUL`` (even noise-noise
+    overlaps drown the signal); otherwise not-overfitting when n SNR^2 >
+    ``THETA_BENIGN`` (signal learning dominates); benign in between.  The
+    two levels stand in for the paper's unspecified asymptotic constants.
     """
     s2 = data_snr(config) ** 2
-    if s2 * math.sqrt(config.d) < theta_harmful:
+    if s2 * math.sqrt(config.d) < THETA_HARMFUL:
         return Regime.HARMFUL
-    if config.n * s2 > theta_benign:
+    if config.n * s2 > THETA_BENIGN:
         return Regime.NOT_OVERFITTING
     return Regime.BENIGN
 

@@ -1,8 +1,8 @@
 """Reference paths that only the tests read: whole multiclass datasets,
 the dense multiclass forward with its cross-entropy gradients, the
-gradients of one binary output, the per-output logistic loss, the dense
-GD step on W and the exact changes of one GD step.  The library's own paths are checked against
-them."""
+gradients of one binary output, the per-output logistic loss, the
+attention of a dense state, the dense GD step on W and the exact changes
+of one GD step.  The library's own paths are checked against them."""
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ import numpy as np
 from attnsim.data import Dataset
 from attnsim.model import ModelState, _attend, _token_scores, softmax
 from attnsim.multiclass import MulticlassConfig, _draw_labels, _draw_tokens
+from attnsim.theory import _tracked_rows
 from attnsim.train import _score_dense
 
 
@@ -112,6 +113,14 @@ def output_grads(X: np.ndarray, state: ModelState):
 def logistic_loss(out: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-output logistic loss log(1 + exp(-y f)), evaluated stably."""
     return np.logaddexp(0.0, -y * out)
+
+
+def dense_attention(state: ModelState, dataset: Dataset, signals):
+    """The attention scores X W^T p (n, T) of a dense state, and
+    r = A W^T p over the tracked rows: lambda_+/- = r[:2], rho = r[2:]."""
+    q = state.W.T @ state.p
+    return (_token_scores(dataset.X, q, state.nu)[0],
+            _tracked_rows(dataset, signals) @ q)
 
 
 def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:

@@ -459,6 +459,32 @@ class TestBenchmarkTracer:
             "train.train"}
         assert tracer.counts["train.log_points"] == 4
 
+    @pytest.mark.parametrize("train_only", [False, True])
+    def test_installed_restores_every_name(self, monkeypatch, train_only):
+        # in both modes the tracer finds every name it patches in the
+        # experiments, cli and theory modules and the check suites, and
+        # puts each one back on exit
+        tracer_mod = bench_module(monkeypatch, "tracer")
+        mods = [importlib.import_module(f"attnsim.{name}")
+                for name in ("experiments", "cli", "theory")]
+        before = [dict(vars(mod)) for mod in mods]
+        suites = dict(experiments.CHECK_SUITES)
+        with tracer_mod.Tracer().installed(train_only=train_only):
+            patched = {(mod.__name__, name)
+                       for mod, names in zip(mods, before)
+                       for name, value in names.items()
+                       if getattr(mod, name) is not value}
+            wrapped = {s for s, fn in experiments.CHECK_SUITES.items()
+                       if fn is not suites[s]}
+        assert ("attnsim.experiments", "train") in patched
+        assert len(patched) == 1 if train_only else len(patched) > 1
+        assert wrapped == (set() if train_only else set(suites))
+        for mod, names in zip(mods, before):
+            assert all(getattr(mod, name) is value
+                       for name, value in names.items())
+        assert all(experiments.CHECK_SUITES[s] is fn
+                   for s, fn in suites.items())
+
 
 class TestInitLifetime:
     """The drawn W(0) is held until its last reader: the projection on the
@@ -829,6 +855,34 @@ class TestCli:
                          "--suite", "etf"])
         assert code in (0, 1)
         assert "etf_head_gradient" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kw, reason", [
+        pytest.param(dict(train=dict(steps=5)),
+                     "window (5, 5) selects fewer than 2", id="steps5"),
+        pytest.param(dict(train=dict(steps=0)),
+                     "window (0, 0) selects fewer than 2", id="steps0"),
+        pytest.param(dict(data=dict(n=2, eta=0.45), seed=9),
+                     "no gap series selected", id="no_clean_sample"),
+    ])
+    def test_check_glinearity_without_a_fit(self, tmp_path, capsys, kw,
+                                            reason):
+        # configs that `run` trains: too few logged points in the window,
+        # or no clean sample to fit; the row fails and every suite prints
+        base = default_config()
+        cfg = replace(base, seed=kw.get("seed", base.seed),
+                      **{k: replace(getattr(base, k), **kw[k])
+                         for k in ("data", "train") if k in kw})
+        code = cli_main(["check", "--config", self.write_config(tmp_path, cfg),
+                         "--suite", "all"])
+        out = capsys.readouterr()
+        assert code == EXIT_CHECK_FAILED
+        assert "g_linearity_clean" in out.err
+        rows = {r["name"]: r for r in json.loads(out.out)}
+        assert {"gradient_oracle", "etf_head_gradient"} <= set(rows)
+        row = rows["g_linearity_clean"]
+        assert row["measured"]["slope"] is None
+        assert row["measured"]["r2"] is None
+        assert reason in row["note"]
 
     def test_unknown_suite_exit_two(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),

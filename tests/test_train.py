@@ -15,14 +15,15 @@ from attnsim.data import (ConfigError, DataConfig, a8_sigma, generate_dataset,
 from attnsim.model import (ModelState, _attend, _fits, batch_outputs,
                            init_params, make_head, softmax)
 from attnsim.rng import stream
-from attnsim.theory import compute_diagnostics, rel_err
+from attnsim.theory import rel_err
 from attnsim.train import (_FOLD, _TEST_BLOCK, DivergenceError,
                            TrainConfig, _log_points, _SubspaceEngine,
-                           _test_chunk, _TestScoring, central_difference,
-                           empirical_loss, finite_diff_grad, grad_p, grad_w,
-                           loss_derivative, projects_test_set, train)
+                           _test_chunk, _TestScoring, attention_gaps,
+                           central_difference, empirical_loss,
+                           finite_diff_grad, grad_p, grad_w, loss_derivative,
+                           projects_test_set, train)
 
-from oracles import gd_step, logistic_loss, output_grads
+from oracles import dense_attention, gd_step, logistic_loss, output_grads
 
 train_mod = importlib.import_module("attnsim.train")
 
@@ -384,7 +385,6 @@ class TestTraceDiagnostics:
         # the trainer stores lambda and the attention scores, from which
         # Lambda and Gamma derive; they must match the definitions
         # recomputed from raw tensors
-        from attnsim.theory import compute_diagnostics
         cfg = DataConfig(n=6, T=5, d=48, mu_norm=5.0, sigma_eps=1.0, eta=0.3,
                          rho=0.2)
         sig = make_signals(48, 5.0, stream(21, "s"))
@@ -393,12 +393,13 @@ class TestTraceDiagnostics:
         state = ModelState(W=W, p=p, nu=make_head(sig))
         res = train(state, ds, sig, run_config(steps=30, log_every=30,
                                                test_size=0))
-        diag = compute_diagnostics(res.final_state(), ds, sig)
+        u, r = dense_attention(res.final_state(), ds, sig)
+        Lambda, Gamma = attention_gaps(u)
         tr = res.trace
-        assert tr.lambda_plus[-1] == pytest.approx(diag.lambda_plus, rel=1e-10)
-        assert tr.lambda_minus[-1] == pytest.approx(diag.lambda_minus, rel=1e-10)
-        np.testing.assert_allclose(tr.Lambda[-1], diag.Lambda, atol=1e-10)
-        np.testing.assert_allclose(tr.Gamma[-1], diag.Gamma, atol=1e-10)
+        assert tr.lambda_plus[-1] == pytest.approx(r[0], rel=1e-10)
+        assert tr.lambda_minus[-1] == pytest.approx(r[1], rel=1e-10)
+        np.testing.assert_allclose(tr.Lambda[-1], Lambda, atol=1e-10)
+        np.testing.assert_allclose(tr.Gamma[-1], Gamma, atol=1e-10)
 
     def test_derived_rows_equal_per_row_formulas(self, monkeypatch):
         # every step logged: the stored scores are the engine's, bit for
@@ -461,14 +462,14 @@ def assert_trace_matches(trace, logged, ds, sig, test):
     assert list(trace.steps) == sorted(logged)
     for k, step in enumerate(trace.steps):
         state = logged[step]
-        diag = compute_diagnostics(state, ds, sig)
+        u, r = dense_attention(state, ds, sig)
+        Lambda, Gamma = attention_gaps(u)
         assert rel_err(trace.train_loss[k], empirical_loss(ds, state)) < 1e-9
-        assert np.max(np.abs(trace.probs[k]
-                             - softmax(diag.attn_scores))) < 1e-9
-        assert rel_err(trace.lambda_plus[k], diag.lambda_plus) < 1e-9
-        assert rel_err(trace.lambda_minus[k], diag.lambda_minus) < 1e-9
-        assert np.max(np.abs(trace.Lambda[k] - diag.Lambda)) < 1e-8
-        assert np.max(np.abs(trace.Gamma[k] - diag.Gamma)) < 1e-8
+        assert np.max(np.abs(trace.probs[k] - softmax(u))) < 1e-9
+        assert rel_err(trace.lambda_plus[k], r[0]) < 1e-9
+        assert rel_err(trace.lambda_minus[k], r[1]) < 1e-9
+        assert np.max(np.abs(trace.Lambda[k] - Lambda)) < 1e-8
+        assert np.max(np.abs(trace.Gamma[k] - Gamma)) < 1e-8
         if test is not None:
             out = batch_outputs(test.X, state)
             assert trace.test_acc[k] == float(_fits(out, test.y_true).mean())
@@ -685,13 +686,12 @@ class TestSubspaceAgainstGdStep:
         state = ModelState(W=W, p=p, nu=make_head(sig))
         res = train(state, ds, sig, run_config(alpha=5e-3, steps=20000,
                                                log_every=20000, test_size=0))
-        diag = compute_diagnostics(res.final_state(), ds, sig)
+        u, r = dense_attention(res.final_state(), ds, sig)
         tr = res.trace
         assert tr.steps[-1] == 20000
-        assert np.max(np.abs(tr.probs[-1]
-                             - softmax(diag.attn_scores))) < 1e-9
-        assert rel_err(tr.lambda_plus[-1], diag.lambda_plus) < 1e-9
-        assert rel_err(tr.lambda_minus[-1], diag.lambda_minus) < 1e-9
+        assert np.max(np.abs(tr.probs[-1] - softmax(u))) < 1e-9
+        assert rel_err(tr.lambda_plus[-1], r[0]) < 1e-9
+        assert rel_err(tr.lambda_minus[-1], r[1]) < 1e-9
 
     @pytest.mark.slow
     def test_paper_scale(self):
