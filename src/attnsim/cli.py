@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: ``run`` (single experiment, trace + summary), ``sweep``
-(dimension x signal-norm heatmap), ``check`` (theory-check suites), and
-``classify`` (SNR regime).  Exit codes:
+(dimension x signal-norm heatmap) and ``check`` (theory-check suites).
+Exit codes:
 
 * 0 success
 * 1 check failure
 * 2 usage or configuration error (``ConfigError``), found when the config
   is loaded or the output directory is created, before any computation
-* 3 numerical divergence of training (partial trace kept)
+* 3 numerical divergence of training (``run`` keeps the partial trace; a
+  ``sweep`` writes its CSVs, then names each diverged cell on stderr)
 * 4 other numerical error (a ``ValueError`` or ``ArithmeticError`` raised
   while computing, e.g. non-finite test-set scores)
 * 5 operating-system or memory error (an ``OSError``, e.g. an output file
@@ -25,7 +26,6 @@ from dataclasses import replace
 from .data import ConfigError
 from .experiments import (ExperimentConfig, SweepSpec, default_config, run,
                           run_check_suites, sweep, CHECK_SUITES)
-from .theory import classify_regime
 from .train import DivergenceError
 
 EXIT_OK = 0
@@ -51,14 +51,9 @@ def _load_config(args) -> ExperimentConfig:
         config = default_config()
     else:
         config = ExperimentConfig.from_json(_load_json(args.config))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seed=args.seed)
-    train = config.train
-    if getattr(args, "steps", None) is not None:
-        train = replace(train, steps=args.steps)
-    if getattr(args, "log_every", None) is not None:
-        train = replace(train, log_every=args.log_every)
-    return replace(config, train=train)
+    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="single training run with trace")
     common(p_run)
-    p_run.add_argument("--steps", type=int, help="override step budget")
-    p_run.add_argument("--log-every", type=int, help="override log cadence")
 
     p_sweep = sub.add_parser("sweep", help="(d, mu_norm) heatmap sweep")
     p_sweep.add_argument("--config", required=True, help="sweep spec JSON")
@@ -89,15 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", required=True,
                          help=("comma-separated suites from "
                                f"{sorted(CHECK_SUITES)} or 'all'"))
-
-    p_cls = sub.add_parser("classify", help="print the SNR regime")
-    p_cls.add_argument("--config", required=True, help="experiment config JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             config = _load_config(args)
@@ -108,27 +97,24 @@ def main(argv=None) -> int:
             spec = SweepSpec.from_json(_load_json(args.config))
             rows, _ = sweep(spec, threads=args.threads, out_dir=args.out_dir)
             print(f"wrote {len(rows)} cells to {args.out_dir}/heatmap.csv")
-            return EXIT_OK
-        if args.command == "check":
-            config = _load_config(args)
-            names = [s for s in args.suite.split(",") if s]
-            if names == ["all"]:
-                names = list(CHECK_SUITES)
-            report = run_check_suites(config, names)
-            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-            if not report.passed_all:
-                print("failed checks: " + ", ".join(report.failing),
-                      file=sys.stderr)
-                return EXIT_CHECK_FAILED
-            return EXIT_OK
-        if args.command == "classify":
-            config = ExperimentConfig.from_json(_load_json(args.config))
-            if config.data.sigma_eps == 0:
-                raise ConfigError("classify needs sigma_eps > 0: the SNR is "
-                                  "undefined for noiseless data")
-            print(classify_regime(config.data))
-            return EXIT_OK
-        parser.error(f"unknown command {args.command}")
+            diverged = [r for r in rows if r["divergence"] is not None]
+            for r in diverged:
+                print(f"training diverged: d={r['d']}, "
+                      f"mu_norm={r['mu_norm']}, seed={r['seed']}: "
+                      f"{DivergenceError(r['divergence'])}", file=sys.stderr)
+            return EXIT_DIVERGED if diverged else EXIT_OK
+        # the subcommand is required, so what is left is check
+        config = _load_config(args)
+        names = [s for s in args.suite.split(",") if s]
+        if names == ["all"]:
+            names = list(CHECK_SUITES)
+        report = run_check_suites(config, names)
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        if not report.passed_all:
+            print("failed checks: " + ", ".join(report.failing),
+                  file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -141,7 +127,6 @@ def main(argv=None) -> int:
     except (OSError, MemoryError) as exc:
         print(f"system error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SYSTEM
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

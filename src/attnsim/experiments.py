@@ -75,16 +75,11 @@ class ExperimentConfig(_Section):
     train: TrainConfig
     model: ModelParams = ModelParams()
     seed: int = 0
-    tracked_samples: tuple[int, ...] | None = None
 
     def __post_init__(self):
         super().__post_init__()
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        bad = [i for i in self.tracked_samples or ()
-               if not 0 <= i < self.data.n]
-        if bad:
-            raise ConfigError(f"tracked_samples out of range: {bad}")
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
@@ -186,15 +181,10 @@ TRACE_COLUMNS = ("step", "train_loss", "train_acc", "train_acc_true",
                  "test_acc", "lambda_plus", "lambda_minus")
 
 
-def _tracked_samples(config: ExperimentConfig, trace: TrainTrace) -> list[int]:
-    if config.tracked_samples is not None:
-        return list(config.tracked_samples)
-    tracked = []
-    if len(trace.clean_idx):
-        tracked.append(int(trace.clean_idx[0]))
-    if len(trace.noisy_idx):
-        tracked.append(int(trace.noisy_idx[0]))
-    return tracked
+def _tracked_samples(trace: TrainTrace) -> list[int]:
+    """The first clean and the first noisy sample, of those the run has."""
+    return [int(idx[0]) for idx in (trace.clean_idx, trace.noisy_idx)
+            if len(idx)]
 
 
 def _fmt(x) -> str:
@@ -290,8 +280,7 @@ def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
     trace_path = os.path.join(out_dir, "trace.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     trace = execute(config).trace
-    tracked = _tracked_samples(config, trace)
-    _write_trace(trace_path, trace, tracked)
+    _write_trace(trace_path, trace, _tracked_samples(trace))
     summary = _summarize(config, trace)
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -300,7 +289,7 @@ def run(config: ExperimentConfig, out_dir) -> RunArtifacts:
                              summary_path=str(summary_path),
                              trace=trace, summary=summary)
     if trace.diverged_at is not None:
-        err = DivergenceError(trace.diverged_at, trace)
+        err = DivergenceError(trace.divergence)
         err.artifacts = artifacts
         raise err
     return artifacts
@@ -339,9 +328,9 @@ def _sweep_cell(spec: SweepSpec, di: int, mi: int, si: int) -> dict:
                      mu_norm=spec.mu_values[mi]),
         seed=cell_seed(spec.seeds[si], di, mi, si),
     )
-    row = {"d": spec.d_values[di], "mu_norm": spec.mu_values[mi],
-           "seed": spec.seeds[si]}
     trace = execute(cfg).trace
+    row = {"d": spec.d_values[di], "mu_norm": spec.mu_values[mi],
+           "seed": spec.seeds[si], "divergence": trace.divergence}
     if trace.diverged_at is not None:
         row.update(train_loss=math.nan, test_loss=math.nan,
                    train_acc=math.nan, test_acc=math.nan)
@@ -356,8 +345,10 @@ def _sweep_cell(spec: SweepSpec, di: int, mi: int, si: int) -> dict:
 def sweep(spec: SweepSpec, threads: int = 1, out_dir=None):
     """Run every (d, mu_norm, seed) cell and return the per-cell rows plus a
     seed-averaged table.  Writes ``heatmap.csv`` and ``heatmap_mean.csv``
-    when ``out_dir`` is given.  Cells are independent; each derives its own
-    seed from (seed, d-index, mu-index, seed-index).
+    when ``out_dir`` is given.  A row also carries its cell's
+    ``divergence`` record, None unless the cell diverged, whose metrics
+    are then nan; the CSVs leave the record out.  Cells are independent;
+    each derives its own seed from (seed, d-index, mu-index, seed-index).
 
     Cells run largest d first, ties in (mu, seed) order; the rows are
     sorted before they are returned.  A sweep's peak memory is about
@@ -463,7 +454,7 @@ def _short_run(config: ExperimentConfig, cap: int):
                                           steps=min(config.train.steps, cap)))
     trace = execute(short).trace
     if trace.diverged_at is not None:
-        raise DivergenceError(trace.diverged_at, trace)
+        raise DivergenceError(trace.divergence)
     return trace
 
 

@@ -65,12 +65,11 @@ class TrainConfig(_Section):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a gradient or score goes non-finite; carries the partial
-    trace and its ``divergence`` record."""
+    """Raised when a gradient or score goes non-finite; carries the run's
+    ``divergence`` record."""
 
-    def __init__(self, step: int, trace):
-        self.step, self.trace = step, trace
-        self.divergence = record = trace.divergence
+    def __init__(self, record: dict):
+        self.divergence = record
         if record["last_finite"] is None:       # step 0: no state was finite
             message = ("non-finite {quantity} at step {step}, before any "
                        "finite state".format(**record))

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import attnsim
+from attnsim.cli import _build_parser
 
 SRC = os.path.dirname(os.path.dirname(attnsim.__file__))
 DEMOS = os.path.join(os.path.dirname(SRC), "demos")
@@ -72,6 +73,22 @@ def test_demo_imports_resolve(script):
 @pytest.mark.parametrize("block", range(len(readme_blocks())))
 def test_readme_calls_resolve(block):
     check_library_calls(readme_blocks()[block], f"README.md block {block}")
+
+
+def test_readme_command_lines_parse():
+    # every subcommand and flag README's command-line block shows exists
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        text = fh.read()
+    block = (text.split("## Command line\n", 1)[1]
+             .split("```bash\n", 1)[1].split("```", 1)[0])
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    parser = _build_parser()
+    for argv in filter(None, lines):
+        assert argv[0] == "attnsim"
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README.md: {' '.join(argv)} does not parse")
 
 
 @pytest.mark.slow

@@ -89,7 +89,8 @@ class TestConfigJson:
                   "alpha"),
         "model": (lambda: ModelParams(sigma_w=0.2), None),
         "experiment": (lambda: replace(tiny_config(seed=3),
-                                       tracked_samples=(1, 0)), "train"),
+                                       model=ModelParams(sigma_p=0.3)),
+                       "train"),
         "sweep": (lambda: SweepSpec(d_values=(48, 64), mu_values=(4.0,),
                                     seeds=(0, 1), base=tiny_config()),
                   "base"),
@@ -143,11 +144,11 @@ class TestConfigJson:
         hashes = {name: workloads.regime_config(d, mu, steps, every, 3)
                   .config_hash()
                   for name, d, mu, steps, every in workloads.REGIMES}
-        assert hashes == {"harmful": "157e8bc193bd",
-                          "benign": "cbf14aca1cfd",
-                          "not-overfitting": "c147a86fdf36"}
-        assert default_config().config_hash() == "bf3baec5b5e6"
-        assert workloads.heatmap_spec(7).base.config_hash() == "04887ac8bc79"
+        assert hashes == {"harmful": "1cf4645df8fe",
+                          "benign": "577bd233f97b",
+                          "not-overfitting": "450af5b32b36"}
+        assert default_config().config_hash() == "d59327855822"
+        assert workloads.heatmap_spec(7).base.config_hash() == "e8785f3df1d5"
 
     def test_readme_schema_loads(self):
         # the documented example writes every key of a valid config
@@ -200,15 +201,6 @@ class TestRun:
         first = [f"s{tr.clean_idx[0] + 1}_{t}" for t in range(1, 6)]
         assert header[7:12] == first
         assert len(header) == 7 + 2 * 5
-
-    def test_tracked_samples_config(self, tmp_path):
-        cfg = tiny_config()
-        cfg = ExperimentConfig(data=cfg.data, train=cfg.train, model=cfg.model,
-                               seed=cfg.seed, tracked_samples=(0, 3, 5))
-        art = run(cfg, tmp_path)
-        header = open(art.trace_path).readline().strip().split(",")
-        assert len(header) == 7 + 3 * 5
-        assert "s1_1" in header and "s4_1" in header and "s6_1" in header
 
 
 class TestBuildInputs:
@@ -760,7 +752,7 @@ class TestCli:
     # keys the config no longer has: a config that still names one is
     # rejected as an unknown key, as one naming ``engine`` is
     REMOVED_KEYS = ("head_scale", "signal_mode", "assumption_delta",
-                    "fit_threshold", "gen_threshold")
+                    "fit_threshold", "gen_threshold", "tracked_samples")
 
     def write_config(self, tmp_path, cfg=None):
         path = tmp_path / "config.json"
@@ -774,8 +766,9 @@ class TestCli:
         assert (tmp_path / "out" / "trace.csv").exists()
 
     def test_steps_override(self, tmp_path):
-        code = cli_main(["run", "--config", self.write_config(tmp_path),
-                         "--out-dir", str(tmp_path / "out"), "--steps", "0"])
+        code = cli_main(["run", "--config",
+                         self.write_config(tmp_path, tiny_config(steps=0)),
+                         "--out-dir", str(tmp_path / "out")])
         assert code == 0
         lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert len(lines) == 2
@@ -787,31 +780,8 @@ class TestCli:
                          "--out-dir", str(tmp_path)]) == 2
 
     def test_missing_file_exit_two(self, tmp_path):
-        assert cli_main(["classify", "--config",
-                         str(tmp_path / "nope.json")]) == 2
-
-    def test_classify_fig3(self, tmp_path, capsys):
-        for d, mu, expected in ((5000, 5.0, "harmful"),
-                                (1000, 100.0, "not-overfitting")):
-            cfg = ExperimentConfig(
-                data=DataConfig(n=20, T=8, d=d, mu_norm=mu, sigma_eps=1.0,
-                                eta=0.2, rho=0.1),
-                train=TrainConfig(alpha=5e-3, steps=10))
-            code = cli_main(["classify", "--config",
-                             self.write_config(tmp_path, cfg)])
-            assert code == 0
-            assert capsys.readouterr().out.strip() == expected
-
-    def test_classify_noiseless_config_error(self, tmp_path, capsys):
-        # the SNR needs noise: a noiseless config is a config fault
-        base = tiny_config()
-        cfg = replace(base, data=replace(base.data, sigma_eps=0.0))
-        code = cli_main(["classify", "--config",
-                         self.write_config(tmp_path, cfg)])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "config error" in captured.err and "sigma_eps" in captured.err
+        assert cli_main(["run", "--config", str(tmp_path / "nope.json"),
+                         "--out-dir", str(tmp_path / "out")]) == 2
 
     def test_check_empty_suite_usage_error(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),
@@ -991,6 +961,8 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key, value", [
         (None, "engine", "subspace"),
+        # tracked_samples, a REMOVED_KEYS key, at values once rejected for
+        # their range or type
         (None, "tracked_samples", [99]),
         ("model", "sigma_w", -1.0),
         ("model", "sigma_p", -0.5),
@@ -1245,7 +1217,7 @@ class TestCli:
         assert check.measured["max_abs_output"] > 1500.0
         assert check.passed
 
-    def test_sweep_cli(self, tmp_path):
+    def test_sweep_cli(self, tmp_path, capsys):
         spec = SweepSpec(d_values=(48,), mu_values=(4.0, 8.0), seeds=(0,),
                          base=tiny_config(steps=30))
         path = tmp_path / "sweep.json"
@@ -1253,8 +1225,31 @@ class TestCli:
         code = cli_main(["sweep", "--config", str(path), "--out-dir",
                          str(tmp_path / "out"), "--threads", "2"])
         assert code == 0
+        assert capsys.readouterr().err == ""
         lines = (tmp_path / "out" / "heatmap.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_sweep_divergence_exit_three(self, tmp_path, capsys):
+        # the cell's step-0 scores overflow: its row stays nan, and the CLI
+        # names the cell and its divergence record after writing the CSVs
+        base = ExperimentConfig(
+            data=DataConfig(n=20, T=8, d=100, mu_norm=20.0, sigma_eps=1.0,
+                            eta=0.2, rho=0.1),
+            train=TrainConfig(alpha=5e-3, steps=50),
+            model=ModelParams(sigma_w=1e160, sigma_p=1e160))
+        spec = SweepSpec(d_values=(100,), mu_values=(20.0,), seeds=(0,),
+                         base=base)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec.to_json()))
+        code = cli_main(["sweep", "--config", str(path), "--out-dir",
+                         str(tmp_path / "out")])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "training diverged: d=100, mu_norm=20.0, seed=0: non-finite u "
+            "at step 0, before any finite state\n")
+        assert (tmp_path / "out" / "heatmap.csv").read_text() == (
+            "d,mu_norm,seed,train_loss,test_loss,train_acc,test_acc\n"
+            "100,20.0,0,nan,nan,nan,nan\n")
 
 
 class TestBlasDeterminism:
@@ -1313,7 +1308,7 @@ class TestBlasDeterminism:
             train=TrainConfig(alpha=5e-3, steps=20000, log_every=10,
                               test_size=1000),
             seed=3)
-        assert cfg.config_hash() == "cbf14aca1cfd"    # as pinned above
+        assert cfg.config_hash() == "577bd233f97b"    # as pinned above
         (head_a, trace_a, final_a), (head_b, trace_b, final_b) = (
             self.numbers(self.run_cli(tmp_path, name, threads, cfg))
             for name, threads in (("a", 1), ("b", 2)))

@@ -375,7 +375,7 @@ class TestTrainLoop:
         assert record["quantity"] == "u"
         assert record["last_finite"]["a"] == 1.0
         assert record["last_finite"]["pi_norm"] == 0.0
-        err = DivergenceError(trace.diverged_at, trace)
+        err = DivergenceError(record)
         assert err.divergence is record
         assert str(err).startswith("non-finite u at step 1; last finite")
 
@@ -629,7 +629,7 @@ class TestSubspaceAgainstGdStep:
         assert trace.n_logged == 0
         assert trace.divergence == {"step": 0, "quantity": "u",
                                     "last_finite": None}
-        assert "before any finite" in str(DivergenceError(0, trace))
+        assert "before any finite" in str(DivergenceError(trace.divergence))
 
     def test_kept_products_match_recomputed(self):
         # L = J - alpha G Z^T is kept by rank-one terms and folds; after
