@@ -29,7 +29,8 @@ from .theory import (UPDATE_IDENTITY_TOL, CheckResult, TheoryReport,
                      classify_regime, etf_gradient_check, good_run_check,
                      g_linearity, init_checks, loss_derivative_balance,
                      measure_grokking, pre_saturation_window, rel_err,
-                     softmax_bound_scan, verify_update_identity)
+                     softmax_bound_scan, stop_at_window_end,
+                     verify_update_identity)
 from .train import (DivergenceError, TrainConfig, TrainTrace, finite_diff_grad,
                     grad_p, grad_w, projects_test_set, train)
 
@@ -166,11 +167,13 @@ def build_inputs(config: ExperimentConfig):
     return signals, dataset, test_set, state0
 
 
-def execute(config: ExperimentConfig):
+def execute(config: ExperimentConfig, until=None):
     """Run one configured training and return its ``TrainResult``, whose
-    trace carries the ``divergence`` record of a run that diverged."""
+    trace carries the ``divergence`` record of a run that diverged;
+    ``until`` is :func:`train`'s stop predicate."""
     signals, dataset, test_set, state0 = build_inputs(config)
-    return train(state0, dataset, signals, config.train, test_set=test_set)
+    return train(state0, dataset, signals, config.train, test_set=test_set,
+                 until=until)
 
 
 # --------------------------------------------------------------------------
@@ -445,14 +448,15 @@ def _suite_identities(config: ExperimentConfig) -> TheoryReport:
     return report
 
 
-def _short_run(config: ExperimentConfig, cap: int):
+def _short_run(config: ExperimentConfig, cap: int, until=None):
     """The trace of a run capped at ``cap`` steps, trained without the
     held-out set: no suite that calls this reads the test metrics, and
     the stream independence leaves every other array's bits unchanged.
-    A run that diverges raises :class:`DivergenceError`."""
+    ``until`` may end it sooner (:func:`train`).  A run that diverges
+    raises :class:`DivergenceError`."""
     short = replace(config, train=replace(config.train, test_size=0,
                                           steps=min(config.train.steps, cap)))
-    trace = execute(short).trace
+    trace = execute(short, until=until).trace
     if trace.diverged_at is not None:
         raise DivergenceError(trace.divergence)
     return trace
@@ -508,13 +512,19 @@ def _suite_glinearity(config: ExperimentConfig) -> TheoryReport:
     if model.sigma_w is None and model.sigma_p is None:
         s = 3.0 * a8_sigma(config.data)
         model = replace(model, sigma_w=s, sigma_p=s)
-    trace = _short_run(replace(config, model=model), 4000)
+    # no row past the window's end is read
+    trace = _short_run(replace(config, model=model), 4000,
+                       until=stop_at_window_end())
     window = pre_saturation_window(trace)
     try:    # no fit without 2 logged steps in the window and a clean sample
         fit = g_linearity(trace, trace.clean_idx, "Lambda", window).pooled
         slope, r2, note = fit.slope, fit.r2, ""
     except ValueError as exc:
         slope, r2, note = None, None, f"no fit: {exc}"
+    else:
+        if fit.degenerate:     # r2 is NaN, which JSON cannot carry
+            r2, note = None, ("degenerate fit: the mean g(Lambda) is "
+                              "constant over the window, so r2 is undefined")
     return TheoryReport([CheckResult(
         "g_linearity_clean",
         passed=slope is not None and bool(slope > 0 and r2 >= 0.95),

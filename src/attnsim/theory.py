@@ -36,6 +36,7 @@ __all__ = [
     "GLinearityResult",
     "g_linearity",
     "pre_saturation_window",
+    "stop_at_window_end",
     "noisy_stage_windows",
     "classify_regime",
     "measure_grokking",
@@ -484,17 +485,36 @@ def g_linearity(trace: TrainTrace, sample_indices, quantity: str,
                             per_series=fits)
 
 
+def _window_end(s1_max: np.ndarray) -> int | None:
+    """The logged row ending the pre-saturation window, given each row's
+    largest relevant-token softmax: the first row above
+    ``SATURATION_LEVEL``.  None when no row is, or when row 0 or 1 already
+    is, which would leave the window no step after its start: the window
+    then runs to the last row."""
+    crossed = np.flatnonzero(s1_max > SATURATION_LEVEL)
+    return int(crossed[0]) if len(crossed) and crossed[0] >= 2 else None
+
+
 def pre_saturation_window(trace: TrainTrace) -> tuple[int, int]:
     """From the first logged step after 0 until the relevant-token softmax
     of any sample first exceeds ``SATURATION_LEVEL`` (the dynamics saturate
-    beyond)."""
-    s1_max = trace.probs[:, :, 0].max(axis=1)
+    beyond); see :func:`_window_end`."""
     start = int(trace.steps[1]) if trace.n_logged > 1 else int(trace.steps[0])
-    crossed = np.nonzero(s1_max > SATURATION_LEVEL)[0]
-    end = int(trace.steps[crossed[0]]) if len(crossed) else int(trace.steps[-1])
-    if end <= start:
-        end = int(trace.steps[-1])
-    return start, end
+    end = _window_end(trace.probs[:, :, 0].max(axis=1))
+    return start, int(trace.steps[-1 if end is None else end])
+
+
+def stop_at_window_end():
+    """A :func:`train` ``until`` predicate that ends the run after the row
+    at which :func:`pre_saturation_window` ends its window, so that the
+    window and every row in it are those of the whole run.  A run whose
+    window runs to its last row is not stopped."""
+    s1_max = []
+
+    def until(k, probs):
+        s1_max.append(probs[:, 0].max())
+        return _window_end(np.array(s1_max)) == k
+    return until
 
 
 def noisy_stage_windows(trace: TrainTrace) -> tuple[tuple[int, int],

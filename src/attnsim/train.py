@@ -333,11 +333,14 @@ class _TestScoring:
         self._block(lo, hi)
 
     def _block(self, lo, hi):
-        m, b = len(self.y), hi - lo
-        scores = self.to_scores(self.coefs[lo:hi])
+        # scored at the block's shape in the whole run, the rows past hi of
+        # a run that ended early zero: BLAS may round a row differently in
+        # a product with another row count
+        m, b = len(self.y), min(lo + _TEST_BLOCK, len(self.coefs)) - lo
+        scores = self.to_scores(self.coefs[lo:lo + b])
         _, out, _ = _attend(scores.reshape(b * m, -1), self.gamma[:b * m])
-        self.acc[lo:hi], self.loss[lo:hi] = _fit_loss_means(
-            out.reshape(b, m), self.y)
+        acc, loss = _fit_loss_means(out.reshape(b, m), self.y)
+        self.acc[lo:hi], self.loss[lo:hi] = acc[:hi - lo], loss[:hi - lo]
 
     def submit(self, logged: int):
         """Queue rows up to ``logged`` for scoring; the error of a block
@@ -602,7 +605,7 @@ class _SubspaceEngine:
 
 def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
           config: TrainConfig, test_set: Dataset | None = None,
-          hooks=()) -> TrainResult:
+          hooks=(), until=None) -> TrainResult:
     """Run ``config.steps`` full-batch GD iterations with instrumentation.
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
@@ -625,12 +628,19 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     at its last read: once V is formed without a test set, once the
     projection is formed on the projection branch, and after the last
     scored block on the direct branch.
+
+    ``until(k, probs)``, when given, is called after logged row k is
+    written and its hooks have run, with that row's softmax (n, T); when
+    it returns true, the run ends after that row.  The stopped trace holds
+    the rows the whole run would have logged up to there, and the final
+    state is the one at that row's step.  ``meta["steps"]`` stays
+    ``config.steps``.
     """
     eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
     log_at = _log_points(config.steps, config.log_every)
     recorder = _Recorder(dataset, len(log_at), eng.N, hooks=hooks)
     y = dataset.y_train
-    coefs = np.empty((len(log_at), 2 * eng.N + 1))
+    coefs = np.zeros((len(log_at), 2 * eng.N + 1))
     logged = 0
     divergence = None
 
@@ -659,6 +669,8 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                     logged += 1
                     if scoring is not None and logged % _TEST_BLOCK == 0:
                         scoring.submit(logged)
+                    if until is not None and until(logged - 1, probs):
+                        break
         test = scoring.result(logged) if scoring is not None else None
     finally:
         if scoring is not None:

@@ -27,7 +27,8 @@ from attnsim.experiments import (ExperimentConfig, ModelParams, SweepSpec,
                                  run_check_suites, sweep, trace_table)
 from attnsim.model import ModelState, init_params, make_head
 from attnsim.rng import stream
-from attnsim.theory import TheoryReport, loss_derivative_balance
+from attnsim.theory import (SATURATION_LEVEL, TheoryReport, g_linearity,
+                            loss_derivative_balance, pre_saturation_window)
 from attnsim.train import TrainConfig, _SubspaceEngine, train
 
 
@@ -679,23 +680,69 @@ class TestCheckSuites:
         short_run = experiments._short_run
         traces = []
 
-        def recorded(cfg, cap):
-            traces.append(short_run(cfg, cap))
+        def recorded(cfg, cap, until=None):
+            traces.append(short_run(cfg, cap, until))
             return traces[-1]
 
         monkeypatch.setattr(experiments, "_short_run", recorded)
         without = run_check_suites(config, [suite]).to_json()
         assert np.isnan(traces[-1].test_acc).all()
 
-        def with_test_set(cfg, cap):
+        def with_test_set(cfg, cap, until=None):
             # the capped run as it was, scoring the config's held-out set
             trace = experiments.execute(replace(cfg, train=replace(
-                cfg.train, steps=min(cfg.train.steps, cap)))).trace
+                cfg.train, steps=min(cfg.train.steps, cap))), until).trace
             assert not np.isnan(trace.test_acc).any()
             return trace
 
         monkeypatch.setattr(experiments, "_short_run", with_test_set)
         assert run_check_suites(config, [suite]).to_json() == without
+
+    @staticmethod
+    def glinearity_run(monkeypatch, config):
+        """The glinearity row of ``config``, the capped config and stop
+        rule its run was given, and the trace that run returned."""
+        short_run, runs = experiments._short_run, []
+
+        def recorded(cfg, cap, until=None):
+            runs.append((cfg, cap, short_run(cfg, cap, until)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(experiments, "_short_run", recorded)
+        row, = run_check_suites(config, ["glinearity"]).to_json()
+        (cfg, cap, stopped), = runs
+        return row, cfg, cap, stopped
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_glinearity_row_equals_the_uncapped_fit(self, monkeypatch, seed):
+        # the run stops where the window ends; the row is the fit over the
+        # window of the run trained to its cap
+        row, cfg, cap, stopped = self.glinearity_run(
+            monkeypatch, replace(default_config(), seed=seed))
+        whole = experiments._short_run(cfg, cap)
+        window = pre_saturation_window(whole)
+        fit = g_linearity(whole, whole.clean_idx, "Lambda", window).pooled
+        assert row["measured"] == {"slope": fit.slope, "r2": fit.r2,
+                                   "window": list(window)}
+        assert stopped.steps[-1] == window[1] < whole.steps[-1]
+        assert stopped.meta == whole.meta
+
+    @pytest.mark.parametrize("sigma, saturated", [
+        pytest.param(0.0, False, id="never_saturates"),
+        pytest.param(0.1, True, id="saturated_at_step_0"),
+    ])
+    def test_glinearity_trains_to_the_cap(self, monkeypatch, sigma,
+                                          saturated):
+        # a window that runs to the last row is not stopped: at the zero
+        # init no softmax leaves 1/T, and at this init scale some sample's
+        # relevant token already passes the level at step 0
+        config = replace(default_config(),
+                         model=ModelParams(sigma_w=sigma, sigma_p=sigma))
+        _, cfg, cap, stopped = self.glinearity_run(monkeypatch, config)
+        assert stopped.steps[-1] == min(cfg.train.steps, cap) == 3000
+        s1_max = stopped.probs[:, :, 0].max(axis=1)
+        assert bool(s1_max[0] > SATURATION_LEVEL) == saturated
+        assert (s1_max > SATURATION_LEVEL).any() == saturated
 
     def test_inputs_built_once_and_dropped_after_last_reader(
             self, monkeypatch):
@@ -853,6 +900,24 @@ class TestCli:
         assert row["measured"]["slope"] is None
         assert row["measured"]["r2"] is None
         assert reason in row["note"]
+
+    def test_check_glinearity_degenerate_fit(self, tmp_path, capsys):
+        # at the zero init every score stays 0, so g(Lambda) is constant
+        # and its fit has no r2; the row still prints as strict JSON
+        cfg = replace(default_config(),
+                      model=ModelParams(sigma_w=0.0, sigma_p=0.0))
+        code = cli_main(["check", "--config", self.write_config(tmp_path, cfg),
+                         "--suite", "glinearity"])
+        out = capsys.readouterr()
+        assert code == EXIT_CHECK_FAILED
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        row, = json.loads(out.out, parse_constant=reject)
+        assert row["measured"]["slope"] == 0.0
+        assert row["measured"]["r2"] is None
+        assert row["note"].startswith("degenerate fit")
 
     def test_unknown_suite_exit_two(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),

@@ -14,13 +14,14 @@ from attnsim.experiments import (ModelParams, _build_train_inputs,
                                  run_check_suites)
 from attnsim.model import ModelState, loss_derivative, make_head, softmax
 from attnsim.rng import stream
-from attnsim.theory import (NORM_W_EPS_HOLD_RATE, SOFTMAX_IDENTITY_TOL,
-                            UPDATE_IDENTITY_TOL, Regime,
+from attnsim.theory import (NORM_W_EPS_HOLD_RATE, SATURATION_LEVEL,
+                            SOFTMAX_IDENTITY_TOL, UPDATE_IDENTITY_TOL, Regime,
                             _tracked_rows, _update_changes, classify_regime,
                             g, g_linearity, good_run_check, init_checks,
                             loss_derivative_balance, measure_grokking,
-                            noisy_stage_windows, rel_err, softmax_bound_check, softmax_bound_scan,
-                            verify_update_identity)
+                            noisy_stage_windows, pre_saturation_window,
+                            rel_err, softmax_bound_check, softmax_bound_scan,
+                            stop_at_window_end, verify_update_identity)
 from attnsim.train import (TrainConfig, TrainTrace, _score_dense,
                            attention_gaps, train)
 from oracles import dense_attention, exact_update_changes, gd_step
@@ -443,6 +444,26 @@ class TestGLinearity:
         tr = planted_trace(np.arange(L), np.full((L, 2, T), 1.0 / T))
         with pytest.raises(ValueError):
             g_linearity(tr, [0], "Lambda", (100, 200))
+
+
+class TestPreSaturationWindow:
+    STEPS = np.arange(0, 80, 10)
+
+    # the relevant-token softmax of sample 1 passes the level from row
+    # ``first`` on; from row 0 or 1 the window would end at or before its
+    # start, so it runs to the last row and the run is not stopped
+    @pytest.mark.parametrize("first, end", [(None, 70), (0, 70), (1, 70),
+                                            (2, 20), (5, 50)])
+    def test_stop_at_window_end(self, first, end):
+        L, T = len(self.STEPS), 3
+        probs = np.full((L, 2, T), 1.0 / T)
+        if first is not None:
+            probs[first:, 1] = [SATURATION_LEVEL + 0.005, 0.004, 0.001]
+        assert pre_saturation_window(planted_trace(self.STEPS, probs)) == (
+            10, end)
+        until = stop_at_window_end()
+        stops = [k for k in range(L) if until(k, probs[k])]
+        assert stops == ([] if end == 70 else [end // 10])
 
 
 class TestGrokking:

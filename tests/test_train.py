@@ -843,6 +843,42 @@ class TestConcurrentTestScoring:
         assert seen[-1] == 2 * _TEST_BLOCK - 1
 
 
+class TestUntil:
+    """A run that ``until`` stops is the whole run up to there: its rows
+    carry the bits of the whole run's leading rows, test metrics included,
+    and its final state is that of a run whose budget ends there."""
+
+    FIELDS = ("steps", "scores", "probs", "outputs", "lambda_plus",
+              "lambda_minus", "train_loss", "train_acc", "train_acc_true",
+              "test_acc", "test_loss")
+
+    # the rows of a stop before the last block end mid-block, and on the
+    # direct branch BLAS rounds another row count differently
+    @pytest.mark.parametrize("stop", [0, 1, 17, 40])
+    @pytest.mark.parametrize("projected", [True, False],
+                             ids=["projected", "direct"])
+    def test_stopped_run_is_the_whole_runs_head(self, projected, stop):
+        state, ds, sig, tcfg, test = TestScoringSizes.setup_run(projected)
+        whole = train(state, ds, sig, tcfg, test_set=test).trace
+        seen = []
+
+        def until(k, probs):
+            seen.append(k)
+            assert probs.tobytes() == whole.probs[k].tobytes()
+            return k == stop
+
+        res = train(state, ds, sig, tcfg, test_set=test, until=until)
+        assert seen == list(range(stop + 1))
+        for name in self.FIELDS:
+            assert (getattr(res.trace, name).tobytes()
+                    == getattr(whole, name)[:stop + 1].tobytes()), name
+        assert res.trace.meta == whole.meta
+        budget = replace(tcfg, steps=int(whole.steps[stop]), test_size=0)
+        ref = train(state, ds, sig, budget).final_state()
+        assert res.final_state().W.tobytes() == ref.W.tobytes()
+        assert res.final_state().p.tobytes() == ref.p.tobytes()
+
+
 class TestStreamedTestSet:
     """On the projection branch the scoring thread reads the test tokens
     in chunks, drawing them when the test set was generated lazy; the
