@@ -15,8 +15,8 @@ from attnsim.theory import etf_gradient_check
 
 for K in (2, 3, 5):
     for eta in (0.0, 0.1, 0.4):
-        cfg = MulticlassConfig(n=1, T=8, d=64, K=K, mu_norm=1.0,
-                               sigma_eps=0.1, eta=eta, rho=0.1, n_weak=2)
+        cfg = MulticlassConfig(T=8, d=64, K=K, sigma_eps=0.1, eta=eta,
+                               rho=0.1, n_weak=2)
         mus = make_class_signals(64, K, 1.0, rng=stream(K, "demo-etf"))
         cos = etf_gradient_check(cfg, mus, mc_samples=50_000,
                                  rng=stream(K, "demo-etf-mc", int(eta * 10)))

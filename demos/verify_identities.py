@@ -30,7 +30,7 @@ err_p = float(np.max(rel_err(grad_p(ds, state), fd_p, 3e-5)))
 print(f"   max relative error: W {err_w:.2e}, p {err_p:.2e}")
 
 print("2. one-step update identities at alpha = 0.05")
-report = verify_update_identity(state, ds, sig, alpha=0.05)
+report = verify_update_identity(state, ds, alpha=0.05)
 for check in report.checks:
     mark = "ok " if check.passed else "BAD"
     print(f"   {mark} {check.name:28s} rel err {check.measured['max_rel_err']:.2e}")

@@ -108,8 +108,8 @@ def default_config() -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def build_inputs(config: ExperimentConfig):
-    """Deterministically expand a configuration into signals, datasets and
-    the initial model state; each stochastic piece has its own stream.
+    """Deterministically expand a configuration into ``(dataset, test_set,
+    state0)``; each stochastic piece has its own stream.
 
     A second thread draws W(0) block by block (:func:`init_params`), then
     p(0), while this one draws the signals, the training set, which gives
@@ -149,7 +149,7 @@ def build_inputs(config: ExperimentConfig):
             signals = make_signals(d, config.data.mu_norm,
                                    stream(s, "signals"))
             dataset = generate_dataset(config.data, signals, stream(s, "data"))
-            init.set_basis(dataset, signals)
+            init.set_basis(dataset)
             test_set = None
             if config.train.test_size > 0:
                 test_cfg = replace(config.data, n=config.train.test_size,
@@ -164,15 +164,15 @@ def build_inputs(config: ExperimentConfig):
         p = drawn.result()
     nu = make_head(signals)
     state0 = ModelState(W=init, p=p, nu=nu)
-    return signals, dataset, test_set, state0
+    return dataset, test_set, state0
 
 
 def execute(config: ExperimentConfig, until=None):
     """Run one configured training and return its ``TrainResult``, whose
     trace carries the ``divergence`` record of a run that diverged;
     ``until`` is :func:`train`'s stop predicate."""
-    signals, dataset, test_set, state0 = build_inputs(config)
-    return train(state0, dataset, signals, config.train, test_set=test_set,
+    dataset, test_set, state0 = build_inputs(config)
+    return train(state0, dataset, config.train, test_set=test_set,
                  until=until)
 
 
@@ -408,19 +408,18 @@ def _random_instance(rng):
     d = 8
     cfg = DataConfig(n=4, T=3, d=d, mu_norm=2.0, sigma_eps=1.0, eta=0.25,
                      rho=0.3, n_weak_same=1)
-    signals = make_signals(d, cfg.mu_norm, rng)
-    ds = generate_dataset(cfg, signals, rng)
+    ds = generate_dataset(cfg, make_signals(d, cfg.mu_norm, rng), rng)
     W = rng.normal(0.0, 0.5, size=(d, d))
     p = rng.normal(0.0, 0.5, size=d)
     nu = rng.normal(0.0, 0.5, size=d)
-    return ds, signals, ModelState(W=W, p=p, nu=nu)
+    return ds, ModelState(W=W, p=p, nu=nu)
 
 
 def _suite_gradients(config: ExperimentConfig) -> TheoryReport:
     rng = stream(config.seed, "check-gradients")
     worst = 0.0
     for _ in range(5):
-        ds, _, state = _random_instance(rng)
+        ds, state = _random_instance(rng)
         fd_w, fd_p = finite_diff_grad(ds, state, h=1e-5)
         gw, gp = grad_w(ds, state), grad_p(ds, state)
         # floor at the finite-difference resolution for h = 1e-5
@@ -437,8 +436,8 @@ def _suite_identities(config: ExperimentConfig) -> TheoryReport:
     rng = stream(config.seed, "check-identities")
     report = TheoryReport()
     for trial in range(3):
-        ds, signals, state = _random_instance(rng)
-        rep = verify_update_identity(state, ds, signals, alpha=0.05)
+        ds, state = _random_instance(rng)
+        rep = verify_update_identity(state, ds, alpha=0.05)
         worst = max(c.measured["max_rel_err"] for c in rep.checks)
         report.checks.append(CheckResult(
             f"update_identities_trial_{trial}", passed=rep.passed_all,
@@ -474,28 +473,26 @@ def _build_train_inputs(config: ExperimentConfig):
 
 
 def _suite_goodrun(config: ExperimentConfig, train_inputs) -> TheoryReport:
-    signals, dataset, _, state0 = train_inputs()
+    dataset, _, state0 = train_inputs()
     sw, sp = config.resolved_sigmas()
-    return good_run_check(dataset, state0, signals, sigma_w=sw, sigma_p=sp)
+    return good_run_check(dataset, state0, sigma_w=sw, sigma_p=sp)
 
 
 def _suite_init(config: ExperimentConfig, train_inputs) -> TheoryReport:
-    signals, dataset, _, state0 = train_inputs()
-    return init_checks(state0, dataset, signals, config.train.alpha)
+    dataset, _, state0 = train_inputs()
+    return init_checks(state0, dataset, config.train.alpha)
 
 
 def _suite_etf(config: ExperimentConfig) -> TheoryReport:
     # three classes and two weak tokens where the config's d and T hold them
-    d = min(config.data.d, 256)
+    data = config.data
+    d = min(data.d, 256)
     K = min(3, d)
-    mc_cfg = MulticlassConfig(n=1, T=config.data.T, d=d, K=K,
-                              mu_norm=config.data.mu_norm,
-                              sigma_eps=config.data.sigma_eps,
-                              eta=min(config.data.eta, 0.4),
-                              rho=config.data.rho,
-                              n_weak=min(2, config.data.T - 1))
+    mc_cfg = MulticlassConfig(T=data.T, d=d, K=K, sigma_eps=data.sigma_eps,
+                              eta=min(data.eta, 0.4), rho=data.rho,
+                              n_weak=min(2, data.T - 1))
     rng = stream(config.seed, "check-etf")
-    mus = make_class_signals(d, K, config.data.mu_norm, rng=rng)
+    mus = make_class_signals(d, K, data.mu_norm, rng=rng)
     cos = etf_gradient_check(mc_cfg, mus, mc_samples=20000, rng=rng)
     report = TheoryReport()
     report.checks.append(CheckResult(
@@ -517,14 +514,19 @@ def _suite_glinearity(config: ExperimentConfig) -> TheoryReport:
                        until=stop_at_window_end())
     window = pre_saturation_window(trace)
     try:    # no fit without 2 logged steps in the window and a clean sample
-        fit = g_linearity(trace, trace.clean_idx, "Lambda", window).pooled
+        with np.errstate(over="ignore", invalid="ignore"):  # g overflows
+            fit = g_linearity(trace, trace.clean_idx, "Lambda", window).pooled
         slope, r2, note = fit.slope, fit.r2, ""
     except ValueError as exc:
         slope, r2, note = None, None, f"no fit: {exc}"
-    else:
-        if fit.degenerate:     # r2 is NaN, which JSON cannot carry
+    else:     # NaN and inf, which JSON cannot carry, are reported as null
+        if fit.degenerate:
             r2, note = None, ("degenerate fit: the mean g(Lambda) is "
                               "constant over the window, so r2 is undefined")
+        elif not (math.isfinite(slope) and math.isfinite(r2)):
+            slope, r2, note = None, None, (
+                "non-finite fit: g(Lambda) overflows float64 over the "
+                "window, so slope and r2 are undefined")
     return TheoryReport([CheckResult(
         "g_linearity_clean",
         passed=slope is not None and bool(slope > 0 and r2 >= 0.95),

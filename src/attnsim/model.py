@@ -143,11 +143,11 @@ class InitDraw:
         self._queued, self._taken, self._stopped = [], 0, False
 
     @classmethod
-    def of(cls, W0: np.ndarray, dataset: Dataset, signals: SignalBasis):
+    def of(cls, W0: np.ndarray, dataset: Dataset):
         """The products of a held W(0), over the blocks of its draw; W(0)
         stays with its holder, so the result cannot redraw it."""
         draw = cls(W0.shape[0])
-        draw.set_basis(dataset, signals)
+        draw.set_basis(dataset)
         for lo, hi in row_blocks(draw.d):
             draw.rows_drawn(W0, lo, hi)
         draw.form()
@@ -166,12 +166,12 @@ class InitDraw:
             self._queued.append((lo, hi))
             self._cond.notify_all()
 
-    def set_basis(self, dataset: Dataset, signals: SignalBasis):
+    def set_basis(self, dataset: Dataset):
         """Stack B; the dataset's tokens become a view of B's token rows,
         so that one copy of them is held."""
         n, T, d = dataset.X.shape
-        B = np.vstack([dataset.X.reshape(n * T, d), signals.mu_plus,
-                       signals.mu_minus])
+        B = np.vstack([dataset.X.reshape(n * T, d), dataset.signals.mu_plus,
+                       dataset.signals.mu_minus])
         # where generate_dataset stores X
         dataset.__dict__["X"] = B[:n * T].reshape(n, T, d)
         P = np.empty((d, len(B) + 1))

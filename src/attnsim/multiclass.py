@@ -26,11 +26,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MulticlassConfig(_Section):
-    n: int
     T: int
     d: int
     K: int
-    mu_norm: float
     sigma_eps: float
     eta: float
     rho: float
@@ -40,12 +38,12 @@ class MulticlassConfig(_Section):
         super().__post_init__()
         if self.K < 2:
             raise ConfigError("K must be >= 2")
-        if self.n < 1 or self.T < 1 or self.d < 1:
-            raise ConfigError("n, T, d must be positive")
+        if self.T < 1 or self.d < 1:
+            raise ConfigError("T, d must be positive")
         if self.n_weak < 0 or self.T < 1 + self.n_weak:
             raise ConfigError("need T >= 1 + n_weak")
-        if self.mu_norm <= 0 or self.sigma_eps < 0:
-            raise ConfigError("mu_norm must be > 0 and sigma_eps >= 0")
+        if self.sigma_eps < 0:
+            raise ConfigError("sigma_eps must be >= 0")
         if not (0.0 <= self.eta < 1.0):
             raise ConfigError("eta must lie in [0, 1)")
         if not (0.0 <= self.rho < 1.0):

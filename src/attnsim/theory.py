@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DELTA, DataConfig, Dataset, SignalBasis, snr as data_snr
+from .data import DELTA, DataConfig, Dataset, snr as data_snr
 from .model import ModelState, loss_derivative
 from .multiclass import (MulticlassConfig, _check_mc_samples,
                          head_gradient_estimate)
@@ -150,9 +150,9 @@ _UPDATE_ROWS = (
     "update_w_cross_mu_-_eps", "update_w_cross_eps_pairs")
 
 
-def _tracked_rows(dataset: Dataset, signals: SignalBasis) -> np.ndarray:
+def _tracked_rows(dataset: Dataset) -> np.ndarray:
     """A = [mu_+; mu_-; E], E the noise rows in (j, u) order."""
-    return np.vstack([signals.mu_plus, signals.mu_minus,
+    return np.vstack([dataset.signals.mu_plus, dataset.signals.mu_minus,
                       dataset.noise.reshape(-1, dataset.d)])
 
 
@@ -171,15 +171,14 @@ def _step_change(state: ModelState, A: np.ndarray, g: np.ndarray,
     return W1, (A @ (W1.T @ p1) - r0, float(p1 @ p1) - pp), (r0, pp, gw, gp)
 
 
-def _update_changes(state: ModelState, dataset: Dataset,
-                    signals: SignalBasis, alpha: float):
+def _update_changes(state: ModelState, dataset: Dataset, alpha: float):
     """One GD step's changes of r = A W^T p, G = (A W^T)(A W^T)^T and
     ||p||^2 over the tracked rows, as ``(lhs, rhs)``: lhs the differences
     of the two states' float products (Delta G formed here, the rest by
     :func:`_step_change`); rhs the interaction terms, inner products with
     c_i = sum_t omega_t x_t, plus the exact alpha^2 terms.  gbar, omega and
     a = -scale come from one :func:`_score_dense` pass."""
-    A = _tracked_rows(dataset, signals)
+    A = _tracked_rows(dataset)
     _, (_, omega, _, scale, _), g = _score_dense(dataset, state)
     W1, (dr, dpp), (r0, pp, gw, gp) = _step_change(state, A, g, alpha)
     B0, B1 = A @ state.W.T, A @ W1.T
@@ -207,7 +206,7 @@ def _update_blocks(r, G, pp):
 
 
 def verify_update_identity(state: ModelState, dataset: Dataset,
-                           signals: SignalBasis, alpha: float) -> TheoryReport:
+                           alpha: float) -> TheoryReport:
     """Check that one GD step moves every tracked bilinear quantity by its
     interaction-term expression (first order in alpha) plus the exact
     alpha^2 cross term, to relative error ``UPDATE_IDENTITY_TOL``: the
@@ -215,7 +214,7 @@ def verify_update_identity(state: ModelState, dataset: Dataset,
     ||p||^2, and the squared norms and pairwise inner products of W applied
     to both signals and every noise vector, one row per block of the
     stacked changes of :func:`_update_changes`."""
-    lhs, rhs = _update_changes(state, dataset, signals, alpha)
+    lhs, rhs = _update_changes(state, dataset, alpha)
     report = TheoryReport()
     for name, left, right in zip(_UPDATE_ROWS, _update_blocks(*lhs),
                                  _update_blocks(*rhs)):
@@ -310,8 +309,7 @@ def softmax_bound_scan(trace: TrainTrace) -> TheoryReport:
 # --------------------------------------------------------------------------
 
 def good_run_check(dataset: Dataset, init_state: ModelState | None,
-                   signals: SignalBasis, sigma_w: float = 0.0,
-                   sigma_p: float = 0.0) -> TheoryReport:
+                   sigma_w: float = 0.0, sigma_p: float = 0.0) -> TheoryReport:
     """Finite-scale concentration events over one realized dataset and
     initialization: noise-norm bands of relative width
     ``GOOD_RUN_NORM_RTOL`` and inner-product caps scaled by
@@ -324,7 +322,7 @@ def good_run_check(dataset: Dataset, init_state: ModelState | None,
     sigma_eps = 0) are reported as vacuous: they carry no bounds and pass.
     Any other event fails on an inf or NaN value, which measures nothing.
     """
-    cfg = dataset.config
+    cfg, signals = dataset.config, dataset.signals
     n, T, d = dataset.n, dataset.T, dataset.d
     sig = cfg.sigma_eps
     mu = cfg.mu_norm
@@ -614,7 +612,7 @@ def etf_gradient_check(config: MulticlassConfig, mus: np.ndarray,
     return cos
 
 
-def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
+def init_checks(state0: ModelState, dataset: Dataset,
                 alpha: float) -> TheoryReport:
     """Near-uniform softmax and vanishing attention gaps at initialization,
     plus smallness of the first gradient step's attention drift: the
@@ -628,8 +626,7 @@ def init_checks(state0: ModelState, dataset: Dataset, signals: SignalBasis,
                         for gaps in attention_gaps(u))
     # Delta r can overflow where the scores did not: inf or NaN, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        dr = _step_change(state0, _tracked_rows(dataset, signals), g,
-                          alpha)[1][0]
+        dr = _step_change(state0, _tracked_rows(dataset), g, alpha)[1][0]
     dlam, drho = (float(np.max(np.abs(block))) for block in (dr[:2], dr[2:]))
     return TheoryReport([
         CheckResult("init_softmax_uniformity", s_dev <= INIT_S_UNIFORMITY,

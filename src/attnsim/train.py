@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfigError, DataConfig, Dataset, SignalBasis, _Section
+from .data import ConfigError, DataConfig, Dataset, _Section
 from .model import (InitDraw, ModelState, _attend, _attend_work,
                     _fit_loss_means, _fits, _token_scores, batch_outputs,
                     loss_derivative)
@@ -414,7 +414,7 @@ class _SubspaceEngine:
     steps folds them into L (and their x_j beta_j^T into Z).
     """
 
-    def __init__(self, state0, dataset, signals, alpha):
+    def __init__(self, state0, dataset, alpha):
         n, T, d = dataset.X.shape
         self.n, self.T, self.nT = n, T, n * T
         self.alpha = alpha
@@ -423,7 +423,7 @@ class _SubspaceEngine:
         # their memory
         init = state0.init
         if init is None or init.B is None or dataset.X.base is not init.B:
-            init = InitDraw.of(state0.W, dataset, signals)
+            init = InitDraw.of(state0.W, dataset)
         B, P = init.B, init.P
         tokens = dataset.X.reshape(n * T, d)
         N = self.N = B.shape[0]
@@ -603,9 +603,9 @@ class _SubspaceEngine:
         return final
 
 
-def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
-          config: TrainConfig, test_set: Dataset | None = None,
-          hooks=(), until=None) -> TrainResult:
+def train(state0: ModelState, dataset: Dataset, config: TrainConfig,
+          test_set: Dataset | None = None, hooks=(),
+          until=None) -> TrainResult:
     """Run ``config.steps`` full-batch GD iterations with instrumentation.
 
     Logs step 0, every ``log_every``-th step, and the final step: losses,
@@ -636,7 +636,7 @@ def train(state0: ModelState, dataset: Dataset, signals: SignalBasis,
     state is the one at that row's step.  ``meta["steps"]`` stays
     ``config.steps``.
     """
-    eng = _SubspaceEngine(state0, dataset, signals, config.alpha)
+    eng = _SubspaceEngine(state0, dataset, config.alpha)
     log_at = _log_points(config.steps, config.log_every)
     recorder = _Recorder(dataset, len(log_at), eng.N, hooks=hooks)
     y = dataset.y_train

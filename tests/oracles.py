@@ -29,12 +29,13 @@ class MulticlassDataset:
 
 
 def generate_multiclass_dataset(config: MulticlassConfig, mus: np.ndarray,
+                                n: int,
                                 rng: np.random.Generator) -> MulticlassDataset:
     """n samples drawn whole, with the streams and bits of one
     ``head_gradient_estimate`` batch."""
-    tok_rng, y_true, weak, y_train = _draw_labels(config.n, config, rng)
+    tok_rng, y_true, weak, y_train = _draw_labels(n, config, rng)
     X = _draw_tokens(config, mus, tok_rng, y_true, weak,
-                     np.empty((config.n, config.T, config.d)))
+                     np.empty((n, config.T, config.d)))
     return MulticlassDataset(X=X, y_train=y_train, y_true=y_true,
                              weak_classes=weak, K=config.K)
 
@@ -115,12 +116,12 @@ def logistic_loss(out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, -y * out)
 
 
-def dense_attention(state: ModelState, dataset: Dataset, signals):
+def dense_attention(state: ModelState, dataset: Dataset):
     """The attention scores X W^T p (n, T) of a dense state, and
     r = A W^T p over the tracked rows: lambda_+/- = r[:2], rho = r[2:]."""
     q = state.W.T @ state.p
     return (_token_scores(dataset.X, q, state.nu)[0],
-            _tracked_rows(dataset, signals) @ q)
+            _tracked_rows(dataset) @ q)
 
 
 def gd_step(state: ModelState, dataset: Dataset, alpha: float) -> ModelState:

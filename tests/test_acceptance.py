@@ -101,12 +101,12 @@ class TestCriterion1GradientOracle:
             worst = max(worst,
                         float(np.max(rel_err(grad_w(ds, state), fd_w, FD_FLOOR))),
                         float(np.max(rel_err(grad_p(ds, state), fd_p, FD_FLOOR))))
-        kcfg = MulticlassConfig(n=4, T=3, d=8, K=3, mu_norm=2.0, sigma_eps=1.0,
-                                eta=0.2, rho=0.3, n_weak=1)
+        kcfg = MulticlassConfig(T=3, d=8, K=3, sigma_eps=1.0, eta=0.2,
+                                rho=0.3, n_weak=1)
         worst_k = 0.0
         for trial in range(20):
             mus = make_class_signals(8, 3, 2.0, rng=rng)
-            kds = generate_multiclass_dataset(kcfg, mus, rng)
+            kds = generate_multiclass_dataset(kcfg, mus, 4, rng)
             st = MulticlassState(W=rng.normal(0, 0.5, (8, 8)),
                                  p=rng.normal(0, 0.5, 8),
                                  W_V=rng.normal(0, 0.5, (8, 3)))
@@ -149,7 +149,7 @@ class TestCriterion2UpdateIdentities:
         worst = 0.0
         for _ in range(10):
             ds, sig, state = random_instance(rng)
-            rep = verify_update_identity(state, ds, sig, alpha=0.05)
+            rep = verify_update_identity(state, ds, alpha=0.05)
             worst = max(worst, max(c.measured["max_rel_err"]
                                    for c in rep.checks))
             assert rep.passed_all
@@ -307,7 +307,7 @@ class TestCriterion6GoodRunFrequencies:
             # the check reads only the noise, so the tokens stay undrawn
             ds = generate_dataset(cfg, sig, stream(k, "accept-goodrun"),
                                   lazy=True)
-            rep = good_run_check(ds, None, sig)
+            rep = good_run_check(ds, None)
             norm_hold += rep["good_run_norm_eps"].passed
             inner_hold += rep["good_run_inner_eps_eps"].passed
         ok = norm_hold >= 0.99 * draws and inner_hold >= 0.99 * draws
@@ -323,8 +323,8 @@ class TestCriterion7Etf:
         t0 = time.time()
         worst = 1.0
         for K in (2, 3):
-            cfg = MulticlassConfig(n=1, T=8, d=64, K=K, mu_norm=1.0,
-                                   sigma_eps=0.1, eta=0.1, rho=0.1, n_weak=2)
+            cfg = MulticlassConfig(T=8, d=64, K=K, sigma_eps=0.1, eta=0.1,
+                                   rho=0.1, n_weak=2)
             mus = make_class_signals(64, K, 1.0, rng=stream(K, "accept-etf"))
             cos = etf_gradient_check(cfg, mus, mc_samples=100_000,
                                      rng=stream(K, "accept-etf-mc"))

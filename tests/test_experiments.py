@@ -18,7 +18,7 @@ import pytest
 import attnsim
 from attnsim import experiments, model
 from attnsim.cli import (EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_NUMERICAL,
-                         EXIT_SYSTEM, EXIT_USAGE)
+                         EXIT_SYSTEM, EXIT_USAGE, _build_parser)
 from attnsim.cli import main as cli_main
 from attnsim.data import (ConfigError, DataConfig, a8_sigma,
                           generate_dataset, make_signals)
@@ -220,7 +220,7 @@ class TestBuildInputs:
         cfg = tiny_config(seed=5)
         cfg = replace(cfg, data=replace(cfg.data, d=d),
                       model=ModelParams(sigma_w=sigma_w, sigma_p=sigma_p))
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        dataset, test_set, state0 = build_inputs(cfg)
 
         ref_signals = make_signals(d, cfg.data.mu_norm, stream(5, "signals"))
         ref_data = generate_dataset(cfg.data, ref_signals, stream(5, "data"))
@@ -229,8 +229,8 @@ class TestBuildInputs:
             stream(5, "test"))
         ref_W, ref_p = init_params(d, *cfg.resolved_sigmas(),
                                    stream(5, "init"))
-        assert np.array_equal(signals.mu_plus, ref_signals.mu_plus)
-        assert np.array_equal(signals.mu_minus, ref_signals.mu_minus)
+        assert np.array_equal(dataset.signals.mu_plus, ref_signals.mu_plus)
+        assert np.array_equal(dataset.signals.mu_minus, ref_signals.mu_minus)
         for got, ref in ((dataset, ref_data), (test_set, ref_test)):
             assert np.array_equal(got.X, ref.X)
             assert np.array_equal(got.y_train, ref.y_train)
@@ -246,8 +246,8 @@ class TestBuildInputs:
 
         ref_state = ModelState(W=ref_W, p=ref_p, nu=make_head(ref_signals))
         alpha = cfg.train.alpha
-        eng = _SubspaceEngine(state0, dataset, signals, alpha)
-        ref_eng = _SubspaceEngine(ref_state, ref_data, ref_signals, alpha)
+        eng = _SubspaceEngine(state0, dataset, alpha)
+        ref_eng = _SubspaceEngine(ref_state, ref_data, alpha)
         N = eng.N
         assert eng._P is state0.init.P
         assert eng._P.tobytes() == ref_eng._P.tobytes()      # [p0 | V]
@@ -255,9 +255,9 @@ class TestBuildInputs:
         assert (eng._KP[:N + 1].tobytes()                     # K = P^T P
                 == ref_eng._KP[:N + 1].tobytes())
 
-        got = train(state0, dataset, signals, cfg.train,
+        got = train(state0, dataset, cfg.train,
                     test_set=test_set).trace
-        ref = train(ref_state, ref_data, ref_signals, cfg.train,
+        ref = train(ref_state, ref_data, cfg.train,
                     test_set=ref_test).trace
         assert trace_table(got, [0, 1]) == trace_table(ref, [0, 1])
         for name in ("test_loss", "scores", "outputs"):
@@ -270,7 +270,7 @@ class TestBuildInputs:
         # dataset's tokens are a view of its B; otherwise it forms them
         # from W(0), with the bits of training a held W(0)
         cfg = tiny_config(seed=5)
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        dataset, test_set, state0 = build_inputs(cfg)
         held = ModelState(W=state0.W.copy(), p=state0.p, nu=state0.nu)
         if case == "no-basis":
             state0 = ModelState(
@@ -279,14 +279,16 @@ class TestBuildInputs:
                 p=state0.p, nu=state0.nu)
             assert state0.init.B is None
         # the build's tokens again, owning their memory
-        dataset = generate_dataset(cfg.data, signals, stream(5, "data"))
+        dataset = generate_dataset(cfg.data, dataset.signals,
+                                   stream(5, "data"))
         assert dataset.X.base is None
-        eng = _SubspaceEngine(state0, dataset, signals, cfg.train.alpha)
+        eng = _SubspaceEngine(state0, dataset, cfg.train.alpha)
         assert eng._P is not state0.init.P
         assert dataset.X.base is eng._B
-        ref_data = generate_dataset(cfg.data, signals, stream(5, "data"))
-        got = train(state0, dataset, signals, cfg.train, test_set=test_set)
-        ref = train(held, ref_data, signals, cfg.train, test_set=test_set)
+        ref_data = generate_dataset(cfg.data, dataset.signals,
+                                    stream(5, "data"))
+        got = train(state0, dataset, cfg.train, test_set=test_set)
+        ref = train(held, ref_data, cfg.train, test_set=test_set)
         assert got.trace.scores.tobytes() == ref.trace.scores.tobytes()
         assert got.trace.test_loss.tobytes() == ref.trace.test_loss.tobytes()
         assert (got.final_state().W.tobytes()
@@ -297,18 +299,18 @@ class TestBuildInputs:
         full = build_inputs(cfg)
         bare = build_inputs(replace(cfg, train=replace(cfg.train,
                                                        test_size=0)))
-        assert bare[2] is None
-        assert np.array_equal(bare[1].X, full[1].X)
-        assert np.array_equal(bare[1].y_train, full[1].y_train)
-        assert np.array_equal(bare[3].W, full[3].W)
-        assert np.array_equal(bare[3].p, full[3].p)
+        assert bare[1] is None
+        assert np.array_equal(bare[0].X, full[0].X)
+        assert np.array_equal(bare[0].y_train, full[0].y_train)
+        assert np.array_equal(bare[2].W, full[2].W)
+        assert np.array_equal(bare[2].p, full[2].p)
 
     def test_training_leaves_test_noise_unread(self):
         # the test set is scored through X alone, so its noise is never
         # regenerated
         cfg = tiny_config(seed=1)
-        signals, dataset, test_set, state0 = build_inputs(cfg)
-        train(state0, dataset, signals, cfg.train, test_set=test_set)
+        dataset, test_set, state0 = build_inputs(cfg)
+        train(state0, dataset, cfg.train, test_set=test_set)
         assert "noise" not in test_set.__dict__
 
     @pytest.mark.parametrize("log_every, projected", [(20, False),
@@ -327,9 +329,9 @@ class TestBuildInputs:
         monkeypatch.setattr(data_mod, "_draw_tokens", counting)
         cfg = tiny_config(seed=4, log_every=log_every, test_size=150)
         assert experiments.projects_test_set(cfg.data, cfg.train) == projected
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        dataset, test_set, state0 = build_inputs(cfg)
         assert drawn == ([8] if projected else [8, 150])
-        train(state0, dataset, signals, cfg.train, test_set=test_set)
+        train(state0, dataset, cfg.train, test_set=test_set)
         # chunks of a sixth of 150 samples, rounded up to 32
         assert drawn == ([8, 32, 32, 32, 32, 22] if projected else [8, 150])
         assert ("X" in test_set.__dict__) != projected
@@ -405,10 +407,10 @@ class TestBuildInputs:
         try:
             while builds < 3 or time.monotonic() - start < 1.0:
                 formed.clear()
-                signals, dataset, _, state0 = build_inputs(
+                dataset, _, state0 = build_inputs(
                     replace(cfg, seed=builds))
                 assert sorted(formed) == model.row_blocks(d)
-                serial = model.InitDraw.of(state0.W, dataset, signals)
+                serial = model.InitDraw.of(state0.W, dataset)
 
                 formed.clear()
                 shared = model.InitDraw(d)
@@ -416,7 +418,7 @@ class TestBuildInputs:
                           for _ in range(4)]
                 for taker in takers:
                     taker.start()
-                shared.set_basis(dataset, signals)
+                shared.set_basis(dataset)
                 init_params(d, *cfg.resolved_sigmas(),
                             stream(builds, "init"), on_rows=shared.rows_drawn)
                 for taker in takers:
@@ -479,6 +481,29 @@ class TestBenchmarkTracer:
                    for s, fn in suites.items())
 
 
+class TestBenchmarkWorkloads:
+    """The benchmark's passes (``perfbench/workloads.py``) are ``attnsim``
+    command lines over config files they write; each must parse, and each
+    file must load, under the library and CLI of this tree."""
+
+    @pytest.mark.parametrize("name", ["regimes", "heatmap", "checks"])
+    def test_calls_parse_and_configs_load(self, monkeypatch, tmp_path, name):
+        workloads = bench_module(monkeypatch, "workloads")
+        calls = workloads.build(name, 7, str(tmp_path)).calls
+        assert calls
+        loaders = {"run": ExperimentConfig, "check": ExperimentConfig,
+                   "sweep": SweepSpec}
+        loaded = set()
+        for call in calls:
+            args = _build_parser().parse_args(list(call.argv))
+            if args.config is not None:
+                with open(args.config) as fh:
+                    loaders[args.command].from_json(json.load(fh))
+                loaded.add(os.path.realpath(args.config))
+        assert loaded == {str(path.resolve())
+                          for path in tmp_path.rglob("*.json")}
+
+
 class TestInitLifetime:
     """The drawn W(0) is held until its last reader: the projection on the
     projection branch, V without a test set, the last scored block on the
@@ -487,22 +512,22 @@ class TestInitLifetime:
     @staticmethod
     def drawn(cfg):
         inputs = build_inputs(cfg)
-        return inputs, weakref.ref(inputs[3].init.W)
+        return inputs, weakref.ref(inputs[2].init.W)
 
     def test_projection_branch_drops_it(self):
         cfg = tiny_config(seed=3, log_every=1)
         assert experiments.projects_test_set(cfg.data, cfg.train)
-        (signals, dataset, test_set, state0), ref = self.drawn(cfg)
-        result = train(state0, dataset, signals, cfg.train,
+        (dataset, test_set, state0), ref = self.drawn(cfg)
+        result = train(state0, dataset, cfg.train,
                        test_set=test_set)
         assert ref() is None
         assert result.final_state().W.shape == (64, 64)
 
     def test_without_test_set_dropped_before_the_loop(self):
         cfg = tiny_config(seed=3, test_size=0)
-        (signals, dataset, _, state0), ref = self.drawn(cfg)
+        (dataset, _, state0), ref = self.drawn(cfg)
         held = []
-        train(state0, dataset, signals, cfg.train,
+        train(state0, dataset, cfg.train,
               hooks=(lambda step, info: held.append(ref() is not None),))
         assert held == [False] * 4
 
@@ -510,7 +535,7 @@ class TestInitLifetime:
         cfg = tiny_config(seed=3, steps=100, log_every=1)
         cfg = replace(cfg, data=replace(cfg.data, n=30))   # 123 rows
         assert not experiments.projects_test_set(cfg.data, cfg.train)
-        (signals, dataset, test_set, state0), ref = self.drawn(cfg)
+        (dataset, test_set, state0), ref = self.drawn(cfg)
         train_mod = importlib.import_module("attnsim.train")
         monkeypatch.setattr(train_mod, "_TEST_BLOCK", 32)
         scoring_cls = train_mod._TestScoring
@@ -521,7 +546,7 @@ class TestInitLifetime:
             exact_block(self, lo, hi)
 
         monkeypatch.setattr(scoring_cls, "_block", block)
-        train(state0, dataset, signals, cfg.train, test_set=test_set)
+        train(state0, dataset, cfg.train, test_set=test_set)
         assert held == [True] * 4       # 101 logged states, blocks of 32
         assert ref() is None
 
@@ -530,7 +555,7 @@ class TestInitLifetime:
 
         def recording(cfg):
             inputs = build_inputs(cfg)
-            refs.append(weakref.ref(inputs[3].init.W))
+            refs.append(weakref.ref(inputs[2].init.W))
             return inputs
 
         monkeypatch.setattr(experiments, "build_inputs", recording)
@@ -544,7 +569,7 @@ class TestInitLifetime:
         # 300 and 1000 end in a ragged row block
         cfg = tiny_config(seed=7)
         cfg = replace(cfg, data=replace(cfg.data, d=d))
-        signals, dataset, test_set, state0 = build_inputs(cfg)
+        dataset, test_set, state0 = build_inputs(cfg)
         ref_W, ref_p = init_params(d, *cfg.resolved_sigmas(),
                                    stream(7, "init"))
         assert state0.W is state0.init.W
@@ -554,9 +579,9 @@ class TestInitLifetime:
         assert state0.W.tobytes() == ref_W.tobytes()
         # the final state of a released W(0) against that of a held one
         ref_state = ModelState(W=ref_W, p=ref_p, nu=state0.nu)
-        final = train(state0, dataset, signals, cfg.train,
+        final = train(state0, dataset, cfg.train,
                       test_set=test_set).final_state()
-        ref = train(ref_state, dataset, signals, cfg.train,
+        ref = train(ref_state, dataset, cfg.train,
                     test_set=test_set).final_state()
         assert final.W.tobytes() == ref.W.tobytes()
         assert final.p.tobytes() == ref.p.tobytes()
@@ -567,7 +592,7 @@ class TestInitLifetime:
             init.array()
 
     def test_training_tokens_held_once(self):
-        signals, dataset, _, state0 = build_inputs(tiny_config())
+        dataset, _, state0 = build_inputs(tiny_config())
         n, T, d = dataset.X.shape
         assert dataset.X.base is state0.init.B
         assert np.array_equal(state0.init.B[:n * T],
@@ -753,7 +778,7 @@ class TestCheckSuites:
 
         def recording(cfg):
             inputs = build(cfg)
-            refs.append(weakref.ref(inputs[3].init.W))
+            refs.append(weakref.ref(inputs[2].init.W))
             return inputs
 
         def later_suite(cfg):
@@ -903,21 +928,26 @@ class TestCli:
 
     def test_check_glinearity_degenerate_fit(self, tmp_path, capsys):
         # at the zero init every score stays 0, so g(Lambda) is constant
-        # and its fit has no r2; the row still prints as strict JSON
-        cfg = replace(default_config(),
-                      model=ModelParams(sigma_w=0.0, sigma_p=0.0))
-        code = cli_main(["check", "--config", self.write_config(tmp_path, cfg),
-                         "--suite", "glinearity"])
-        out = capsys.readouterr()
-        assert code == EXIT_CHECK_FAILED
-
+        # and its fit has no r2; at sigma 1 the gaps reach about 1000 and
+        # g's sinh overflows, so the fit is not finite.  Either row prints
+        # as strict JSON and fails, and nothing warns on stderr
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        row, = json.loads(out.out, parse_constant=reject)
-        assert row["measured"]["slope"] == 0.0
-        assert row["measured"]["r2"] is None
-        assert row["note"].startswith("degenerate fit")
+        for sigma, slope, note in ((0.0, 0.0, "degenerate fit"),
+                                   (1.0, None, "non-finite fit")):
+            cfg = replace(default_config(),
+                          model=ModelParams(sigma_w=sigma, sigma_p=sigma))
+            code = cli_main(["check", "--config",
+                             self.write_config(tmp_path, cfg),
+                             "--suite", "glinearity"])
+            out = capsys.readouterr()
+            assert code == EXIT_CHECK_FAILED
+            assert out.err == "failed checks: g_linearity_clean\n"
+            row, = json.loads(out.out, parse_constant=reject)
+            assert row["measured"]["slope"] == slope
+            assert row["measured"]["r2"] is None
+            assert row["note"].startswith(note)
 
     def test_unknown_suite_exit_two(self, tmp_path):
         assert cli_main(["check", "--config", self.write_config(tmp_path),
@@ -1269,13 +1299,13 @@ class TestCli:
             train=TrainConfig(alpha=5e-3, steps=50, log_every=10,
                               test_size=50),
             seed=0)
-        signals, dataset, test_set, state0 = build_inputs(cfg)
-        diff = signals.mu_plus - signals.mu_minus
+        dataset, test_set, state0 = build_inputs(cfg)
+        diff = dataset.signals.mu_plus - dataset.signals.mu_minus
         state = ModelState(W=state0.W, p=state0.p,
                            nu=1000.0 * diff / float(np.linalg.norm(diff)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = train(state, dataset, signals, cfg.train,
+            trace = train(state, dataset, cfg.train,
                           test_set=test_set).trace
             check = loss_derivative_balance(trace)
         assert trace.diverged_at is None

@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +22,11 @@ from oracles import (MulticlassDataset, MulticlassState,
                      multiclass_loss_and_grads)
 
 
+MU_NORM = 3.0
+
+
 def kcfg(**kw):
-    base = dict(n=8, T=4, d=12, K=3, mu_norm=3.0, sigma_eps=1.0, eta=0.2,
-                rho=0.3, n_weak=2)
+    base = dict(T=4, d=12, K=3, sigma_eps=1.0, eta=0.2, rho=0.3, n_weak=2)
     base.update(kw)
     return MulticlassConfig(**base)
 
@@ -50,13 +51,13 @@ class TestClassSignals:
 
 
 class TestMulticlassConfig:
-    @pytest.mark.parametrize("key", ["mu_norm", "sigma_eps", "eta", "rho"])
+    @pytest.mark.parametrize("key", ["sigma_eps", "eta", "rho"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_real_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be finite"):
             kcfg(**{key: value})
 
-    @pytest.mark.parametrize("key", ["n", "T", "d", "K", "n_weak"])
+    @pytest.mark.parametrize("key", ["T", "d", "K", "n_weak"])
     @pytest.mark.parametrize("value", [2.0, True])
     def test_non_integer_count_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
@@ -65,9 +66,9 @@ class TestMulticlassConfig:
 
 class TestKDataset:
     def test_structure(self):
-        cfg = kcfg(n=200)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(0, "k"))
-        ds = generate_multiclass_dataset(cfg, mus, stream(0, "kd"))
+        cfg = kcfg()
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(0, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, 200, stream(0, "kd"))
         assert ds.X.shape == (200, 4, 12)
         assert set(np.unique(ds.y_true)) <= {0, 1, 2}
         flips = ds.y_train != ds.y_true
@@ -77,13 +78,13 @@ class TestKDataset:
 
     def test_tokens_have_the_bits_of_a_normal_draw(self):
         # the in-place fill computes 0 + sigma_eps z, as normal(0, sigma_eps)
-        cfg = kcfg(n=50, sigma_eps=0.7)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(0, "k"))
-        ds = generate_multiclass_dataset(cfg, mus, stream(0, "kd"))
+        cfg, n = kcfg(sigma_eps=0.7), 50
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(0, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, n, stream(0, "kd"))
         tok_rng, _ = stream(0, "kd").spawn(2)
-        y_true = tok_rng.integers(cfg.K, size=cfg.n)
-        weak = tok_rng.integers(cfg.K, size=(cfg.n, cfg.n_weak))
-        want = tok_rng.normal(0.0, cfg.sigma_eps, size=(cfg.n, cfg.T, cfg.d))
+        y_true = tok_rng.integers(cfg.K, size=n)
+        weak = tok_rng.integers(cfg.K, size=(n, cfg.n_weak))
+        want = tok_rng.normal(0.0, cfg.sigma_eps, size=(n, cfg.T, cfg.d))
         want[:, 0, :] += mus[y_true]
         for j in range(cfg.n_weak):
             want[:, 1 + j, :] += cfg.rho * mus[weak[:, j]]
@@ -93,8 +94,8 @@ class TestKDataset:
 class TestMulticlassLoss:
     def test_zero_head_log_k(self):
         cfg = kcfg()
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(2, "k"))
-        ds = generate_multiclass_dataset(cfg, mus, stream(2, "kd"))
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(2, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, 8, stream(2, "kd"))
         state = random_kstate(cfg, seed=3)
         state.W_V = np.zeros((cfg.d, cfg.K))
         loss, gw, gp = multiclass_loss_and_grads(ds, state)
@@ -103,17 +104,17 @@ class TestMulticlassLoss:
 
     def test_rejects_single_class(self):
         cfg = kcfg()
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(2, "k"))
-        ds = generate_multiclass_dataset(cfg, mus, stream(2, "kd"))
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(2, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, 8, stream(2, "kd"))
         state = random_kstate(cfg)
         state.W_V = state.W_V[:, :1]
         with pytest.raises(ValueError):
             multiclass_loss_and_grads(ds, state)
 
     def test_finite_difference_oracle(self):
-        cfg = kcfg(n=4, T=3, d=8, K=3, n_weak=1)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(4, "k"))
-        ds = generate_multiclass_dataset(cfg, mus, stream(4, "kd"))
+        cfg = kcfg(T=3, d=8, K=3, n_weak=1)
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(4, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, 4, stream(4, "kd"))
         state = random_kstate(cfg, seed=5)
         _, gw, gp = multiclass_loss_and_grads(ds, state)
         h = 1e-5
@@ -180,7 +181,7 @@ class TestHeadGradientGeometry:
         # sigma=0, eta=0, rho=0: gradient directions are exact up to class
         # sampling fluctuations
         cfg = kcfg(T=4, d=24, K=3, sigma_eps=0.0, eta=0.0, rho=0.0, n_weak=2)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(8, "k"))
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(8, "k"))
         est = head_gradient_estimate(cfg, mus, 100_000, stream(8, "mc"))
         target = mus - mus.mean(axis=0)
         for k in range(3):
@@ -190,7 +191,7 @@ class TestHeadGradientGeometry:
 
     def test_label_noise_rescales_not_rotates(self):
         cfg = kcfg(T=4, d=24, K=2, sigma_eps=0.0, eta=0.4, rho=0.0, n_weak=2)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(9, "k"))
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(9, "k"))
         est = head_gradient_estimate(cfg, mus, 100_000, stream(9, "mc"))
         target = mus - mus.mean(axis=0)
         for k in range(2):
@@ -199,9 +200,9 @@ class TestHeadGradientGeometry:
             assert cos >= 0.99
 
     def test_grad_wv_at_zero_matches_closed_form(self):
-        cfg = kcfg(n=64)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(10, "k"))
-        ds = generate_multiclass_dataset(cfg, mus, stream(10, "kd"))
+        cfg = kcfg()
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(10, "k"))
+        ds = generate_multiclass_dataset(cfg, mus, 64, stream(10, "kd"))
         state = MulticlassState(W=np.zeros((cfg.d, cfg.d)), p=np.zeros(cfg.d),
                                 W_V=np.zeros((cfg.d, cfg.K)))
         got = grad_wv(ds, state)
@@ -221,7 +222,7 @@ def held_batch_estimate(cfg, mus, mc_samples, rng):
     remaining = mc_samples
     while remaining > 0:
         m = min(multiclass._ESTIMATE_BATCH, remaining)
-        ds = generate_multiclass_dataset(replace(cfg, n=m), mus, rng)
+        ds = generate_multiclass_dataset(cfg, mus, m, rng)
         total += -grad_wv(ds, zero) * m
         remaining -= m
     return total / mc_samples
@@ -243,8 +244,8 @@ class TestStreamedHeadGradient:
     def test_equals_held_batch_path_bytes(self, monkeypatch, chunk,
                                           mc_samples, kw):
         monkeypatch.setattr(multiclass, "_ESTIMATE_CHUNK", chunk)
-        cfg = kcfg(**{"n": 1, "T": 5, "d": 16, **kw})
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(11, "k"))
+        cfg = kcfg(**{"T": 5, "d": 16, **kw})
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(11, "k"))
         got = head_gradient_estimate(cfg, mus, mc_samples, stream(11, "mc"))
         want = held_batch_estimate(cfg, mus, mc_samples, stream(11, "mc"))
         assert got.tobytes() == want.tobytes()
@@ -254,8 +255,8 @@ class TestStreamedHeadGradient:
         # two batches at once would change the bits
         monkeypatch.setattr(multiclass, "_ESTIMATE_THREADS", 4)
         monkeypatch.setattr(multiclass, "_ESTIMATE_CHUNK", 7)
-        cfg = kcfg(n=1, T=5, d=16)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(16, "k"))
+        cfg = kcfg(T=5, d=16)
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(16, "k"))
         mc_samples = 6 * multiclass._ESTIMATE_BATCH + 5
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -267,8 +268,8 @@ class TestStreamedHeadGradient:
         assert got.tobytes() == want.tobytes()
 
     def test_multi_batch_holds_two_buffer_sets(self):
-        cfg = kcfg(n=1, T=6, d=256, K=3)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(12, "k"))
+        cfg = kcfg(T=6, d=256, K=3)
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(12, "k"))
         batch_bytes = multiclass._ESTIMATE_BATCH * cfg.T * cfg.d * 8
         buffer_set = (multiclass._ESTIMATE_BATCH * cfg.d
                       + multiclass._ESTIMATE_CHUNK * cfg.T * cfg.d) * 8
@@ -291,8 +292,8 @@ class TestStreamedHeadGradient:
             return draw(*args, **kw)
 
         monkeypatch.setattr(multiclass, "_draw_tokens", failing)
-        cfg = kcfg(n=1, T=4, d=16)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(15, "k"))
+        cfg = kcfg(T=4, d=16)
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(15, "k"))
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="batch draw failed"):
             head_gradient_estimate(cfg, mus, 5 * multiclass._ESTIMATE_BATCH,
@@ -300,8 +301,8 @@ class TestStreamedHeadGradient:
         assert set(threading.enumerate()) <= before
 
     def test_never_holds_a_batch(self):
-        cfg = kcfg(n=1, T=6, d=256, K=3)
-        mus = make_class_signals(cfg.d, cfg.K, cfg.mu_norm, rng=stream(12, "k"))
+        cfg = kcfg(T=6, d=256, K=3)
+        mus = make_class_signals(cfg.d, cfg.K, MU_NORM, rng=stream(12, "k"))
         batch_bytes = multiclass._ESTIMATE_BATCH * cfg.T * cfg.d * 8
         tracemalloc.start()
         try:
@@ -315,7 +316,7 @@ class TestStreamedHeadGradient:
     @pytest.mark.parametrize("rows", [2, 4])
     def test_signal_shape_checked(self, rows):
         cfg = kcfg(d=32, K=3)
-        mus = cfg.mu_norm * np.eye(rows, cfg.d)
+        mus = MU_NORM * np.eye(rows, cfg.d)
         with pytest.raises(ValueError, match="shape"):
             head_gradient_estimate(cfg, mus, 1000, stream(13, "mc"))
         with pytest.raises(ValueError, match="shape"):
@@ -325,7 +326,7 @@ class TestStreamedHeadGradient:
                                             -3, "2000"])
     def test_mc_samples_checked(self, mc_samples):
         cfg = kcfg(d=32, K=3)
-        mus = cfg.mu_norm * np.eye(cfg.K, cfg.d)
+        mus = MU_NORM * np.eye(cfg.K, cfg.d)
         with pytest.raises(ValueError, match="mc_samples"):
             head_gradient_estimate(cfg, mus, mc_samples, stream(13, "mc"))
         with pytest.raises(ValueError, match="mc_samples"):
@@ -333,7 +334,7 @@ class TestStreamedHeadGradient:
 
     def test_numpy_integer_mc_samples_accepted(self):
         cfg = kcfg(d=32, K=3)
-        mus = cfg.mu_norm * np.eye(cfg.K, cfg.d)
+        mus = MU_NORM * np.eye(cfg.K, cfg.d)
         got = head_gradient_estimate(cfg, mus, np.int64(300), stream(13, "mc"))
         want = head_gradient_estimate(cfg, mus, 300, stream(13, "mc"))
         assert got.tobytes() == want.tobytes()

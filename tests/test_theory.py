@@ -60,13 +60,13 @@ class TestDiagnostics:
     def test_zero_state_all_zero(self):
         ds, sig, state = make_instance()
         state.W = np.zeros((8, 8))
-        u, r = dense_attention(state, ds, sig)
+        u, r = dense_attention(state, ds)
         assert not r.any() and not attention_gaps(u)[0].any()
 
     def test_gamma_lambda_antisymmetry_exact(self):
         for seed in range(5):
             ds, sig, state = make_instance(seed=seed)
-            Lambda, Gamma = attention_gaps(dense_attention(state, ds, sig)[0])
+            Lambda, Gamma = attention_gaps(dense_attention(state, ds)[0])
             np.testing.assert_array_equal(Gamma[:, 0], -Lambda[:, 0])
 
     def test_role_decomposition_identity(self):
@@ -76,7 +76,7 @@ class TestDiagnostics:
         ds, sig, state = make_instance(seed=2, n=6, T=5)
         weak_same = range(2, 2 + ds.config.n_weak_same)
         rho = ds.config.rho
-        u, r = dense_attention(state, ds, sig)
+        u, r = dense_attention(state, ds)
         Lambda, _ = attention_gaps(u)
         lam, rho_attn = {1: r[0], -1: r[1]}, r[2:].reshape(ds.n, ds.T)
         for i in range(ds.n):
@@ -99,7 +99,7 @@ class TestDiagnostics:
         # and s(v) = sum_it a_i omega_it <x_it, v> for a tracked row v
         ds, sig, state = make_instance(seed=3)
         alpha = 0.05
-        _, (r, G, pp) = _update_changes(state, ds, sig, alpha)
+        _, (r, G, pp) = _update_changes(state, ds, alpha)
         W, p = state.W, state.p
         s_all = softmax(ds.X @ (W.T @ p))
         gam = ds.X @ state.nu
@@ -142,14 +142,14 @@ class TestUpdateIdentities:
     def test_random_instances(self):
         for seed in range(10):
             ds, sig, state = make_instance(seed=seed)
-            rep = verify_update_identity(state, ds, sig, alpha=0.05)
+            rep = verify_update_identity(state, ds, alpha=0.05)
             worst = max(c.measured["max_rel_err"] for c in rep.checks)
             assert rep.passed_all, f"seed {seed}: worst rel err {worst}"
 
     def test_row_names_in_order(self):
         # `check` and the stored benchmark references key on these names
         ds, sig, state = make_instance(seed=0)
-        rep = verify_update_identity(state, ds, sig, alpha=0.05)
+        rep = verify_update_identity(state, ds, alpha=0.05)
         assert [c.name for c in rep.checks] == [
             "update_lambda_plus", "update_lambda_minus", "update_rho",
             "update_p_norm", "update_w_norm_mu_+", "update_w_norm_mu_-",
@@ -165,23 +165,23 @@ class TestUpdateIdentities:
         # come from rounding in the float left-hand side
         rng = stream(seed, "check-identities")
         for _ in range(3):
-            ds, sig, state = _random_instance(rng)
+            ds, state = _random_instance(rng)
             exact = exact_update_changes(state.W, state.p,
                                          _score_dense(ds, state)[2],
-                                         _tracked_rows(ds, sig), 0.05)
-            _, rhs = _update_changes(state, ds, sig, 0.05)
+                                         _tracked_rows(ds), 0.05)
+            _, rhs = _update_changes(state, ds, 0.05)
             for want, got in zip(exact, rhs):
                 assert np.max(rel_err(want, got)) <= UPDATE_IDENTITY_TOL
 
     def test_alpha_zero_trivial(self):
         ds, sig, state = make_instance(seed=1)
-        rep = verify_update_identity(state, ds, sig, alpha=0.0)
+        rep = verify_update_identity(state, ds, alpha=0.0)
         assert rep.passed_all
 
     def test_zero_head_trivial(self):
         ds, sig, state = make_instance(seed=2)
         state.nu = np.zeros(8)
-        rep = verify_update_identity(state, ds, sig, alpha=0.1)
+        rep = verify_update_identity(state, ds, alpha=0.1)
         assert rep.passed_all
 
 
@@ -250,13 +250,13 @@ class TestSoftmaxBounds:
     def test_random_states(self):
         for seed in range(8):
             ds, sig, state = make_instance(seed=seed, n=6, T=5)
-            u = dense_attention(state, ds, sig)[0]
+            u = dense_attention(state, ds)[0]
             rep = softmax_bound_check(softmax(u), attention_gaps(u)[0])
             assert rep.passed_all, f"seed {seed}"
 
     def test_identity_precision(self):
         ds, sig, state = make_instance(seed=3, n=6, T=5)
-        u = dense_attention(state, ds, sig)[0]
+        u = dense_attention(state, ds)[0]
         rep = softmax_bound_check(softmax(u), attention_gaps(u)[0])
         assert rep.checks[0].measured["max_rel_err"] <= 1e-12
 
@@ -337,7 +337,7 @@ class TestGoodRun:
         W = rng.normal(0.0, sigma, size=(d, d))
         p = rng.normal(0.0, sigma, size=d)
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        return good_run_check(ds, state, sig, sigma_w=sigma, sigma_p=sigma)
+        return good_run_check(ds, state, sigma_w=sigma, sigma_p=sigma)
 
     def test_typical_draw_holds(self):
         rep = self.run_check()
@@ -357,7 +357,7 @@ class TestGoodRun:
         hold = 0
         for k in range(50):
             ds = generate_dataset(cfg, sig, stream(k, "grm"))
-            rep = good_run_check(ds, None, sig)
+            rep = good_run_check(ds, None)
             hold += (rep["good_run_norm_eps"].passed
                      and rep["good_run_inner_eps_eps"].passed)
         assert hold >= 49
@@ -560,8 +560,8 @@ class TestInitChecks:
         # and nothing warns (a RuntimeWarning is an error under pytest)
         config = replace(default_config(),
                          model=ModelParams(sigma_w=1e155, sigma_p=1e-160))
-        sig, ds, _, state = _build_train_inputs(config)
-        rep = init_checks(state, ds, sig, config.train.alpha)
+        ds, _, state = _build_train_inputs(config)
+        rep = init_checks(state, ds, config.train.alpha)
         assert rep.failing == ["init_first_step_drift"]
         assert math.isnan(rep["init_first_step_drift"].measured["max_drho"])
 
@@ -569,7 +569,7 @@ class TestInitChecks:
         ds, sig, state = make_instance(seed=0)
         state.W = np.zeros((8, 8))
         state.p = np.zeros(8)
-        rep = init_checks(state, ds, sig, alpha=1e-3)
+        rep = init_checks(state, ds, alpha=1e-3)
         by_name = {c.name: c for c in rep.checks}
         assert by_name["init_softmax_uniformity"].measured[
             "max_scaled_deviation"] == 0.0
@@ -587,7 +587,7 @@ class TestInitChecks:
         W = rng.normal(0.0, s, size=(2000, 2000))
         p = rng.normal(0.0, s, size=2000)
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        rep = init_checks(state, ds, sig, alpha=5e-3)
+        rep = init_checks(state, ds, alpha=5e-3)
         assert rep.passed_all
 
     @pytest.mark.parametrize("seed", range(6))
@@ -595,12 +595,12 @@ class TestInitChecks:
         # the drift read from Delta r against the attention of W(0) and of
         # the dense step's W(1), on the init suite's inputs
         config = replace(default_config(), seed=seed)
-        sig, ds, _, state = _build_train_inputs(config)
+        ds, _, state = _build_train_inputs(config)
         alpha = config.train.alpha
-        got = init_checks(state, ds, sig, alpha)[
+        got = init_checks(state, ds, alpha)[
             "init_first_step_drift"].measured
-        dr = (dense_attention(gd_step(state, ds, alpha), ds, sig)[1]
-              - dense_attention(state, ds, sig)[1])
+        dr = (dense_attention(gd_step(state, ds, alpha), ds)[1]
+              - dense_attention(state, ds)[1])
         dlam, drho = np.max(np.abs(dr[:2])), np.max(np.abs(dr[2:]))
         assert rel_err(got["max_dlambda"], dlam) <= 1e-12
         assert rel_err(got["max_drho"], drho) <= 1e-12
@@ -618,8 +618,8 @@ class TestSignalGrowth:
         ds = generate_dataset(cfg, sig, rng)
         W, p = init_params(d, s, s, rng)
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        res = train(state, ds, sig, TrainConfig(alpha=5e-3, steps=steps,
-                                                log_every=10, test_size=0))
+        res = train(state, ds, TrainConfig(alpha=5e-3, steps=steps,
+                                           log_every=10, test_size=0))
         return res.trace
 
     def test_zero_head_constant(self):
@@ -631,8 +631,8 @@ class TestSignalGrowth:
         ds = generate_dataset(cfg, sig, rng)
         state = ModelState(W=rng.normal(0, 0.1, (64, 64)),
                            p=rng.normal(0, 0.1, 64), nu=np.zeros(64))
-        res = train(state, ds, sig, TC(alpha=5e-3, steps=50, log_every=10,
-                                       test_size=0))
+        res = train(state, ds, TC(alpha=5e-3, steps=50, log_every=10,
+                                  test_size=0))
         assert np.ptp(res.trace.lambda_plus) == 0.0
         assert np.ptp(res.trace.lambda_minus) == 0.0
 
@@ -655,8 +655,8 @@ class TestLossDerivativeBalance:
         from attnsim.model import init_params
         W, p = init_params(32, 0.05, 0.05, rng)
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        res = train(state, ds, sig, TrainConfig(alpha=0.05, steps=100,
-                                                log_every=10, test_size=0))
+        res = train(state, ds, TrainConfig(alpha=0.05, steps=100,
+                                           log_every=10, test_size=0))
         check = loss_derivative_balance(res.trace)
         assert check.passed
         assert check.measured["max_log_ratio"] <= check.threshold + 1e-12

@@ -251,8 +251,8 @@ class TestDirectionalGradientOracle:
     @pytest.mark.slow
     def test_after_5000_steps(self):
         ds, sig, state = self.paper_scale()
-        res = train(state, ds, sig, run_config(alpha=5e-3, steps=5000,
-                                               log_every=5000, test_size=0))
+        res = train(state, ds, run_config(alpha=5e-3, steps=5000,
+                                          log_every=5000, test_size=0))
         self.assert_directional_derivatives(ds, res.final_state(),
                                             stream(1, "dir"))
 
@@ -328,18 +328,18 @@ class TestTrainLoop:
 
     def test_zero_steps_single_row(self):
         state, ds, sig, test = self.setup_run()
-        res = train(state, ds, sig, run_config(steps=0), test_set=test)
+        res = train(state, ds, run_config(steps=0), test_set=test)
         assert list(res.trace.steps) == [0]
 
     def test_log_cadence_and_final_step(self):
         state, ds, sig, test = self.setup_run()
-        res = train(state, ds, sig, run_config(steps=25, log_every=10),
+        res = train(state, ds, run_config(steps=25, log_every=10),
                     test_set=test)
         assert list(res.trace.steps) == [0, 10, 20, 25]
 
     def test_trace_finite_and_increasing(self):
         state, ds, sig, test = self.setup_run()
-        trace = train(state, ds, sig, run_config(steps=40),
+        trace = train(state, ds, run_config(steps=40),
                       test_set=test).trace
         assert np.all(np.diff(trace.steps) > 0)
         for name in ("train_loss", "probs", "scores"):
@@ -348,13 +348,13 @@ class TestTrainLoop:
     def test_hooks_called_at_log_points(self):
         state, ds, sig, test = self.setup_run()
         seen = []
-        train(state, ds, sig, run_config(steps=20, log_every=10),
+        train(state, ds, run_config(steps=20, log_every=10),
               test_set=test, hooks=(lambda s, snap: seen.append(s),))
         assert seen == [0, 10, 20]
 
     def test_final_state_matches_gd_steps(self):
         state, ds, sig, _ = self.setup_run(seed=2)
-        res = train(state, ds, sig, run_config(steps=3, test_size=0))
+        res = train(state, ds, run_config(steps=3, test_size=0))
         manual = state
         for _ in range(3):
             manual = gd_step(manual, ds, 0.05)
@@ -367,7 +367,7 @@ class TestTrainLoop:
         # "too large" steps merely saturate the softmax and freeze
         state, ds, sig, _ = self.setup_run(seed=3)
         huge = run_config(alpha=1e305, steps=50, log_every=1, test_size=0)
-        trace = train(state, ds, sig, huge).trace
+        trace = train(state, ds, huge).trace
         assert trace.n_logged >= 1
         assert trace.diverged_at == 1
         # the update itself stays finite; its scores overflow
@@ -391,9 +391,9 @@ class TestTraceDiagnostics:
         ds = generate_dataset(cfg, sig, stream(21, "d"))
         W, p = init_params(48, 0.05, 0.05, stream(21, "i"))
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        res = train(state, ds, sig, run_config(steps=30, log_every=30,
-                                               test_size=0))
-        u, r = dense_attention(res.final_state(), ds, sig)
+        res = train(state, ds, run_config(steps=30, log_every=30,
+                                          test_size=0))
+        u, r = dense_attention(res.final_state(), ds)
         Lambda, Gamma = attention_gaps(u)
         tr = res.trace
         assert tr.lambda_plus[-1] == pytest.approx(r[0], rel=1e-10)
@@ -414,8 +414,8 @@ class TestTraceDiagnostics:
 
         monkeypatch.setattr(_SubspaceEngine, "_score", recording)
         state, ds, sig, _ = TestTrainLoop().setup_run(seed=4)
-        tr = train(state, ds, sig, run_config(steps=40, log_every=1,
-                                              test_size=0)).trace
+        tr = train(state, ds, run_config(steps=40, log_every=1,
+                                         test_size=0)).trace
         n, T = ds.n, ds.T
         lam_cols = np.arange(1, T)
         gam_cols = np.concatenate(([0], np.arange(2, T)))
@@ -462,7 +462,7 @@ def assert_trace_matches(trace, logged, ds, sig, test):
     assert list(trace.steps) == sorted(logged)
     for k, step in enumerate(trace.steps):
         state = logged[step]
-        u, r = dense_attention(state, ds, sig)
+        u, r = dense_attention(state, ds)
         Lambda, Gamma = attention_gaps(u)
         assert rel_err(trace.train_loss[k], empirical_loss(ds, state)) < 1e-9
         assert np.max(np.abs(trace.probs[k] - softmax(u))) < 1e-9
@@ -480,7 +480,7 @@ def assert_trace_matches(trace, logged, ds, sig, test):
 def assert_matches_gd_oracle(state, ds, sig, test, tcfg):
     """Train, then check every logged row and the final state against a
     ``gd_step`` loop from the same initial state."""
-    res = train(state, ds, sig, tcfg, test_set=test)
+    res = train(state, ds, tcfg, test_set=test)
     logged, diverged = gd_oracle(state, ds, tcfg.alpha, tcfg.steps,
                                  set(res.trace.steps))
     assert diverged is None and res.trace.diverged_at is None
@@ -563,7 +563,7 @@ class TestSubspaceAgainstGdStep:
         monkeypatch.setattr(model_mod, "loss_derivative", faulty)
         state, ds, sig, test = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=3 * _FOLD, log_every=5)
-        res = train(state, ds, sig, tcfg, test_set=test)
+        res = train(state, ds, tcfg, test_set=test)
         calls.clear()
         logged, diverged = gd_oracle(state, ds, 0.05, 3 * _FOLD,
                                      set(range(0, 3 * _FOLD + 1, 5)))
@@ -598,8 +598,8 @@ class TestSubspaceAgainstGdStep:
             scored.append((eng.u.copy(), eng.x.copy()))
 
         monkeypatch.setattr(_SubspaceEngine, "_score", planting)
-        res = train(state, ds, sig, run_config(steps=3 * _FOLD, log_every=1,
-                                               test_size=0))
+        res = train(state, ds, run_config(steps=3 * _FOLD, log_every=1,
+                                          test_size=0))
         tr = res.trace
         assert len(scored) == fault_at + 1
         assert tr.diverged_at == fault_at and tr.n_logged == fault_at
@@ -625,7 +625,7 @@ class TestSubspaceAgainstGdStep:
             eng.u[-1] = value
 
         monkeypatch.setattr(_SubspaceEngine, "_score", planting)
-        trace = train(state, ds, sig, run_config(steps=5, test_size=0)).trace
+        trace = train(state, ds, run_config(steps=5, test_size=0)).trace
         assert trace.n_logged == 0
         assert trace.divergence == {"step": 0, "quantity": "u",
                                     "last_finite": None}
@@ -640,7 +640,7 @@ class TestSubspaceAgainstGdStep:
         # magnitudes of their terms.
         state, ds, sig, _ = self.setup_run()
         alpha, steps = 0.05, 3 * _FOLD + _FOLD // 2
-        eng = _SubspaceEngine(state, ds, sig, alpha)
+        eng = _SubspaceEngine(state, ds, alpha)
         N, nT = eng.N, eng.nT
         xs, betas = [], []
         for _ in range(steps):
@@ -684,9 +684,9 @@ class TestSubspaceAgainstGdStep:
         s = 3 * a8_sigma(cfg)
         W, p = init_params(d, s, s, stream(0, "i"))
         state = ModelState(W=W, p=p, nu=make_head(sig))
-        res = train(state, ds, sig, run_config(alpha=5e-3, steps=20000,
-                                               log_every=20000, test_size=0))
-        u, r = dense_attention(res.final_state(), ds, sig)
+        res = train(state, ds, run_config(alpha=5e-3, steps=20000,
+                                          log_every=20000, test_size=0))
+        u, r = dense_attention(res.final_state(), ds)
         tr = res.trace
         assert tr.steps[-1] == 20000
         assert np.max(np.abs(tr.probs[-1] - softmax(u))) < 1e-9
@@ -781,7 +781,7 @@ class TestConcurrentTestScoring:
             monkeypatch.setattr(model_mod, "loss_derivative", faulty)
         state, ds, sig, test = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=steps, log_every=log_every)
-        res = train(state, ds, sig, tcfg, test_set=test)
+        res = train(state, ds, tcfg, test_set=test)
         assert res.trace.diverged_at == fault_at
         assert res.trace.n_logged == len(rows)
         if fault_at is not None:
@@ -814,8 +814,8 @@ class TestConcurrentTestScoring:
         state, ds, sig, test = self.setup_run()
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block scoring failed"):
-            train(state, ds, sig, run_config(steps=3 * _TEST_BLOCK,
-                                             log_every=1),
+            train(state, ds, run_config(steps=3 * _TEST_BLOCK,
+                                        log_every=1),
                   test_set=test, hooks=(hook,))
         assert set(threading.enumerate()) <= before
         assert blocks == [(0, _TEST_BLOCK)]
@@ -837,8 +837,8 @@ class TestConcurrentTestScoring:
         state, ds, sig, test = self.setup_run()
         seen = []
         with pytest.raises(RuntimeError, match="block scoring failed"):
-            train(state, ds, sig, run_config(steps=3 * _TEST_BLOCK,
-                                             log_every=1),
+            train(state, ds, run_config(steps=3 * _TEST_BLOCK,
+                                        log_every=1),
                   test_set=test, hooks=(lambda step, _: seen.append(step),))
         assert seen[-1] == 2 * _TEST_BLOCK - 1
 
@@ -859,7 +859,7 @@ class TestUntil:
                              ids=["projected", "direct"])
     def test_stopped_run_is_the_whole_runs_head(self, projected, stop):
         state, ds, sig, tcfg, test = TestScoringSizes.setup_run(projected)
-        whole = train(state, ds, sig, tcfg, test_set=test).trace
+        whole = train(state, ds, tcfg, test_set=test).trace
         seen = []
 
         def until(k, probs):
@@ -867,14 +867,14 @@ class TestUntil:
             assert probs.tobytes() == whole.probs[k].tobytes()
             return k == stop
 
-        res = train(state, ds, sig, tcfg, test_set=test, until=until)
+        res = train(state, ds, tcfg, test_set=test, until=until)
         assert seen == list(range(stop + 1))
         for name in self.FIELDS:
             assert (getattr(res.trace, name).tobytes()
                     == getattr(whole, name)[:stop + 1].tobytes()), name
         assert res.trace.meta == whole.meta
         budget = replace(tcfg, steps=int(whole.steps[stop]), test_size=0)
-        ref = train(state, ds, sig, budget).final_state()
+        ref = train(state, ds, budget).final_state()
         assert res.final_state().W.tobytes() == ref.W.tobytes()
         assert res.final_state().p.tobytes() == ref.p.tobytes()
 
@@ -909,7 +909,7 @@ class TestStreamedTestSet:
                                                (6, 203, False)])
     def test_projection_equals_one_shot(self, T, m, bitwise):
         state, ds, sig, lazy = self.setup_run(n=16, T=T, d=800, m=m)
-        eng = _SubspaceEngine(state, ds, sig, 0.05)
+        eng = _SubspaceEngine(state, ds, 0.05)
         gamma, proj = eng.test_projection(lazy, threading.Event())
         assert "X" not in lazy.__dict__
         N, X = eng.N, self.whole(lazy).X.reshape(m * T, 800)
@@ -933,9 +933,9 @@ class TestStreamedTestSet:
         state, ds, sig, lazy = self.setup_run()
         tcfg = run_config(alpha=0.05, steps=100, log_every=1)
         assert projects_test_set(ds.config, tcfg)
-        streamed = train(state, ds, sig, tcfg, test_set=lazy).trace
+        streamed = train(state, ds, tcfg, test_set=lazy).trace
         assert "X" not in lazy.__dict__
-        held = train(state, ds, sig, tcfg, test_set=self.whole(lazy)).trace
+        held = train(state, ds, tcfg, test_set=self.whole(lazy)).trace
         assert streamed.test_acc.tobytes() == held.test_acc.tobytes()
         assert streamed.test_loss.tobytes() == held.test_loss.tobytes()
 
@@ -950,7 +950,7 @@ class TestStreamedTestSet:
         tracemalloc.start()
         try:
             lazy = generate_dataset(test_cfg, sig, stream(11, "t"), lazy=True)
-            train(state, ds, sig, tcfg, test_set=lazy)
+            train(state, ds, tcfg, test_set=lazy)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -983,7 +983,7 @@ class TestStreamedTestSet:
         monkeypatch.setattr(data_mod, "_draw_tokens", counting_draw)
         monkeypatch.setattr(_TestScoring, "close", recording_close)
         with pytest.raises(RuntimeError, match="hook failed"):
-            train(state, ds, sig, run_config(steps=100, log_every=1),
+            train(state, ds, run_config(steps=100, log_every=1),
                   test_set=lazy, hooks=(failing_hook,))
         assert drawn == [_test_chunk(150)]
 
@@ -1003,9 +1003,9 @@ class TestStreamedTestSet:
         tcfg = run_config(alpha=5e-3, steps=20000, log_every=100)
         assert projects_test_set(cfg, tcfg)
         lazy = generate_dataset(test_cfg, sig, stream(0, "t"), lazy=True)
-        streamed = train(state, ds, sig, tcfg, test_set=lazy).trace
+        streamed = train(state, ds, tcfg, test_set=lazy).trace
         assert "X" not in lazy.__dict__
-        held = train(state, ds, sig, tcfg, test_set=generate_dataset(
+        held = train(state, ds, tcfg, test_set=generate_dataset(
             test_cfg, sig, stream(0, "t"))).trace
         assert streamed.test_acc.tobytes() == held.test_acc.tobytes()
         assert streamed.test_loss.tobytes() == held.test_loss.tobytes()
@@ -1046,7 +1046,7 @@ class TestScoringSizes:
             monkeypatch.setattr(train_mod, "_TEST_BLOCK", block)
         if chunk is not None:
             monkeypatch.setattr(train_mod, "_test_chunk", lambda m: chunk)
-        return train(state, ds, sig, tcfg, test_set=test).trace
+        return train(state, ds, tcfg, test_set=test).trace
 
     @pytest.mark.parametrize("block, chunk", [(1, 8), (7, 24), (None, 152)])
     @pytest.mark.parametrize("projected", [True, False],
@@ -1066,7 +1066,7 @@ class TestScoringSizes:
         trace = self.run(monkeypatch, state, ds, sig, tcfg, test, block,
                          chunk)
         # the serial pass projects the tokens in the run's chunks
-        eng = _SubspaceEngine(state, ds, sig, tcfg.alpha)
+        eng = _SubspaceEngine(state, ds, tcfg.alpha)
         _, to_scores = eng.test_scorer(whole, projected, threading.Event())
         acc, loss = serial_test_metrics(whole, state.nu, np.array(rows),
                                         to_scores, block or _TEST_BLOCK)
